@@ -17,7 +17,6 @@ from .data import (
     DomainSequence,
     DomainSpec,
     HiddenLabelsError,
-    Sample,
     SequenceConfig,
     default_sequence,
     load_csv_domain,
@@ -38,9 +37,6 @@ from .evaluate import (
 from .generalize import (
     DGConfig,
     PseudoLabeledDataset,
-    ce_loss,
-    distill_loss,
-    nl_loss,
     select_confident,
     train_dg_source,
     train_dg_target,

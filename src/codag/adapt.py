@@ -32,7 +32,6 @@ class AdaptConfig:
     im_weight: float = 1.0
     pl_weight: float = 0.3  # weight of the centroid pseudo-label term
     pl_refresh_interval: int = 5  # epochs between centroid refreshes
-    distance: str = "cosine"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -43,8 +42,6 @@ class AdaptConfig:
             raise ValueError("loss weights must be nonnegative")
         if self.pl_refresh_interval < 1:
             raise ValueError("pl_refresh_interval must be at least 1")
-        if self.distance != "cosine":
-            raise ValueError(f"unsupported distance {self.distance!r}")
 
 
 def im_loss(probs) -> float:

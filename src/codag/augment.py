@@ -16,7 +16,6 @@ class AugmentConfig:
     mix_concentration: float = 1.0
     noise_sigma: float = 0.1
     identity_slot: bool = True
-    resample: str = "per-batch"
 
     def __post_init__(self):
         if self.n_transforms < 1:
@@ -25,8 +24,6 @@ class AugmentConfig:
             raise ValueError("mix_concentration must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        if self.resample != "per-batch":
-            raise ValueError(f"unsupported resample mode {self.resample!r}")
 
 
 def randmix(

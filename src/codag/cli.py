@@ -82,6 +82,8 @@ def build_config(config_path: str, overrides, out_dir=None) -> ExperimentConfig:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     config = build_config(args.config, args.override, out_dir=args.out)
     results = run_experiment(config, resume=args.resume, jobs=args.jobs)
     agg = results["aggregate"]

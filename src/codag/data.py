@@ -47,13 +47,6 @@ class DomainSpec:
             raise ValueError("scale must be positive")
 
 
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    label: int | None
-    domain_id: int
-
-
 class Dataset:
     """Classification dataset backed by dense arrays.
 
@@ -97,10 +90,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def sample(self, i: int) -> Sample:
-        label = None if self._labels is None else int(self._labels[i])
-        return Sample(self.x[i].copy(), label, self.domain_id)
 
     def without_labels(self) -> "Dataset":
         """View over the same arrays with label access disabled."""

@@ -211,10 +211,6 @@ class CurveLog:
                 log.records.append((int(stage), int(epoch), int(domain), float(acc)))
         return log
 
-    def domain_series(self, domain: int) -> list[tuple[int, int, float]]:
-        """(stage, epoch, accuracy) for one domain, in recorded order."""
-        return [(s, e, a) for s, e, d, a in self.records if d == domain]
-
 
 def metrics_from_grids(dg_grid, da_grid=None) -> MetricsReport:
     """Metrics from raw grids; without an adaptation grid, one model fills both roles."""

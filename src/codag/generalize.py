@@ -85,25 +85,6 @@ class DGConfig:
             raise ValueError("nl_conf_floor must lie in [0, 1]")
 
 
-def ce_loss(probs, label: int, clip_eps: float = 1e-7) -> float:
-    """-ln(p_label), clipped away from zero."""
-    p = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < p.shape[-1]:
-        raise ValueError(f"label {label} out of range [0, {p.shape[-1]})")
-    return float(-np.log(max(p[label], clip_eps)))
-
-
-def nl_loss(probs, complementary_label: int, label: int | None = None,
-            clip_eps: float = 1e-7) -> float:
-    """-ln(1 - p_complementary): push mass away from a class the sample is not."""
-    p = np.asarray(probs, dtype=np.float64)
-    if not 0 <= complementary_label < p.shape[-1]:
-        raise ValueError(f"complementary label {complementary_label} out of range")
-    if label is not None and complementary_label == label:
-        raise ValueError("complementary label must differ from the assigned label")
-    return float(-np.log(max(1.0 - p[complementary_label], clip_eps)))
-
-
 def draw_complementary_labels(labels, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw over the k-1 classes different from each label."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -126,14 +107,6 @@ def kl_divergence(q, p, axis: int = -1) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     terms = np.where(q > 0, q * (np.log(np.where(q > 0, q, 1.0)) - np.log(p)), 0.0)
     return terms.sum(axis=axis)
-
-
-def distill_loss(prev_params: ClassifierParams, cur_params: ClassifierParams,
-                 x_augmented) -> float:
-    """Mean KL(prev || cur) over one shared augmented view."""
-    q = softmax(forward(prev_params, x_augmented))
-    p = softmax(forward(cur_params, x_augmented))
-    return float(np.mean(kl_divergence(np.atleast_2d(q), np.atleast_2d(p))))
 
 
 def with_label_noise(data: PseudoLabeledDataset, rate: float,

@@ -3,13 +3,8 @@
 Stage 0 trains the generalization model on the labeled source. Every later
 stage adapts a copy of the previous generalization model to the new target,
 exports pseudo-labels, continues the generalization model on them plus the
-replay buffer, then refreshes the buffer. Variants rewire single steps:
-
-* da-only / dg-only: naive single-model chains (both matrix roles mirror it),
-* codag-no-buffer: replay capacity forced to zero,
-* codag-no-selnlpl: noisy-label schedule disabled,
-* codag-da-init: the adaptation model continues from its own previous
-  parameters instead of the generalization model's.
+replay buffer, then refreshes the buffer. Baselines and ablations rewire
+single steps of that loop; ``RECIPES`` is the table of variants.
 """
 
 import hashlib
@@ -34,14 +29,36 @@ from .nnmodel import (
 from .replay import ReplayBuffer, update_buffer
 from .rng import RngStreams, substream
 
-VARIANTS = (
-    "codag",
-    "da-only",
-    "dg-only",
-    "codag-no-buffer",
-    "codag-no-selnlpl",
-    "codag-da-init",
-)
+
+@dataclass(frozen=True)
+class Recipe:
+    """How one variant wires the stage loop.
+
+    ``da_from`` is where each stage's adaptation model starts: ``"dg"`` from
+    the previous generalization model, ``"da"`` from the previous adaptation
+    model (the generalization model until one exists), ``None`` for no
+    adaptation model. Pseudo-labels come from the adaptation model when there
+    is one, else from the generalization model. Without ``dg_trains`` the
+    adaptation model stands in for the generalization model and the source
+    stage trains without augmentation.
+    """
+
+    da_from: str | None
+    dg_trains: bool
+    buffer: bool = True  # False: replay capacity forced to zero
+    selnlpl: bool = True  # False: noisy-label schedule disabled
+
+
+RECIPES = {
+    "codag": Recipe(da_from="dg", dg_trains=True),
+    "da-only": Recipe(da_from="dg", dg_trains=False, buffer=False),
+    "dg-only": Recipe(da_from=None, dg_trains=True),
+    "codag-no-buffer": Recipe(da_from="dg", dg_trains=True, buffer=False),
+    "codag-no-selnlpl": Recipe(da_from="dg", dg_trains=True, selnlpl=False),
+    "codag-da-init": Recipe(da_from="da", dg_trains=True),
+}
+
+VARIANTS = tuple(RECIPES)
 
 STATE_VERSION = 1
 
@@ -55,7 +72,7 @@ class ExperimentConfig:
     sequence: SequenceConfig = field(default_factory=SequenceConfig)
     domain_order: list[int] | None = None  # visit order of targets; None = natural
     seeds: tuple[int, ...] = (2022, 2023, 2024)
-    variant: str = "codag"
+    variant: str = VARIANTS[0]  # the full method
     model: ModelConfig = field(default_factory=ModelConfig)
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
     dg: DGConfig = field(default_factory=DGConfig)
@@ -74,10 +91,11 @@ class ExperimentConfig:
 
     def normalized(self) -> "ExperimentConfig":
         """Variant knobs folded into the plain fields."""
+        recipe = RECIPES[self.variant]
         cfg = self
-        if cfg.variant in ("codag-no-buffer", "da-only"):
+        if not recipe.buffer:
             cfg = replace(cfg, buffer_capacity=0)
-        if cfg.variant == "codag-no-selnlpl":
+        if not recipe.selnlpl:
             cfg = replace(cfg, dg=replace(cfg.dg, selnlpl=False))
         return cfg
 
@@ -152,70 +170,58 @@ def _eval_row(params: ClassifierParams, seq: DomainSequence) -> list[float]:
     return [accuracy(params, test) for test in seq.test_sets]
 
 
-def run_stage(state: RunState, t: int, seq: DomainSequence, config: ExperimentConfig,
-              ckpt_dir=None) -> RunState:
-    """Execute stage t in place; records one row of each accuracy matrix."""
+def run_stage(state: RunState, t: int, seq: DomainSequence,
+              config: ExperimentConfig) -> RunState:
+    """Execute stage t in place; records one row of each accuracy matrix.
+
+    Steps: adapt (target stages with an adaptation model), label, train the
+    generalization model, refresh the buffer, evaluate.
+    """
     if t != state.next_stage:
         raise StageOrderError(f"expected stage {state.next_stage}, got {t}")
     if t >= seq.n_domains:
         raise StageOrderError(f"stage {t} beyond the sequence horizon")
-    variant = config.variant
+    recipe = RECIPES[config.variant]
     streams = RngStreams.for_stage(state.seed, t)
+    train = seq.train_sets[t]
 
     on_epoch = None
     if config.log_curves:
         def on_epoch(epoch, params, mean_loss, phase, _t=t):
             state.curves.append(_t, epoch, _eval_row(params, seq))
 
-    if t == 0:
-        model = replace(config.model, d=seq.d, k=seq.k)
-        params0 = init_params(model, substream(state.seed, "init"))
-        aug = None if variant == "da-only" else config.aug
-        dg = train_dg_source(params0, seq.train_sets[0], config.dg, aug, streams, on_epoch)
-        state.dg_params = dg
-        row = _eval_row(dg, seq)
-        state.dg_matrix.set_row(0, row)
-        state.da_matrix.set_row(0, row)  # no adaptation model exists yet
-        if config.buffer_capacity > 0:
-            state.buffer = update_buffer(state.buffer, seq.train_sets[0], dg)
-    elif variant == "da-only":
-        adapted = adapt_domain(state.dg_params, seq.train_sets[t], config.adapt,
-                               streams.shuffle)
-        state.dg_params = adapted
-        state.da_params = adapted
-        row = _eval_row(adapted, seq)
-        state.da_matrix.set_row(t, row)
-        state.dg_matrix.set_row(t, row)
-    elif variant == "dg-only":
-        pl = generate_pseudo_labels(state.dg_params, seq.train_sets[t])
-        dg = train_dg_target(state.dg_params, pl, state.buffer, config.dg, config.aug,
-                             streams, on_epoch)
-        state.dg_params = dg
-        if config.buffer_capacity > 0:
-            state.buffer = update_buffer(state.buffer, pl, dg)
-        row = _eval_row(dg, seq)
-        state.da_matrix.set_row(t, row)
-        state.dg_matrix.set_row(t, row)
-    else:
+    da = None
+    if t > 0 and recipe.da_from is not None:
         da_init = state.dg_params
-        if variant == "codag-da-init" and state.da_params is not None:
+        if recipe.da_from == "da" and state.da_params is not None:
             da_init = state.da_params
-        da = adapt_domain(da_init, seq.train_sets[t], config.adapt, streams.shuffle)
-        pl = generate_pseudo_labels(da, seq.train_sets[t])
-        dg = train_dg_target(state.dg_params, pl, state.buffer, config.dg, config.aug,
-                             streams, on_epoch)
-        state.da_params = da
-        state.dg_params = dg
-        if config.buffer_capacity > 0:
-            state.buffer = update_buffer(state.buffer, pl, dg)
-        state.da_matrix.set_row(t, _eval_row(da, seq))
-        state.dg_matrix.set_row(t, _eval_row(dg, seq))
+        da = adapt_domain(da_init, train, config.adapt, streams.shuffle)
 
-    if ckpt_dir is not None:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        save_checkpoint(state.dg_params, os.path.join(ckpt_dir, f"dg_stage{t}.ckpt"))
-        if state.da_params is not None and variant not in ("da-only", "dg-only"):
-            save_checkpoint(state.da_params, os.path.join(ckpt_dir, f"da_stage{t}.ckpt"))
+    labeled = None
+    if t == 0:
+        labeled = train
+        params0 = init_params(replace(config.model, d=seq.d, k=seq.k),
+                              substream(state.seed, "init"))
+        aug = config.aug if recipe.dg_trains else None
+        dg = train_dg_source(params0, labeled, config.dg, aug, streams, on_epoch)
+    elif recipe.dg_trains:
+        labeled = generate_pseudo_labels(state.dg_params if da is None else da, train)
+        dg = train_dg_target(state.dg_params, labeled, state.buffer, config.dg, config.aug,
+                             streams, on_epoch)
+    else:
+        dg = da  # the adaptation model stands in for the generalization model
+
+    if labeled is not None and config.buffer_capacity > 0:
+        state.buffer = update_buffer(state.buffer, labeled, dg)
+
+    dg_row = _eval_row(dg, seq)
+    # Without a separate adaptation model, one model fills both matrix roles.
+    da_row = dg_row if da is None or da is dg else _eval_row(da, seq)
+    state.dg_matrix.set_row(t, dg_row)
+    state.da_matrix.set_row(t, da_row)
+    state.dg_params = dg
+    if da is not None:
+        state.da_params = da
     state.next_stage = t + 1
     return state
 
@@ -282,17 +288,15 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
         state = load_run_state(seed_dir)
     if state is None:
         state = new_run_state(seed, seq, config.buffer_capacity)
-    ckpt_dir = os.path.join(seed_dir, "checkpoints") if seed_dir is not None else None
     for t in range(state.next_stage, seq.n_domains):
-        run_stage(state, t, seq, config, ckpt_dir=ckpt_dir)
+        run_stage(state, t, seq, config)
         if seed_dir is not None:
             save_run_state(state, seed_dir)
     metrics = MetricsReport.from_matrices(state.da_matrix, state.dg_matrix)
     return state, metrics
 
 
-def _seed_worker(config_dict: dict, seed: int, seed_dir, resume: bool) -> dict:
-    config = ExperimentConfig.from_dict(config_dict)
+def _seed_worker(config: ExperimentConfig, seed: int, seed_dir, resume: bool) -> dict:
     state, metrics = run_seed(config, seed, seed_dir=seed_dir, resume=resume)
     return {
         "da_matrix": state.da_matrix.to_lists(),
@@ -335,17 +339,16 @@ def run_experiment(config: ExperimentConfig, resume: bool = False, jobs: int = 1
     if jobs > 1 and len(cfg.seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        cfg_dict = cfg.to_dict()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                seed: pool.submit(_seed_worker, cfg_dict, seed, seed_dirs.get(seed), resume)
+                seed: pool.submit(_seed_worker, cfg, seed, seed_dirs.get(seed), resume)
                 for seed in cfg.seeds
             }
             for seed, fut in futures.items():
                 per_seed[str(seed)] = fut.result()
     else:
         for seed in cfg.seeds:
-            per_seed[str(seed)] = _seed_worker(cfg.to_dict(), seed, seed_dirs.get(seed), resume)
+            per_seed[str(seed)] = _seed_worker(cfg, seed, seed_dirs.get(seed), resume)
 
     results = {
         "config_digest": config_digest(cfg),

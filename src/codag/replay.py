@@ -93,12 +93,6 @@ class ReplayBuffer:
         return (np.concatenate(xs), np.concatenate(ys),
                 np.concatenate(ds), np.concatenate(ps))
 
-    def class_rows(self, domain_id: int, cls: int) -> np.ndarray:
-        for store in self._domains:
-            if store.domain_id == domain_id:
-                return store.per_class.get(cls, np.empty((0, 0)))
-        raise KeyError(f"domain {domain_id} not in buffer")
-
     def to_dict(self) -> dict:
         return {
             "capacity": self.capacity,

@@ -35,7 +35,3 @@ class RngStreams:
             shuffle=substream(master_seed, "shuffle", stage),
             nl=substream(master_seed, "nl", stage),
         )
-
-    @classmethod
-    def from_seed(cls, master_seed: int) -> "RngStreams":
-        return cls.for_stage(master_seed, 0)

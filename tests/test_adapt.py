@@ -212,6 +212,4 @@ def test_adapt_config_validation():
     with pytest.raises(ValueError):
         AdaptConfig(epochs=-1)
     with pytest.raises(ValueError):
-        AdaptConfig(distance="euclidean")
-    with pytest.raises(ValueError):
         AdaptConfig(pl_refresh_interval=0)

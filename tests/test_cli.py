@@ -44,6 +44,23 @@ def test_invalid_config_reports_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_jobs_below_one(tmp_path, tiny_config_file, capsys, jobs):
+    out = tmp_path / "out"
+    code = main(["run", "--config", tiny_config_file, "--out", str(out), "--jobs", jobs])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("removed", ["adapt.distance=cosine", "aug.resample=per-batch"])
+def test_removed_config_keys_are_invalid(tmp_path, tiny_config_file, capsys, removed):
+    code = main(["run", "--config", tiny_config_file, "--override", removed,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
 def test_override_equals_infile_setting(tmp_path, tiny_config_file):
     out_a = tmp_path / "a"
     assert main(["run", "--config", tiny_config_file,

@@ -175,7 +175,8 @@ def test_curve_log_ordering_and_roundtrip(tmp_path):
     log.save_csv(path)
     again = CurveLog.load_csv(path)
     assert again.records == log.records
-    assert again.domain_series(1) == [(0, 0, 0.2), (0, 1, 0.4), (1, 0, 0.6)]
+    series = [(s, e, a) for s, e, d, a in again.records if d == 1]
+    assert series == [(0, 0, 0.2), (0, 1, 0.4), (1, 0, 0.6)]
 
 
 def test_metrics_from_grids_single_grid_fallback_and_validation():

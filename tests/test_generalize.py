@@ -10,10 +10,8 @@ from codag.generalize import (
     PHASE_SELNL,
     PHASE_SELPL,
     PseudoLabeledDataset,
-    ce_loss,
-    distill_loss,
     draw_complementary_labels,
-    nl_loss,
+    kl_divergence,
     select_confident,
     train_dg_source,
     train_dg_target,
@@ -23,6 +21,35 @@ from codag.nnmodel import ClassifierParams, ModelConfig, forward, init_params, s
 from codag.rng import RngStreams, substream
 
 from conftest import selnlpl_noise_diff, source_model
+
+
+# Scalar reference losses: the oracles the vectorized training loss is checked against.
+
+def ce_loss(probs, label: int, clip_eps: float = 1e-7) -> float:
+    """-ln(p_label), clipped away from zero."""
+    p = np.asarray(probs, dtype=np.float64)
+    if not 0 <= label < p.shape[-1]:
+        raise ValueError(f"label {label} out of range [0, {p.shape[-1]})")
+    return float(-np.log(max(p[label], clip_eps)))
+
+
+def nl_loss(probs, complementary_label: int, label: int | None = None,
+            clip_eps: float = 1e-7) -> float:
+    """-ln(1 - p_complementary): push mass away from a class the sample is not."""
+    p = np.asarray(probs, dtype=np.float64)
+    if not 0 <= complementary_label < p.shape[-1]:
+        raise ValueError(f"complementary label {complementary_label} out of range")
+    if label is not None and complementary_label == label:
+        raise ValueError("complementary label must differ from the assigned label")
+    return float(-np.log(max(1.0 - p[complementary_label], clip_eps)))
+
+
+def distill_loss(prev_params: ClassifierParams, cur_params: ClassifierParams,
+                 x_augmented) -> float:
+    """Mean KL(prev || cur) over one shared augmented view."""
+    q = softmax(forward(prev_params, x_augmented))
+    p = softmax(forward(cur_params, x_augmented))
+    return float(np.mean(kl_divergence(np.atleast_2d(q), np.atleast_2d(p))))
 
 
 def test_ce_loss_examples():
@@ -135,7 +162,7 @@ def test_train_source_zero_epochs_identity():
     seq, _ = source_model(2022)
     params0 = init_params(ModelConfig(d=seq.d, k=seq.k), 0)
     out = train_dg_source(params0, seq.train_sets[0], DGConfig(epochs=0),
-                          AugmentConfig(), RngStreams.from_seed(0))
+                          AugmentConfig(), RngStreams.for_stage(0, 0))
     for name in params0.blocks:
         assert out.blocks[name].tobytes() == params0.blocks[name].tobytes()
 
@@ -158,7 +185,7 @@ def test_train_source_beats_chance_and_loss_decreases():
 def test_train_target_zero_epochs_returns_prev():
     prev = init_params(ModelConfig(d=3, k=4), 1)
     out = train_dg_target(prev, _pl_dataset(), None, DGConfig(epochs=0),
-                          AugmentConfig(), RngStreams.from_seed(0))
+                          AugmentConfig(), RngStreams.for_stage(0, 0))
     for name in prev.blocks:
         assert out.blocks[name].tobytes() == prev.blocks[name].tobytes()
 
@@ -170,10 +197,10 @@ def test_train_target_alpha_zero_no_selnlpl_equals_plain_ce():
     cfg = DGConfig(epochs=1, batch_size=25, alpha=0.0, selnlpl=False)
     aug = AugmentConfig(noise_sigma=0.05)
     captured = []
-    train_dg_target(prev, data, None, cfg, aug, RngStreams.from_seed(5),
+    train_dg_target(prev, data, None, cfg, aug, RngStreams.for_stage(5, 0),
                     on_epoch=lambda e, p, loss, phase: captured.append((loss, phase)))
 
-    replay = RngStreams.from_seed(5)
+    replay = RngStreams.for_stage(5, 0)
     perm = replay.shuffle.permutation(len(data))
     xb = randmix(data.x[perm], aug, replay.aug)
     probs = softmax(forward(prev, xb))
@@ -190,7 +217,7 @@ def test_train_target_phase_schedule():
     phases = []
     train_dg_target(prev, data, None,
                     DGConfig(epochs=8, batch_size=20, nl_epoch_fraction=0.25),
-                    None, RngStreams.from_seed(1),
+                    None, RngStreams.for_stage(1, 0),
                     on_epoch=lambda e, p, loss, phase: phases.append(phase))
     assert phases == [PHASE_NL, PHASE_NL, PHASE_SELNL, PHASE_SELNL,
                       PHASE_SELPL, PHASE_SELPL, PHASE_SELPL, PHASE_SELPL]
@@ -201,7 +228,7 @@ def test_train_target_selnlpl_off_single_phase():
     prev = init_params(ModelConfig(d=3, k=4, hidden=(5,), feat_dim=3), 3)
     phases = []
     train_dg_target(prev, data, None, DGConfig(epochs=3, selnlpl=False), None,
-                    RngStreams.from_seed(1),
+                    RngStreams.for_stage(1, 0),
                     on_epoch=lambda e, p, loss, phase: phases.append(phase))
     assert phases == [PHASE_CE] * 3
 

@@ -11,6 +11,7 @@ from codag.data import HiddenLabelsError, SequenceConfig
 from codag.generalize import DGConfig, train_dg_source
 from codag.nnmodel import ModelConfig, init_params
 from codag.orchestrate import (
+    VARIANTS,
     ExperimentConfig,
     StageOrderError,
     config_digest,
@@ -104,7 +105,7 @@ def test_training_path_never_reads_hidden_labels():
     with pytest.raises(HiddenLabelsError):
         train_dg_source(
             init_params(ModelConfig(d=seq.d, k=seq.k, hidden=(8,), feat_dim=6), 0),
-            seq.train_sets[1], cfg.dg, AugmentConfig(), RngStreams.from_seed(0),
+            seq.train_sets[1], cfg.dg, AugmentConfig(), RngStreams.for_stage(0, 0),
         )
     # and the unsupervised pipeline completes without touching them
     run_seed(cfg, 7)
@@ -159,12 +160,56 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
     state = new_run_state(7, seq, cfg.buffer_capacity)
     for t in range(2):  # stop midway
-        run_stage(state, t, seq, cfg, ckpt_dir=str(seed_dir / "checkpoints"))
+        run_stage(state, t, seq, cfg)
     orchestrate.save_run_state(state, str(seed_dir))
 
     resumed, _ = run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
     np.testing.assert_allclose(resumed.dg_matrix.values, full.dg_matrix.values, atol=1e-12)
     np.testing.assert_allclose(resumed.da_matrix.values, full.da_matrix.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, variant):
+    cfg = tiny_config(variant=variant).normalized()
+    writes = []
+    real_save = orchestrate.save_checkpoint
+
+    def counting_save(params, path):
+        writes.append(os.fspath(path))
+        real_save(params, path)
+
+    monkeypatch.setattr(orchestrate, "save_checkpoint", counting_save)
+
+    full_dir = tmp_path / "full"
+    full, _ = run_seed(cfg, 7, seed_dir=str(full_dir))
+    full_writes = writes.copy()
+    writes.clear()
+
+    real_stage = orchestrate.run_stage
+
+    def stop_after_stage_1(state, t, *args, **kwargs):
+        if t == 2:
+            raise KeyboardInterrupt
+        return real_stage(state, t, *args, **kwargs)
+
+    part_dir = tmp_path / "part"
+    monkeypatch.setattr(orchestrate, "run_stage", stop_after_stage_1)
+    with pytest.raises(KeyboardInterrupt):
+        run_seed(cfg, 7, seed_dir=str(part_dir))
+    assert json.loads((part_dir / "state.json").read_text())["next_stage"] == 2
+    monkeypatch.setattr(orchestrate, "run_stage", real_stage)
+    resumed, _ = run_seed(cfg, 7, seed_dir=str(part_dir), resume=True)
+
+    np.testing.assert_array_equal(resumed.dg_matrix.values, full.dg_matrix.values)
+    np.testing.assert_array_equal(resumed.da_matrix.values, full.da_matrix.values)
+    names = sorted(os.listdir(full_dir / "checkpoints"))
+    assert sorted(os.listdir(part_dir / "checkpoints")) == names
+    for name in names:
+        assert ((part_dir / "checkpoints" / name).read_bytes()
+                == (full_dir / "checkpoints" / name).read_bytes()), name
+    for run_dir, paths in ((full_dir, full_writes), (part_dir, writes)):
+        expected = [str(run_dir / "checkpoints" / name) for name in names]
+        assert sorted(paths) == expected  # every checkpoint written exactly once
 
 
 def test_parallel_jobs_match_sequential(tmp_path):
@@ -231,7 +276,7 @@ def test_seen_domain_curves_stay_stable_after_shifts(codag_curve_state):
     state, _ = codag_curve_state
     worst = 0.0
     for domain in range(5):
-        past = [(s, e, a) for s, e, a in state.curves.domain_series(domain) if s > domain]
+        past = [(s, e, a) for s, e, d, a in state.curves.records if d == domain and s > domain]
         for (_, _, a1), (_, _, a2) in zip(past, past[1:]):
             worst = max(worst, a1 - a2)
     assert worst < 0.3
