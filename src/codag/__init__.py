@@ -36,7 +36,6 @@ from .evaluate import (
 )
 from .generalize import (
     DGConfig,
-    PseudoLabeledDataset,
     select_confident,
     train_dg_source,
     train_dg_target,

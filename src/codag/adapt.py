@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .generalize import PseudoLabeledDataset
+from .generalize import _iter_batches
 from .nnmodel import (
     HEAD_BLOCKS,
     ClassifierParams,
@@ -73,7 +73,7 @@ def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 1.0 - an @ bn.T
 
 
-def centroid_pseudo_labels(params: ClassifierParams, dataset) -> np.ndarray:
+def centroid_pseudo_labels(params: ClassifierParams, dataset: Dataset) -> np.ndarray:
     """Two-round nearest-centroid labels over extractor features.
 
     Round one weights features by softmax responsibility to seed per-class
@@ -81,9 +81,7 @@ def centroid_pseudo_labels(params: ClassifierParams, dataset) -> np.ndarray:
     (empty classes keep their seed centroid) and re-assigns. Cosine distance,
     ties to the lowest class index.
     """
-    x = dataset.x if isinstance(dataset, (Dataset, PseudoLabeledDataset)) else np.asarray(dataset)
-    if x.shape[0] == 0:
-        raise ValueError("dataset must be nonempty")
+    x = dataset.x
     feats = features(params, x)
     probs = softmax(forward(params, x))
     k = probs.shape[1]
@@ -137,15 +135,12 @@ def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
     if config.epochs == 0:
         return params
     opt = Sgd(params, config.lr, frozen=HEAD_BLOCKS)
-    n = x.shape[0]
     pl = centroid_pseudo_labels(params, target)
     for epoch in range(config.epochs):
         if epoch > 0 and epoch % config.pl_refresh_interval == 0:
             pl = centroid_pseudo_labels(params, target)
         losses = []
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
+        for idx in _iter_batches(x.shape[0], config.batch_size, rng):
             loss_fn = _im_pl_logit_loss(pl[idx], config.im_weight, config.pl_weight)
             loss, grads = gradient(loss_fn, params, x[idx], freeze_head=True)
             opt.step(params, grads)
@@ -155,11 +150,7 @@ def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
     return params
 
 
-def generate_pseudo_labels(da_params: ClassifierParams, target) -> PseudoLabeledDataset:
-    """Argmax-of-softmax labels (ties to lowest index) with max-prob confidence."""
-    probs = softmax(forward(da_params, target.x))
-    labels = probs.argmax(axis=1)
-    confidences = probs.max(axis=1)
-    return PseudoLabeledDataset(
-        target.x, labels, confidences, target.k, source_domain_id=target.domain_id
-    )
+def generate_pseudo_labels(da_params: ClassifierParams, target: Dataset) -> Dataset:
+    """Argmax-of-softmax labels (ties to lowest index) over the target samples."""
+    labels = softmax(forward(da_params, target.x)).argmax(axis=1)
+    return Dataset(target.x, labels, target.k, target.domain_id, pseudo=True)

@@ -52,9 +52,11 @@ class Dataset:
 
     ``labels_hidden=True`` makes any label access raise, which is how
     target-domain training views guarantee labels are never consulted.
+    ``pseudo=True`` marks labels assigned by a model rather than observed.
     """
 
-    def __init__(self, x, labels, k: int, domain_id: int = 0, labels_hidden: bool = False):
+    def __init__(self, x, labels, k: int, domain_id: int = 0, labels_hidden: bool = False,
+                 pseudo: bool = False):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("dataset features must be a nonempty (n, d) array")
@@ -72,6 +74,7 @@ class Dataset:
         self.k = k
         self.domain_id = domain_id
         self.labels_hidden = labels_hidden
+        self.pseudo = pseudo
         self._labels = labels
 
     @property
@@ -98,13 +101,15 @@ class Dataset:
         ds.k = self.k
         ds.domain_id = self.domain_id
         ds.labels_hidden = True
+        ds.pseudo = self.pseudo
         ds._labels = self._labels
         return ds
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         labels = None if self._labels is None else self._labels[indices]
-        return Dataset(self.x[indices], labels, self.k, self.domain_id, self.labels_hidden)
+        return Dataset(self.x[indices], labels, self.k, self.domain_id, self.labels_hidden,
+                       self.pseudo)
 
 
 def class_means(k: int, d: int, seed: int) -> np.ndarray:
@@ -165,21 +170,11 @@ def split_source(dataset: Dataset, fraction: float, seed) -> tuple[Dataset, Data
     dataset.labels  # raises if the dataset is unlabeled
     n = len(dataset)
     n_train = int(math.floor(fraction * n + 0.5))
+    if n_train == n:
+        raise ValueError(f"source_fraction {fraction} leaves the source test split empty; "
+                         "lower source_fraction")
     perm = np.random.default_rng(seed).permutation(n)
-    train = dataset.subset(perm[:n_train])
-    test_idx = perm[n_train:]
-    test = dataset.subset(test_idx) if test_idx.size else _empty_like(dataset)
-    return train, test
-
-
-def _empty_like(dataset: Dataset) -> Dataset:
-    ds = Dataset.__new__(Dataset)
-    ds.x = np.empty((0, dataset.d), dtype=np.float64)
-    ds.k = dataset.k
-    ds.domain_id = dataset.domain_id
-    ds.labels_hidden = False
-    ds._labels = np.empty(0, dtype=np.int64)
-    return ds
+    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
 def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
@@ -326,8 +321,6 @@ class SequenceConfig:
                 full = make_rotated_clusters(spec, self.n_per_domain, self.k, self.d)
             if spec.id == 0:
                 train, test = split_source(full, self.source_fraction, split_seed)
-                if len(test) == 0:
-                    raise ValueError("source test split is empty; lower source_fraction")
                 train_sets.append(train)
                 test_sets.append(test)
             else:

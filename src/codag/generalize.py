@@ -1,12 +1,13 @@
 """Generalization-model training.
 
-The source stage is plain ERM over augmented labeled batches. Target stages
-continue from the previous parameters on pseudo-labeled data plus replay
-entries, add a distillation term against the previous model, and guard
-against pseudo-label noise with a three-phase schedule: negative learning on
-everything, then negative learning on confident samples, then positive
-(cross-entropy) learning on confident samples. Replayed source samples keep
-plain cross-entropy throughout since their labels are clean.
+One SGD loop trains the generalization model on a labeled pool. At the
+source stage the pool is the labeled source domain. Target stages continue
+from the previous parameters on the pseudo-labeled domain plus replay
+entries, add a distillation term against the previous model, and guard the
+pseudo-labeled rows against label noise with a three-phase schedule:
+negative learning on everything, then negative learning on confident
+samples, then positive (cross-entropy) learning on confident samples. Rows
+with true labels keep plain cross-entropy throughout.
 """
 
 from dataclasses import dataclass
@@ -20,39 +21,10 @@ from .rng import RngStreams
 
 _SKIP, _CE, _NL = 0, 1, 2
 
-PHASE_SOURCE = "source"
 PHASE_NL = "nl"
 PHASE_SELNL = "selnl"
 PHASE_SELPL = "selpl"
 PHASE_CE = "ce"
-
-
-@dataclass
-class PseudoLabeledDataset:
-    """Target samples labeled by an adapted model, with prediction confidence."""
-
-    x: np.ndarray
-    pseudo_labels: np.ndarray
-    confidences: np.ndarray
-    k: int
-    source_domain_id: int = 0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.pseudo_labels = np.asarray(self.pseudo_labels, dtype=np.int64)
-        self.confidences = np.asarray(self.confidences, dtype=np.float64)
-        n = self.x.shape[0]
-        if n == 0:
-            raise ValueError("pseudo-labeled dataset must be nonempty")
-        if self.pseudo_labels.shape != (n,) or self.confidences.shape != (n,):
-            raise ValueError("pseudo labels and confidences must align with samples")
-        if self.pseudo_labels.min() < 0 or self.pseudo_labels.max() >= self.k:
-            raise ValueError(f"pseudo labels must lie in [0, {self.k})")
-        if np.any(self.confidences <= 0) or np.any(self.confidences > 1):
-            raise ValueError("confidences must lie in (0, 1]")
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -75,14 +47,21 @@ class DGConfig:
             raise ValueError("lr must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        for name in ("nl_epoch_fraction", "pl_conf_threshold"):
+        for name in ("nl_epoch_fraction", "selnl_epoch_fraction", "pl_conf_threshold",
+                     "nl_conf_floor"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.selnl_epoch_fraction is not None and not 0.0 <= self.selnl_epoch_fraction <= 1.0:
-            raise ValueError("selnl_epoch_fraction must lie in [0, 1]")
-        if self.nl_conf_floor is not None and not 0.0 <= self.nl_conf_floor <= 1.0:
-            raise ValueError("nl_conf_floor must lie in [0, 1]")
+        if self.nl_epoch_fraction + self.selnl_fraction > 1.0:
+            raise ValueError("nl_epoch_fraction plus selnl_epoch_fraction must not exceed 1, "
+                             "or the SelPL phase never runs")
+
+    @property
+    def selnl_fraction(self) -> float:
+        """Effective length of the SelNL phase, as a fraction of the epochs."""
+        if self.selnl_epoch_fraction is None:
+            return self.nl_epoch_fraction
+        return self.selnl_epoch_fraction
 
 
 def draw_complementary_labels(labels, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -92,13 +71,11 @@ def draw_complementary_labels(labels, k: int, rng: np.random.Generator) -> np.nd
     return (labels + offsets) % k
 
 
-def select_confident(dataset: PseudoLabeledDataset, params: ClassifierParams,
-                     threshold: float) -> np.ndarray:
-    """Indices whose max softmax under ``params`` strictly exceeds ``threshold``."""
+def select_confident(params: ClassifierParams, x, threshold: float) -> np.ndarray:
+    """Mask of rows whose max softmax under ``params`` strictly exceeds ``threshold``."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    conf = softmax(forward(params, dataset.x)).max(axis=1)
-    return np.where(conf > threshold)[0]
+    return softmax(forward(params, x)).max(axis=1) > threshold
 
 
 def kl_divergence(q, p, axis: int = -1) -> np.ndarray:
@@ -109,17 +86,15 @@ def kl_divergence(q, p, axis: int = -1) -> np.ndarray:
     return terms.sum(axis=axis)
 
 
-def with_label_noise(data: PseudoLabeledDataset, rate: float,
-                     rng: np.random.Generator) -> PseudoLabeledDataset:
-    """Copy with each pseudo-label flipped to a random other class w.p. ``rate``."""
+def with_label_noise(data: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
+    """Copy with each label flipped to a random other class w.p. ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
-    labels = data.pseudo_labels.copy()
+    labels = data.labels.copy()
     flip = rng.random(len(data)) < rate
     if flip.any():
         labels[flip] = (labels[flip] + rng.integers(1, data.k, size=int(flip.sum()))) % data.k
-    return PseudoLabeledDataset(data.x, labels, data.confidences, data.k,
-                                data.source_domain_id)
+    return Dataset(data.x, labels, data.k, data.domain_id, pseudo=data.pseudo)
 
 
 def _mixed_logit_loss(y, kinds, comp, q, alpha: float, clip_eps: float):
@@ -173,43 +148,11 @@ def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def train_dg_source(params0: ClassifierParams, source: Dataset, config: DGConfig,
-                    aug: AugmentConfig | None, rng: RngStreams,
-                    on_epoch=None) -> ClassifierParams:
-    """ERM with augmentation on the labeled source domain."""
-    if len(source) == 0:
-        raise ValueError("source dataset is empty")
-    y = source.labels
-    x = source.x
-    params = params0.copy()
-    if config.epochs == 0:
-        return params
-    opt = Sgd(params, config.lr)
-    kinds = np.full(len(source), _CE, dtype=np.int64)
-    for epoch in range(config.epochs):
-        losses = []
-        for idx in _iter_batches(len(source), config.batch_size, rng.shuffle):
-            xb = x[idx]
-            if aug is not None:
-                xb = randmix(xb, aug, rng.aug)
-            loss_fn = _mixed_logit_loss(y[idx], kinds[idx], None, None, 0.0,
-                                        config.clip_eps)
-            loss, grads = gradient(loss_fn, params, xb)
-            opt.step(params, grads)
-            losses.append(loss)
-        if on_epoch is not None:
-            on_epoch(epoch, params, float(np.mean(losses)), PHASE_SOURCE)
-    return params
-
-
 def _phase_for_epoch(epoch: int, config: DGConfig) -> str:
     if not config.selnlpl:
         return PHASE_CE
     nl_end = round(config.nl_epoch_fraction * config.epochs)
-    selnl_frac = (config.selnl_epoch_fraction
-                  if config.selnl_epoch_fraction is not None
-                  else config.nl_epoch_fraction)
-    selnl_end = nl_end + round(selnl_frac * config.epochs)
+    selnl_end = nl_end + round(config.selnl_fraction * config.epochs)
     if epoch < nl_end:
         return PHASE_NL
     if epoch < selnl_end:
@@ -217,53 +160,37 @@ def _phase_for_epoch(epoch: int, config: DGConfig) -> str:
     return PHASE_SELPL
 
 
-def train_dg_target(prev_dg: ClassifierParams, pl_data: PseudoLabeledDataset,
-                    buffer, config: DGConfig, aug: AugmentConfig | None,
-                    rng: RngStreams, on_epoch=None) -> ClassifierParams:
-    """Continue the generalization model on pseudo-labels plus replay.
+def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
+              is_pseudo: np.ndarray, teacher: ClassifierParams | None,
+              config: DGConfig, aug: AugmentConfig | None, rng: RngStreams,
+              on_epoch) -> ClassifierParams:
+    """SGD over one labeled pool; only rows flagged ``is_pseudo`` follow the schedule.
 
-    Pool = current pseudo-labeled domain plus buffer entries. Replayed
-    source samples always train with cross-entropy; pseudo-labeled samples
-    follow the noisy-label schedule when ``config.selnlpl`` is on, otherwise
-    plain cross-entropy. Distillation against ``prev_dg`` applies to every
-    sample on the same augmented view when ``config.alpha`` > 0.
+    A pool without pseudo-labeled rows trains with cross-entropy throughout.
+    With a ``teacher``, every row also distills against it on the same
+    augmented view.
     """
-    xs = [pl_data.x]
-    ys = [pl_data.pseudo_labels]
-    pseudo = [np.ones(len(pl_data), dtype=bool)]
-    if buffer is not None and buffer.n_entries:
-        bx, by, _, bpseudo = buffer.as_arrays()
-        xs.append(bx)
-        ys.append(by)
-        pseudo.append(bpseudo)
-    x = np.concatenate(xs, axis=0)
-    y = np.concatenate(ys, axis=0)
-    is_pseudo = np.concatenate(pseudo, axis=0)
     n = x.shape[0]
-    if n == 0:
-        raise ValueError("combined training pool is empty")
-
-    params = prev_dg.copy()
+    params = params0.copy()
     if config.epochs == 0:
         return params
     opt = Sgd(params, config.lr)
-    k = pl_data.k
+    k = params.n_classes
     nl_floor = config.nl_conf_floor if config.nl_conf_floor is not None else 1.0 / k
+    has_pseudo = bool(is_pseudo.any())
 
     for epoch in range(config.epochs):
-        phase = _phase_for_epoch(epoch, config)
+        phase = _phase_for_epoch(epoch, config) if has_pseudo else PHASE_CE
         kinds = np.full(n, _CE, dtype=np.int64)
-        if phase in (PHASE_SELNL, PHASE_SELPL):
-            # Confidence under the current parameters, refreshed each epoch.
-            conf = softmax(forward(params, x[is_pseudo])).max(axis=1)
+        # SelNL and SelPL score confidence under the current parameters.
         if phase == PHASE_NL:
             kinds[is_pseudo] = _NL
         elif phase == PHASE_SELNL:
-            sub = np.where(conf > nl_floor, _NL, _SKIP)
-            kinds[is_pseudo] = sub
+            confident = select_confident(params, x[is_pseudo], nl_floor)
+            kinds[is_pseudo] = np.where(confident, _NL, _SKIP)
         elif phase == PHASE_SELPL:
-            sub = np.where(conf > config.pl_conf_threshold, _CE, _SKIP)
-            kinds[is_pseudo] = sub
+            confident = select_confident(params, x[is_pseudo], config.pl_conf_threshold)
+            kinds[is_pseudo] = np.where(confident, _CE, _SKIP)
 
         losses = []
         for idx in _iter_batches(n, config.batch_size, rng.shuffle):
@@ -275,12 +202,41 @@ def train_dg_target(prev_dg: ClassifierParams, pl_data: PseudoLabeledDataset,
             nl_mask = kb == _NL
             if nl_mask.any():
                 comp[nl_mask] = draw_complementary_labels(y[idx][nl_mask], k, rng.nl)
-            q = softmax(forward(prev_dg, xb)) if config.alpha > 0 else None
-            loss_fn = _mixed_logit_loss(y[idx], kb, comp, q, config.alpha,
-                                        config.clip_eps)
+            q = softmax(forward(teacher, xb)) if teacher is not None else None
+            loss_fn = _mixed_logit_loss(y[idx], kb, comp, q, config.alpha, config.clip_eps)
             loss, grads = gradient(loss_fn, params, xb)
             opt.step(params, grads)
             losses.append(loss)
         if on_epoch is not None:
             on_epoch(epoch, params, float(np.mean(losses)), phase)
     return params
+
+
+def train_dg_source(params0: ClassifierParams, source: Dataset, config: DGConfig,
+                    aug: AugmentConfig | None, rng: RngStreams,
+                    on_epoch=None) -> ClassifierParams:
+    """ERM with augmentation on the labeled source domain."""
+    return _train_dg(params0, source.x, source.labels, np.zeros(len(source), dtype=bool),
+                     None, config, aug, rng, on_epoch)
+
+
+def train_dg_target(prev_dg: ClassifierParams, pl_data: Dataset, buffer,
+                    config: DGConfig, aug: AugmentConfig | None,
+                    rng: RngStreams, on_epoch=None) -> ClassifierParams:
+    """Continue the generalization model on the labeled domain plus replay.
+
+    Pool = the current domain (pseudo-labeled unless ``pl_data.pseudo`` is
+    off) plus buffer entries. Rows with true labels always train with
+    cross-entropy; pseudo-labeled rows follow the noisy-label schedule when
+    ``config.selnlpl`` is on. Distillation against ``prev_dg`` applies to
+    every sample when ``config.alpha`` > 0.
+    """
+    x, y = pl_data.x, pl_data.labels
+    is_pseudo = np.full(len(pl_data), pl_data.pseudo)
+    if buffer is not None and buffer.n_entries:
+        bx, by, _, bpseudo = buffer.as_arrays()
+        x = np.concatenate([x, bx], axis=0)
+        y = np.concatenate([y, by], axis=0)
+        is_pseudo = np.concatenate([is_pseudo, bpseudo], axis=0)
+    teacher = prev_dg if config.alpha > 0 else None
+    return _train_dg(prev_dg, x, y, is_pseudo, teacher, config, aug, rng, on_epoch)

@@ -254,8 +254,10 @@ def load_checkpoint(path) -> ClassifierParams:
     try:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
         tensors = header["tensors"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
+    if not isinstance(tensors, list):
+        raise CheckpointError(f"{path}: malformed header: tensors must be a list")
     payload = blob[header_end:]
     blocks: dict[str, np.ndarray] = {}
     expected = 0
@@ -266,6 +268,9 @@ def load_checkpoint(path) -> ClassifierParams:
             )
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed tensor entry: {exc}") from None
+        if not (isinstance(name, str) and type(offset) is int
+                and all(type(dim) is int and dim >= 0 for dim in shape)):
+            raise CheckpointError(f"{path}: malformed tensor entry {name!r}")
         if dtype != "f32":
             raise CheckpointError(f"{path}: unsupported dtype {dtype!r} for {name}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1

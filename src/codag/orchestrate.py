@@ -289,7 +289,10 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
     if state is None:
         state = new_run_state(seed, seq, config.buffer_capacity)
     for t in range(state.next_stage, seq.n_domains):
-        run_stage(state, t, seq, config)
+        try:
+            run_stage(state, t, seq, config)
+        except FloatingPointError as exc:
+            raise RuntimeError(f"seed {seed}, stage {t}: training diverged: {exc}") from exc
         if seed_dir is not None:
             save_run_state(state, seed_dir)
     metrics = MetricsReport.from_matrices(state.da_matrix, state.dg_matrix)

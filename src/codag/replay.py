@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .generalize import PseudoLabeledDataset
 from .nnmodel import ClassifierParams, features
 
 LABEL_TRUE = "true"
@@ -123,22 +122,19 @@ def _class_quotas(domain_quota: int, k: int) -> list[int]:
     return [base + (c < rem) for c in range(k)]
 
 
-def update_buffer(buffer: ReplayBuffer, new_domain, dg_params: ClassifierParams) -> ReplayBuffer:
+def update_buffer(buffer: ReplayBuffer, new_domain: Dataset,
+                  dg_params: ClassifierParams) -> ReplayBuffer:
     """Rebalanced buffer after a completed stage.
 
     Existing domains are trimmed by truncating their stored herding orders;
     the new domain's exemplars are herded per class over the current DG
-    features. Source datasets store true labels, pseudo-labeled datasets
-    store their pseudo-labels.
+    features. Each entry keeps the domain's labels, tagged pseudo or true
+    by ``new_domain.pseudo``.
     """
-    if isinstance(new_domain, PseudoLabeledDataset):
-        x, labels = new_domain.x, new_domain.pseudo_labels
-        domain_id, label_kind = new_domain.source_domain_id, LABEL_PSEUDO
-    elif isinstance(new_domain, Dataset):
-        x, labels = new_domain.x, new_domain.labels
-        domain_id, label_kind = new_domain.domain_id, LABEL_TRUE
-    else:
+    if not isinstance(new_domain, Dataset):
         raise TypeError(f"cannot buffer a {type(new_domain).__name__}")
+    x, labels, domain_id = new_domain.x, new_domain.labels, new_domain.domain_id
+    label_kind = LABEL_PSEUDO if new_domain.pseudo else LABEL_TRUE
     if new_domain.k != buffer.k:
         raise ValueError(f"class count mismatch: buffer {buffer.k}, domain {new_domain.k}")
 

@@ -162,12 +162,11 @@ def test_generate_pseudo_labels_dominant_and_tied():
 
     ds = Dataset(np.zeros((4, 2)), None, 3, domain_id=2)
     dominant = generate_pseudo_labels(with_bias([10.0, 0.0, 0.0]), ds)
-    assert set(dominant.pseudo_labels.tolist()) == {0}
-    assert dominant.source_domain_id == 2
+    assert set(dominant.labels.tolist()) == {0}
+    assert dominant.domain_id == 2 and dominant.pseudo
 
     tied = generate_pseudo_labels(with_bias([0.0, 0.0, 0.0]), ds)
-    assert set(tied.pseudo_labels.tolist()) == {0}  # exact tie -> lowest index
-    np.testing.assert_allclose(tied.confidences, 1.0 / 3.0, atol=1e-12)
+    assert set(tied.labels.tolist()) == {0}  # exact tie -> lowest index
 
 
 def test_generate_pseudo_labels_matches_argmax_oracle():
@@ -176,20 +175,19 @@ def test_generate_pseudo_labels_matches_argmax_oracle():
     ds = Dataset(x, None, 4, domain_id=1)
     pl = generate_pseudo_labels(params, ds)
     probs = softmax(forward(params, x))
-    np.testing.assert_array_equal(pl.pseudo_labels, probs.argmax(axis=1))
-    np.testing.assert_allclose(pl.confidences, probs.max(axis=1), atol=0)
+    np.testing.assert_array_equal(pl.labels, probs.argmax(axis=1))
 
 
 def test_pseudo_labels_invariant_under_monotone_logit_transform():
     params = init_params(ModelConfig(d=5, k=4, hidden=(6,), feat_dim=4), 8)
     x = np.random.default_rng(4).standard_normal((30, 5))
     ds = Dataset(x, None, 4, domain_id=1)
-    base = generate_pseudo_labels(params, ds).pseudo_labels
+    base = generate_pseudo_labels(params, ds).labels
     scaled = params.copy()
     scaled.blocks["head.w"] = scaled.blocks["head.w"] * np.float32(2.0)
     scaled.blocks["head.b"] = scaled.blocks["head.b"] * np.float32(2.0)
     np.testing.assert_array_equal(
-        generate_pseudo_labels(scaled, ds).pseudo_labels, base
+        generate_pseudo_labels(scaled, ds).labels, base
     )
 
 

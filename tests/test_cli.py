@@ -61,6 +61,19 @@ def test_removed_config_keys_are_invalid(tmp_path, tiny_config_file, capsys, rem
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, jobs):
+    code = main(["run", "--config", tiny_config_file, "--override", "dg.lr=1000",
+                 "--override", "seeds=[7, 8]", "--jobs", jobs,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "seed 7, stage" in errors[0] and "diverged" in errors[0]
+    assert "Traceback" not in err
+
+
 def test_override_equals_infile_setting(tmp_path, tiny_config_file):
     out_a = tmp_path / "a"
     assert main(["run", "--config", tiny_config_file,

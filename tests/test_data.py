@@ -95,8 +95,8 @@ def test_split_seed_determinism_and_full_fraction():
     a_train, _ = split_source(ds, 0.5, seed=123)
     b_train, _ = split_source(ds, 0.5, seed=123)
     np.testing.assert_array_equal(a_train.x, b_train.x)
-    full_train, empty_test = split_source(ds, 1.0, seed=0)
-    assert len(full_train) == 50 and len(empty_test) == 0
+    with pytest.raises(ValueError, match="source_fraction"):
+        split_source(ds, 1.0, seed=0)
 
 
 def test_split_fraction_bounds():

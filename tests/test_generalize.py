@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from codag.augment import AugmentConfig, randmix
-from codag.data import Dataset
+from codag.data import Dataset, default_sequence
 from codag.generalize import (
     DGConfig,
     PHASE_CE,
     PHASE_NL,
     PHASE_SELNL,
     PHASE_SELPL,
-    PseudoLabeledDataset,
     draw_complementary_labels,
     kl_divergence,
     select_confident,
@@ -91,23 +90,21 @@ def _uniform_model(d=3, k=4):
 
 def _pl_dataset(n=30, d=3, k=4, seed=0):
     rng = np.random.default_rng(seed)
-    return PseudoLabeledDataset(
-        rng.standard_normal((n, d)), rng.integers(0, k, n),
-        rng.uniform(0.3, 1.0, n), k, source_domain_id=1,
-    )
+    return Dataset(rng.standard_normal((n, d)), rng.integers(0, k, n), k, domain_id=1,
+                   pseudo=True)
 
 
 def test_select_confident_boundary_is_strict():
     data = _pl_dataset()
     params = _uniform_model()  # every prediction exactly uniform
-    assert select_confident(data, params, 0.25).size == 0
-    assert select_confident(data, params, 0.2499).size == len(data)
+    assert not select_confident(params, data.x, 0.25).any()
+    assert select_confident(params, data.x, 0.2499).all()
 
 
 def test_select_confident_zero_threshold_selects_all():
     data = _pl_dataset(seed=1)
     params = init_params(ModelConfig(d=3, k=4, hidden=(5,), feat_dim=3), 2)
-    np.testing.assert_array_equal(select_confident(data, params, 0.0), np.arange(len(data)))
+    assert select_confident(params, data.x, 0.0).all()
 
 
 def test_select_confident_matches_brute_force_and_is_monotone():
@@ -116,14 +113,14 @@ def test_select_confident_matches_brute_force_and_is_monotone():
     conf = softmax(forward(params, data.x)).max(axis=1)
     prev = None
     for threshold in (0.0, 0.24, 0.26, 0.3, 0.5, 1.0):
-        got = select_confident(data, params, threshold)
+        got = np.where(select_confident(params, data.x, threshold))[0]
         expected = [i for i in range(len(data)) if conf[i] > threshold]
         assert got.tolist() == expected
         if prev is not None:
             assert set(got.tolist()) <= set(prev.tolist())
         prev = got
     with pytest.raises(ValueError):
-        select_confident(data, params, 1.5)
+        select_confident(params, data.x, 1.5)
 
 
 def _bias_model(log_probs):
@@ -173,13 +170,28 @@ def test_train_source_beats_chance_and_loss_decreases():
     seq, params = source_model(2022)
     assert accuracy(params, seq.test_sets[0]) > 1.0 / seq.k
 
-    losses = []
+    losses, phases = [], []
     train_dg_source(
         init_params(ModelConfig(d=seq.d, k=seq.k), substream(2022, "init")),
         seq.train_sets[0], DGConfig(), AugmentConfig(), RngStreams.for_stage(2022, 0),
-        on_epoch=lambda e, p, loss, phase: losses.append(loss),
+        on_epoch=lambda e, p, loss, phase: (losses.append(loss), phases.append(phase)),
     )
     assert losses[0] >= losses[-1]
+    assert set(phases) == {PHASE_CE}
+
+
+def test_train_target_on_true_labels_equals_train_source():
+    """One loop: a true-labeled pool with no buffer or teacher is source ERM."""
+    source = default_sequence(split_seed=substream(2022, "data")).train_sets[0]
+    assert not source.pseudo
+    params0 = init_params(ModelConfig(d=source.d, k=source.k), 4)
+    cfg = DGConfig(epochs=6, alpha=0.0)
+    from_source = train_dg_source(params0, source, cfg, AugmentConfig(),
+                                  RngStreams.for_stage(3, 1))
+    from_target = train_dg_target(params0, source, None, cfg, AugmentConfig(),
+                                  RngStreams.for_stage(3, 1))
+    for name in params0.blocks:
+        assert from_target.blocks[name].tobytes() == from_source.blocks[name].tobytes()
 
 
 def test_train_target_zero_epochs_returns_prev():
@@ -204,7 +216,7 @@ def test_train_target_alpha_zero_no_selnlpl_equals_plain_ce():
     perm = replay.shuffle.permutation(len(data))
     xb = randmix(data.x[perm], aug, replay.aug)
     probs = softmax(forward(prev, xb))
-    expected = np.mean([ce_loss(probs[i], int(data.pseudo_labels[perm][i]))
+    expected = np.mean([ce_loss(probs[i], int(data.labels[perm][i]))
                         for i in range(len(data))])
     loss, phase = captured[0]
     assert phase == PHASE_CE
@@ -236,10 +248,11 @@ def test_train_target_selnlpl_off_single_phase():
 def test_with_label_noise_flips_expected_fraction():
     data = _pl_dataset(n=2000, k=4, seed=11)
     noisy = with_label_noise(data, 0.2, np.random.default_rng(0))
-    flipped = np.mean(noisy.pseudo_labels != data.pseudo_labels)
+    flipped = np.mean(noisy.labels != data.labels)
     assert 0.15 < flipped < 0.25
+    assert isinstance(noisy, Dataset) and noisy.pseudo
     clean = with_label_noise(data, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(clean.pseudo_labels, data.pseudo_labels)
+    np.testing.assert_array_equal(clean.labels, data.labels)
     with pytest.raises(ValueError):
         with_label_noise(data, 1.5, np.random.default_rng(0))
 
@@ -249,15 +262,6 @@ def test_selnlpl_protects_against_noisy_labels_single_seed():
     assert selnlpl_noise_diff(2022) >= 0.0
 
 
-def test_pseudo_labeled_dataset_validation():
-    with pytest.raises(ValueError):
-        PseudoLabeledDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), 2)
-    with pytest.raises(ValueError):
-        PseudoLabeledDataset(np.zeros((2, 2)), [0, 5], [0.5, 0.5], 2)
-    with pytest.raises(ValueError):
-        PseudoLabeledDataset(np.zeros((2, 2)), [0, 1], [0.0, 0.5], 2)
-
-
 def test_dg_config_validation():
     with pytest.raises(ValueError):
         DGConfig(alpha=-0.1)
@@ -265,3 +269,9 @@ def test_dg_config_validation():
         DGConfig(pl_conf_threshold=1.5)
     with pytest.raises(ValueError):
         DGConfig(lr=0.0)
+    # 0.6 + 0.6 of 10 epochs: 6 NL and 4 SelNL epochs, so SelPL would never run.
+    with pytest.raises(ValueError, match="SelPL"):
+        DGConfig(epochs=10, nl_epoch_fraction=0.6, selnl_epoch_fraction=0.6)
+    with pytest.raises(ValueError, match="SelPL"):
+        DGConfig(nl_epoch_fraction=0.6)  # SelNL defaults to the NL length
+    DGConfig(nl_epoch_fraction=0.5)

@@ -1,9 +1,14 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from codag.adapt import _im_pl_logit_loss
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
 from codag.nnmodel import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointError,
     ClassifierParams,
     ModelConfig,
@@ -255,3 +260,28 @@ def test_checkpoint_corruption_detected(tmp_path):
     trailing.write_bytes(blob + b"\x00\x00\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(trailing)
+
+
+_ENTRY = {"name": "head.b", "shape": [2], "dtype": "f32", "offset": 0}
+
+
+@pytest.mark.parametrize("header", [
+    [1, 2],
+    "tensors",
+    {"tensors": 3},
+    {"tensors": [7]},
+    {"tensors": [dict(_ENTRY, shape="ab")]},
+    {"tensors": [dict(_ENTRY, shape=2)]},
+    {"tensors": [dict(_ENTRY, shape=[-2])]},
+    {"tensors": [dict(_ENTRY, shape=[1.5])]},
+    {"tensors": [dict(_ENTRY, name=["head.b"])]},
+    {"tensors": [dict(_ENTRY, offset="0")]},
+], ids=["list", "string", "tensors-number", "entry-number", "shape-string",
+        "shape-number", "shape-negative", "shape-float", "name-list", "offset-string"])
+def test_malformed_checkpoint_header_raises_checkpoint_error(tmp_path, header):
+    body = json.dumps(header).encode("utf-8")
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
+                     + struct.pack("<I", len(body)) + body + bytes(8))
+    with pytest.raises(CheckpointError, match="malformed"):
+        load_checkpoint(path)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from codag.data import Dataset
-from codag.generalize import PseudoLabeledDataset
 from codag.nnmodel import ModelConfig, init_params
 from codag.replay import ReplayBuffer, herding_select, update_buffer
 
@@ -71,8 +70,8 @@ def _labeled_domain(n, k, d, domain_id, seed):
 
 def _pseudo_domain(n, k, d, domain_id, seed):
     rng = np.random.default_rng(seed)
-    return PseudoLabeledDataset(rng.standard_normal((n, d)), np.arange(n) % k,
-                                np.full(n, 0.9), k, source_domain_id=domain_id)
+    return Dataset(rng.standard_normal((n, d)), np.arange(n) % k, k, domain_id=domain_id,
+                   pseudo=True)
 
 
 @pytest.fixture
@@ -143,8 +142,7 @@ def test_zero_capacity_stays_empty(dg_params):
 def test_scarce_class_keeps_what_exists(dg_params):
     # only classes 0 and 1 are present; their quotas cap what can be stored
     rng = np.random.default_rng(3)
-    ds = PseudoLabeledDataset(rng.standard_normal((40, 6)), np.arange(40) % 2,
-                              np.full(40, 0.8), 5, source_domain_id=1)
+    ds = Dataset(rng.standard_normal((40, 6)), np.arange(40) % 2, 5, domain_id=1, pseudo=True)
     buf = update_buffer(ReplayBuffer(200, 5), ds, dg_params)
     _, y, _, _ = buf.as_arrays()
     counts = np.bincount(y, minlength=5)
