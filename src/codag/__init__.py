@@ -8,6 +8,12 @@ distillation and a replay buffer. Includes the evaluation protocol
 naive single-model baselines, and ablation variants.
 """
 
+import os
+
+# The layers are too narrow for a second BLAS thread to help; it only spins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .adapt import AdaptConfig, adapt_domain, centroid_pseudo_labels, generate_pseudo_labels, im_loss

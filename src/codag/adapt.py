@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .generalize import _iter_batches
+from .data import Dataset, iter_batches
 from .nnmodel import (
     HEAD_BLOCKS,
     ClassifierParams,
@@ -102,23 +101,26 @@ def _im_pl_logit_loss(pl_labels: np.ndarray, im_weight: float, beta: float):
     """Information maximization plus pseudo-label cross-entropy on logits."""
 
     def loss_fn(logits):
-        logp = log_softmax(logits)
-        p = np.exp(logp)
-        n, _ = p.shape
+        # Diverged logits underflow a class's pbar to 0, so log(pbar) is -inf and
+        # the loss NaN; gradient() raises on that, so the warnings add nothing.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = log_softmax(logits)
+            p = np.exp(logp)
+            n, _ = p.shape
 
-        rowdot = (p * logp).sum(axis=1)  # = -H(p_i)
-        h_cond = float(-rowdot.mean())
-        pbar = p.mean(axis=0)
-        log_pbar = np.log(pbar)
-        h_marg = float(-(pbar * log_pbar).sum())
-        im = h_cond - h_marg
-        cross = p @ log_pbar  # per-row sum_k p_ik log pbar_k
-        d_im = (p / n) * (-logp + rowdot[:, None] - cross[:, None] + log_pbar[None, :])
+            rowdot = (p * logp).sum(axis=1)  # = -H(p_i)
+            h_cond = float(-rowdot.mean())
+            pbar = p.mean(axis=0)
+            log_pbar = np.log(pbar)
+            h_marg = float(-(pbar * log_pbar).sum())
+            im = h_cond - h_marg
+            cross = p @ log_pbar  # per-row sum_k p_ik log pbar_k
+            d_im = (p / n) * (-logp + rowdot[:, None] - cross[:, None] + log_pbar[None, :])
 
-        ce = float(-logp[np.arange(n), pl_labels].mean())
-        d_ce = p.copy()
-        d_ce[np.arange(n), pl_labels] -= 1.0
-        d_ce /= n
+            ce = float(-logp[np.arange(n), pl_labels].mean())
+            d_ce = p.copy()
+            d_ce[np.arange(n), pl_labels] -= 1.0
+            d_ce /= n
 
         return im_weight * im + beta * ce, im_weight * d_im + beta * d_ce
 
@@ -140,11 +142,14 @@ def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
         if epoch > 0 and epoch % config.pl_refresh_interval == 0:
             pl = centroid_pseudo_labels(params, target)
         losses = []
-        for idx in _iter_batches(x.shape[0], config.batch_size, rng):
-            loss_fn = _im_pl_logit_loss(pl[idx], config.im_weight, config.pl_weight)
-            loss, grads = gradient(loss_fn, params, x[idx], freeze_head=True)
-            opt.step(params, grads)
-            losses.append(loss)
+        try:
+            for idx in iter_batches(x.shape[0], config.batch_size, rng):
+                loss_fn = _im_pl_logit_loss(pl[idx], config.im_weight, config.pl_weight)
+                loss, grads = gradient(loss_fn, params, x[idx], freeze_head=True)
+                opt.step(params, grads)
+                losses.append(loss)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"adaptation epoch {epoch}: {exc}") from exc
         if on_epoch is not None:
             on_epoch(epoch, params, float(np.mean(losses)))
     return params

@@ -177,6 +177,13 @@ def split_source(dataset: Dataset, fraction: float, seed) -> tuple[Dataset, Data
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
+def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
+    """Index batches over one shuffle of ``range(n)``: a single permutation draw."""
+    perm = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield perm[start:start + batch_size]
+
+
 def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
     """Parse one domain file: d float columns then one integer label column."""
     rows: list[list[float]] = []
@@ -218,6 +225,13 @@ def _looks_like_header(record: list[str]) -> bool:
     return True
 
 
+def check_domain_order(target_order, n_domains: int) -> None:
+    """Raise unless ``target_order`` is a permutation of the target ids 1..n_domains-1."""
+    expected = list(range(1, n_domains))
+    if sorted(target_order) != expected:
+        raise ValueError(f"domain_order must be a permutation of {expected}")
+
+
 @dataclass
 class DomainSequence:
     """Ordered domains: labeled source first, then unlabeled targets.
@@ -255,9 +269,7 @@ class DomainSequence:
 
     def reordered(self, target_order: list[int]) -> "DomainSequence":
         """Same domains visited source-first, then targets in ``target_order``."""
-        expected = sorted(range(1, self.n_domains))
-        if sorted(target_order) != expected:
-            raise ValueError(f"domain_order must be a permutation of {expected}")
+        check_domain_order(target_order, self.n_domains)
         order = [0, *target_order]
         specs = [replace(self.specs[src], id=pos) for pos, src in enumerate(order)]
         return DomainSequence(

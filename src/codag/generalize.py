@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, randmix
-from .data import Dataset
+from .data import Dataset, iter_batches
 from .nnmodel import ClassifierParams, Sgd, forward, gradient, log_softmax, softmax
 from .rng import RngStreams
 
@@ -142,12 +142,6 @@ def _mixed_logit_loss(y, kinds, comp, q, alpha: float, clip_eps: float):
     return loss_fn
 
 
-def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def _phase_for_epoch(epoch: int, config: DGConfig) -> str:
     if not config.selnlpl:
         return PHASE_CE
@@ -193,20 +187,23 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
             kinds[is_pseudo] = np.where(confident, _CE, _SKIP)
 
         losses = []
-        for idx in _iter_batches(n, config.batch_size, rng.shuffle):
-            xb = x[idx]
-            if aug is not None:
-                xb = randmix(xb, aug, rng.aug)
-            kb = kinds[idx]
-            comp = np.zeros(idx.shape[0], dtype=np.int64)
-            nl_mask = kb == _NL
-            if nl_mask.any():
-                comp[nl_mask] = draw_complementary_labels(y[idx][nl_mask], k, rng.nl)
-            q = softmax(forward(teacher, xb)) if teacher is not None else None
-            loss_fn = _mixed_logit_loss(y[idx], kb, comp, q, config.alpha, config.clip_eps)
-            loss, grads = gradient(loss_fn, params, xb)
-            opt.step(params, grads)
-            losses.append(loss)
+        try:
+            for idx in iter_batches(n, config.batch_size, rng.shuffle):
+                xb = x[idx]
+                if aug is not None:
+                    xb = randmix(xb, aug, rng.aug)
+                kb = kinds[idx]
+                comp = np.zeros(idx.shape[0], dtype=np.int64)
+                nl_mask = kb == _NL
+                if nl_mask.any():
+                    comp[nl_mask] = draw_complementary_labels(y[idx][nl_mask], k, rng.nl)
+                q = softmax(forward(teacher, xb)) if teacher is not None else None
+                loss_fn = _mixed_logit_loss(y[idx], kb, comp, q, config.alpha, config.clip_eps)
+                loss, grads = gradient(loss_fn, params, xb)
+                opt.step(params, grads)
+                losses.append(loss)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"DG {phase} phase, epoch {epoch}: {exc}") from exc
         if on_epoch is not None:
             on_epoch(epoch, params, float(np.mean(losses)), phase)
     return params

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, adapt_domain, generate_pseudo_labels
 from .augment import AugmentConfig
-from .data import DomainSequence, SequenceConfig
+from .data import DomainSequence, SequenceConfig, check_domain_order
 from .evaluate import AccuracyMatrix, CurveLog, MetricsReport, accuracy
 from .generalize import DGConfig, train_dg_source, train_dg_target
 from .nnmodel import (
@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if self.buffer_capacity < 0:
             raise ValueError("buffer_capacity must be nonnegative")
+        if self.domain_order:
+            check_domain_order(self.domain_order, len(self.sequence.specs()))
 
     def normalized(self) -> "ExperimentConfig":
         """Variant knobs folded into the plain fields."""
@@ -342,7 +344,7 @@ def run_experiment(config: ExperimentConfig, resume: bool = False, jobs: int = 1
     if jobs > 1 and len(cfg.seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cfg.seeds))) as pool:
             futures = {
                 seed: pool.submit(_seed_worker, cfg, seed, seed_dirs.get(seed), resume)
                 for seed in cfg.seeds

@@ -1,10 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import codag
 from codag.cli import main
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 TINY = {
@@ -61,8 +66,17 @@ def test_removed_config_keys_are_invalid(tmp_path, tiny_config_file, capsys, rem
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_bad_domain_order_fails_before_writing(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--config", tiny_config_file, "--override", "domain_order=[9]",
+                 "--out", str(out)])
+    assert code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, jobs):
+def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, recwarn, jobs):
     code = main(["run", "--config", tiny_config_file, "--override", "dg.lr=1000",
                  "--override", "seeds=[7, 8]", "--jobs", jobs,
                  "--out", str(tmp_path / "out")])
@@ -70,8 +84,36 @@ def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, jo
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    assert "seed 7, stage" in errors[0] and "diverged" in errors[0]
+    assert "seed 7, stage" in errors[0] and "diverged" in errors[0] and "epoch" in errors[0]
     assert "Traceback" not in err
+    if jobs == "1":  # pool workers warn on their own stderr, out of recwarn's reach
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _run_child(code: str, **env_vars) -> str:
+    """Run ``code`` in a fresh interpreter without inherited BLAS thread settings."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(codag.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_vars)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_runs_blas_single_threaded():
+    out = _run_child("import os, codag.cli, numpy as np\n"
+                     "a = np.ones((512, 512)); a @ a\n"
+                     "print(len(os.listdir('/proc/self/task')))")
+    assert out == "1"
+
+
+def test_explicit_blas_thread_setting_wins():
+    out = _run_child("import os, codag\n"
+                     f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))",
+                     OPENBLAS_NUM_THREADS="2")
+    assert out == "2 1 1"
 
 
 def test_override_equals_infile_setting(tmp_path, tiny_config_file):

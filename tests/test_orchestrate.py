@@ -219,6 +219,31 @@ def test_parallel_jobs_match_sequential(tmp_path):
     assert sequential["per_seed"] == parallel["per_seed"]
 
 
+def test_pool_starts_no_more_workers_than_seeds(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:  # records the pool size and runs each seed in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    run_experiment(tiny_config(seeds=(7, 8)), jobs=8)
+    assert sizes == [2]
+
+
 def test_config_dict_roundtrip_and_digest():
     cfg = tiny_config(variant="codag-no-selnlpl", domain_order=[2, 1])
     again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -236,6 +261,8 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError):
         ExperimentConfig(buffer_capacity=-1)
+    with pytest.raises(ValueError, match="domain_order"):
+        ExperimentConfig(domain_order=[9])
 
 
 def test_matrices_match_checkpoint_reevaluation(tmp_path):
