@@ -100,8 +100,6 @@ class AccuracyMatrix:
 
 def accuracy(params: ClassifierParams, test: Dataset) -> float:
     """Fraction of samples whose argmax prediction matches the label."""
-    if len(test) == 0:
-        raise ValueError("cannot evaluate on an empty test set")
     preds = forward(params, test.x).argmax(axis=1)
     return float(np.mean(preds == test.labels))
 

@@ -4,6 +4,16 @@ Parameters are named float32 blocks; all arithmetic runs in float64 so
 analytic gradients survive finite-difference scrutiny, while checkpoints
 stay bit-exact float32. Gradients are computed by an explicit reverse pass;
 losses plug in as ``loss_fn(logits) -> (value, dvalue_dlogits)``.
+
+``Sgd`` owns the storage of the parameters it trains: one flat float32
+buffer, whose read-only views are the blocks, and an exact float64 shadow of
+it that stays attached to the parameters (``ClassifierParams.shadow``).
+``forward``, ``features`` and ``gradient`` read the shadow when there is
+one and widen the blocks once per call when there is not; float32 to
+float64 is exact, so both give the same numbers. ``forward`` and
+``features`` run long inputs in row blocks whose float64 temporaries stay
+at or under 64 KiB, so repeated full-set evaluation reuses warm memory
+instead of faulting in fresh pages.
 """
 
 import json
@@ -15,6 +25,7 @@ import numpy as np
 CHECKPOINT_MAGIC = b"CODAGCKPT"
 CHECKPOINT_VERSION = 1
 HEAD_BLOCKS = ("head.w", "head.b")
+_TEMP_BYTES = 64 * 1024  # largest float64 temporary of one forward row block
 
 
 class CheckpointError(RuntimeError):
@@ -42,12 +53,17 @@ class ModelConfig:
 
 
 class ClassifierParams:
-    """Ordered named parameter blocks: ext{i}.w / ext{i}.b ... head.w / head.b."""
+    """Ordered named parameter blocks: ext{i}.w / ext{i}.b ... head.w / head.b.
 
-    __slots__ = ("blocks",)
+    ``shadow`` is None, or float64 copies of the blocks kept exact by the
+    ``Sgd`` that owns their storage; its blocks are then read-only views.
+    """
+
+    __slots__ = ("blocks", "shadow")
 
     def __init__(self, blocks: dict[str, np.ndarray]):
         self.blocks = dict(blocks)
+        self.shadow: dict[str, np.ndarray] | None = None
 
     def copy(self) -> "ClassifierParams":
         return ClassifierParams({k: v.copy() for k, v in self.blocks.items()})
@@ -106,36 +122,60 @@ def _as_batch(params: ClassifierParams, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _forward_cached(params: ClassifierParams, x: np.ndarray):
-    """Returns (feats, logits, cache); cache holds per-layer inputs and preacts."""
-    n_layers = params.n_ext_layers
+def _weights(params: ClassifierParams) -> dict[str, np.ndarray]:
+    """float64 blocks: the optimizer's shadow, or one conversion per call."""
+    if params.shadow is not None:
+        return params.shadow
+    return {name: block.astype(np.float64) for name, block in params.blocks.items()}
+
+
+def _forward_cached(w: dict[str, np.ndarray], x: np.ndarray, cache: list | None = None):
+    """(feats, logits) for float64 weights ``w``; appends each layer's input
+    and preact to ``cache`` when one is given."""
+    n_layers = (len(w) - 2) // 2
     a = x
-    cache = []
     for i in range(n_layers):
-        w = params.blocks[f"ext{i}.w"].astype(np.float64)
-        b = params.blocks[f"ext{i}.b"].astype(np.float64)
-        z = a @ w + b
-        cache.append((a, z))
+        z = a @ w[f"ext{i}.w"] + w[f"ext{i}.b"]
+        if cache is not None:
+            cache.append((a, z))
         a = np.maximum(z, 0.0) if i < n_layers - 1 else z  # no ReLU on the feature layer
-    feats = a
-    wh = params.blocks["head.w"].astype(np.float64)
-    bh = params.blocks["head.b"].astype(np.float64)
-    logits = feats @ wh + bh
-    return feats, logits, cache
+    return a, a @ w["head.w"] + w["head.b"]
+
+
+def _row_edges(n: int, widest: int) -> list[int]:
+    """Edges of row blocks whose float64 temporaries fit in ``_TEMP_BYTES``.
+
+    A one-row tail takes a row from the block before it: numpy runs a
+    one-row product as matrix-vector, whose sums can differ in the last bit
+    from those of the matrix-matrix product over all rows at once.
+    """
+    edges = list(range(0, n, max(2, _TEMP_BYTES // (8 * widest)))) + [n]
+    if n > 1 and n - edges[-2] == 1:
+        edges[-2] -= 1
+    return edges
+
+
+def _blocked(params: ClassifierParams, x, want_logits: bool) -> np.ndarray:
+    xb, single = _as_batch(params, x)
+    w = _weights(params)
+    feat_dim, k = w["head.w"].shape
+    out = np.empty((xb.shape[0], k if want_logits else feat_dim))
+    edges = _row_edges(xb.shape[0], max(max(block.shape) for block in w.values()))
+    for start, stop in zip(edges, edges[1:]):
+        # No cache: each layer's temporaries die before the next block starts.
+        feats, logits = _forward_cached(w, xb[start:stop])
+        out[start:stop] = logits if want_logits else feats
+    return out[0] if single else out
 
 
 def forward(params: ClassifierParams, x) -> np.ndarray:
     """Logits for a single vector or a batch; rows align with inputs."""
-    xb, single = _as_batch(params, x)
-    _, logits, _ = _forward_cached(params, xb)
-    return logits[0] if single else logits
+    return _blocked(params, x, want_logits=True)
 
 
 def features(params: ClassifierParams, x) -> np.ndarray:
     """Feature-extractor output (the head's input)."""
-    xb, single = _as_batch(params, x)
-    feats, _, _ = _forward_cached(params, xb)
-    return feats[0] if single else feats
+    return _blocked(params, x, want_logits=False)
 
 
 def softmax(logits) -> np.ndarray:
@@ -164,21 +204,22 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
     ``freeze_head`` the head blocks get exactly-zero gradients.
     """
     xb, _ = _as_batch(params, x)
-    feats, logits, cache = _forward_cached(params, xb)
+    w = _weights(params)
+    cache = []
+    feats, logits = _forward_cached(w, xb, cache)
     loss, dlogits = loss_fn(logits)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss: {loss}")
     dlogits = np.asarray(dlogits, dtype=np.float64)
 
     grads: dict[str, np.ndarray] = {}
-    wh = params.blocks["head.w"].astype(np.float64)
     if freeze_head:
         grads["head.w"] = np.zeros_like(params.blocks["head.w"], dtype=np.float64)
         grads["head.b"] = np.zeros_like(params.blocks["head.b"], dtype=np.float64)
     else:
         grads["head.w"] = feats.T @ dlogits
         grads["head.b"] = dlogits.sum(axis=0)
-    da = dlogits @ wh.T
+    da = dlogits @ w["head.w"].T
 
     n_layers = params.n_ext_layers
     for i in reversed(range(n_layers)):
@@ -187,13 +228,18 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
         grads[f"ext{i}.w"] = a_in.T @ dz
         grads[f"ext{i}.b"] = dz.sum(axis=0)
         if i > 0:
-            w = params.blocks[f"ext{i}.w"].astype(np.float64)
-            da = dz @ w.T
+            da = dz @ w[f"ext{i}.w"].T
     return float(loss), grads
 
 
 class Sgd:
-    """SGD with momentum. Frozen blocks are never touched, bit for bit."""
+    """SGD with momentum. Frozen blocks are never touched, bit for bit.
+
+    The constructor repacks ``params`` into one flat float32 buffer, trainable
+    blocks first so that frozen blocks are an untouched tail, and attaches an
+    exact float64 shadow of it. ``step`` updates both in whole-buffer
+    operations, with the same per-element arithmetic as a per-block update.
+    """
 
     def __init__(self, params: ClassifierParams, lr: float, momentum: float = 0.9,
                  frozen: tuple[str, ...] = ()):
@@ -202,18 +248,44 @@ class Sgd:
         self.lr = lr
         self.momentum = momentum
         self.frozen = frozenset(frozen)
-        self.velocity = {
-            name: np.zeros(block.shape, dtype=np.float64)
-            for name, block in params.blocks.items()
-            if name not in self.frozen
-        }
+        order = sorted(params.blocks, key=lambda name: name in self.frozen)
+        self._trainable = [name for name in order if name not in self.frozen]
+        flat = np.concatenate([params.blocks[name].reshape(-1) for name in order],
+                              dtype=np.float32)
+        shadow = flat.astype(np.float64)
+        views32, views64, offset = {}, {}, 0
+        for name in order:
+            shape, stop = params.blocks[name].shape, offset + params.blocks[name].size
+            views32[name] = flat[offset:stop].reshape(shape)
+            views64[name] = shadow[offset:stop].reshape(shape)
+            offset = stop
+        for view in (*views32.values(), *views64.values()):
+            view.flags.writeable = False
+        n = sum(params.blocks[name].size for name in self._trainable)
+        self._w32, self._w64 = flat[:n], shadow[:n]
+        self._grad = np.empty(n)
+        self.velocity = np.zeros(n)
+        params.blocks = {name: views32[name] for name in params.blocks}
+        params.shadow = {name: views64[name] for name in params.blocks}
+        self._params = params
 
     def step(self, params: ClassifierParams, grads: dict[str, np.ndarray]) -> None:
-        for name, v in self.velocity.items():
+        """One update; raises FloatingPointError when a weight leaves the finite range."""
+        if params is not self._params:
+            raise ValueError("Sgd.step: params are not the ones this optimizer packed")
+        g = np.concatenate([grads[name].reshape(-1) for name in self._trainable],
+                           out=self._grad)
+        v = self.velocity
+        # A diverging run overflows the float32 cast; the check below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
             v *= self.momentum
-            v += grads[name]
-            w = params.blocks[name].astype(np.float64)
-            params.blocks[name] = (w - self.lr * v).astype(np.float32)
+            v += g
+            np.multiply(v, self.lr, out=g)
+            np.subtract(self._w64, g, out=g)
+            self._w32[...] = g
+            self._w64[...] = self._w32
+        if not np.isfinite(self._w64).all():
+            raise FloatingPointError("non-finite weights after an SGD step")
 
 
 def save_checkpoint(params: ClassifierParams, path) -> None:

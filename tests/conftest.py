@@ -1,8 +1,11 @@
 """Shared fixtures: full-fidelity runs are expensive, so they are session-scoped."""
 
-import numpy as np
 import pytest
 
+# codag first: importing it pins BLAS to one thread, which holds only if numpy
+# has not loaded its BLAS yet.
+import codag  # noqa: F401
+import numpy as np
 from codag import (
     AdaptConfig,
     AugmentConfig,

@@ -75,9 +75,11 @@ def test_bad_domain_order_fails_before_writing(tmp_path, tiny_config_file, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, recwarn, jobs):
-    code = main(["run", "--config", tiny_config_file, "--override", "dg.lr=1000",
+# 1e300 overflows the float32 weights instead of the loss.
+@pytest.mark.parametrize("jobs, lr", [("1", "1000"), ("2", "1000"), ("1", "1e300"), ("2", "1e300")],
+                         ids=["1", "2", "1-lr1e300", "2-lr1e300"])
+def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, recwarn, jobs, lr):
+    code = main(["run", "--config", tiny_config_file, "--override", f"dg.lr={lr}",
                  "--override", "seeds=[7, 8]", "--jobs", jobs,
                  "--out", str(tmp_path / "out")])
     assert code == 1

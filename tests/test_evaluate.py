@@ -59,18 +59,6 @@ def test_accuracy_matches_counting_oracle_and_permutation_invariance():
     assert accuracy(params, ds.subset(perm)) == pytest.approx(expected, abs=1e-15)
 
 
-def test_accuracy_rejects_empty_test_set():
-    class Empty:  # a Dataset cannot be empty, so a stand-in carries the rows
-        x = np.empty((0, 3))
-        labels = np.empty(0, dtype=np.int64)
-
-        def __len__(self):
-            return 0
-
-    with pytest.raises(ValueError):
-        accuracy(_label_zero_model(3, 2), Empty())
-
-
 def test_tda_worked_example():
     values, mean = tda(DA3_DIAG, DG3)
     assert values == pytest.approx([0.9, 0.85, 0.9])

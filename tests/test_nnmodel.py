@@ -7,8 +7,10 @@ import pytest
 from codag.adapt import _im_pl_logit_loss
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
 from codag.nnmodel import (
+    _TEMP_BYTES,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    HEAD_BLOCKS,
     CheckpointError,
     ClassifierParams,
     ModelConfig,
@@ -35,6 +37,7 @@ def test_init_determinism_and_bounds():
     a = init_params(ModelConfig(d=3, k=2), 42)
     b = init_params(ModelConfig(d=3, k=2), 42)
     assert a.blocks.keys() == b.blocks.keys()
+    assert a.shadow is None
     for name in a.blocks:
         np.testing.assert_array_equal(a.blocks[name], b.blocks[name])
     for name, block in a.blocks.items():
@@ -90,6 +93,35 @@ def test_features_compose_with_head():
     assert feats.shape == (6, 5)
     manual = feats @ params.blocks["head.w"].astype(float) + params.blocks["head.b"].astype(float)
     np.testing.assert_allclose(forward(params, x), manual, atol=1e-12)
+
+
+def _single_pass(params, x):
+    """(feats, logits) from every row at once, each block widened on use."""
+    w = {name: block.astype(np.float64) for name, block in params.blocks.items()}
+    n_layers = params.n_ext_layers
+    a = np.asarray(x, dtype=np.float64)
+    for i in range(n_layers):
+        z = a @ w[f"ext{i}.w"] + w[f"ext{i}.b"]
+        a = np.maximum(z, 0.0) if i < n_layers - 1 else z
+    return a, a @ w["head.w"] + w["head.b"]
+
+
+def test_row_blocked_forward_equals_single_pass():
+    params = init_params(ModelConfig(d=16, k=5), 4)  # widest layer 64
+    block = _TEMP_BYTES // (8 * 64)
+    assert block == 128
+    rng = np.random.default_rng(3)
+    for n in (0, 1, block - 1, block, block + 1, 4000):
+        x = rng.standard_normal((n, 16))
+        feats, logits = _single_pass(params, x)
+        assert forward(params, x).shape == (n, 5)
+        assert features(params, x).shape == (n, 32)
+        assert forward(params, x).tobytes() == logits.tobytes(), n
+        assert features(params, x).tobytes() == feats.tobytes(), n
+    vec = rng.standard_normal(16)
+    feats, logits = _single_pass(params, vec[None, :])
+    assert forward(params, vec).tobytes() == logits[0].tobytes()
+    assert features(params, vec).tobytes() == feats[0].tobytes()
 
 
 def test_features_zero_extractor():
@@ -224,12 +256,55 @@ def test_sgd_leaves_frozen_blocks_bit_identical():
     assert not np.array_equal(params.blocks["ext0.w"], before["ext0.w"])
 
 
+@pytest.mark.parametrize("frozen", [(), HEAD_BLOCKS], ids=["all", "frozen-head"])
+def test_sgd_shadow_and_flat_update_match_per_block_oracle(frozen):
+    params = init_params(ModelConfig(d=16, k=5), 6)
+    before = params.copy()
+    oracle = {name: block.copy() for name, block in params.blocks.items()}
+    velocity = {name: np.zeros(block.shape) for name, block in oracle.items()
+                if name not in frozen}
+    lr, momentum = 0.05, 0.9
+    opt = Sgd(params, lr, momentum, frozen=frozen)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        x = rng.standard_normal((64, 16))
+        y = rng.integers(0, 5, 64)
+        loss_fn = _mixed_logit_loss(y, np.full(64, _CE), None, None, 0.0, 1e-7)
+        _, grads = gradient(loss_fn, params, x, freeze_head=bool(frozen))
+        opt.step(params, grads)
+        for name, v in velocity.items():  # the per-block update, one block at a time
+            v *= momentum
+            v += grads[name]
+            oracle[name] = (oracle[name].astype(np.float64) - lr * v).astype(np.float32)
+
+    for name, block in params.blocks.items():
+        assert params.shadow[name].tobytes() == block.astype(np.float64).tobytes(), name
+        assert block.tobytes() == oracle[name].tobytes(), name
+    for name in frozen:
+        assert params.blocks[name].tobytes() == before.blocks[name].tobytes()
+    x = rng.standard_normal((300, 16))
+    assert forward(params, x).tobytes() == forward(params.copy(), x).tobytes()
+    _, from_shadow = gradient(loss_fn, params, x[:64])
+    _, widened = gradient(loss_fn, params.copy(), x[:64])
+    assert all(from_shadow[name].tobytes() == widened[name].tobytes() for name in widened)
+    with pytest.raises(ValueError, match="read-only"):
+        params.blocks["ext0.w"][0, 0] = 1.0
+    with pytest.raises(ValueError, match="packed"):
+        opt.step(params.copy(), grads)
+
+    clone = params.copy()
+    assert clone.shadow is None
+    owned = [*params.blocks.values(), *params.shadow.values()]
+    assert not any(np.shares_memory(a, b) for a in clone.blocks.values() for b in owned)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     params = small_params(seed=11)
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert loaded.blocks.keys() == params.blocks.keys()
+    assert loaded.shadow is None
     for name in params.blocks:
         assert loaded.blocks[name].dtype == np.float32
         assert loaded.blocks[name].tobytes() == params.blocks[name].tobytes()
