@@ -16,7 +16,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 __version__ = "0.1.0"
 
-from .adapt import AdaptConfig, adapt_domain, centroid_pseudo_labels, generate_pseudo_labels, im_loss
+from .adapt import AdaptConfig, adapt_domain, centroid_pseudo_labels, generate_pseudo_labels
 from .augment import AugmentConfig, randmix
 from .data import (
     Dataset,
@@ -24,7 +24,6 @@ from .data import (
     DomainSpec,
     HiddenLabelsError,
     SequenceConfig,
-    default_sequence,
     load_csv_domain,
     make_rotated_clusters,
     split_source,
@@ -45,7 +44,6 @@ from .generalize import (
     select_confident,
     train_dg_source,
     train_dg_target,
-    with_label_noise,
 )
 from .nnmodel import (
     CheckpointError,
@@ -64,6 +62,7 @@ from .orchestrate import (
     VARIANTS,
     ExperimentConfig,
     RunState,
+    RunStateError,
     StageOrderError,
     config_digest,
     run_experiment,

@@ -43,29 +43,6 @@ class AdaptConfig:
             raise ValueError("pl_refresh_interval must be at least 1")
 
 
-def im_loss(probs) -> float:
-    """Mean per-sample entropy minus entropy of the mean prediction.
-
-    Minimizing drives individual predictions confident while keeping the
-    batch-level marginal diverse. Bounds: [-ln K, ln K].
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] == 0:
-        raise ValueError("probs must be a nonempty (n, K) array")
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise ValueError("rows must be valid probability vectors")
-    if not np.allclose(p.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("rows must sum to 1")
-    h_cond = float(np.mean(_entropy(p)))
-    h_marg = float(_entropy(p.mean(axis=0)[None, :])[0])
-    return h_cond - h_marg
-
-
-def _entropy(p: np.ndarray) -> np.ndarray:
-    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=1)
-
-
 def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     an = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
     bn = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-12)

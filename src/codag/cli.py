@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .evaluate import metrics_from_grids
-from .orchestrate import ExperimentConfig, run_experiment
+from .orchestrate import ExperimentConfig, RunStateError, run_experiment
 
 
 class CliError(Exception):
@@ -85,7 +85,10 @@ def cmd_run(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     config = build_config(args.config, args.override, out_dir=args.out)
-    results = run_experiment(config, resume=args.resume, jobs=args.jobs)
+    try:
+        results = run_experiment(config, resume=args.resume, jobs=args.jobs)
+    except RunStateError as exc:
+        raise CliError(str(exc)) from None
     agg = results["aggregate"]
     print(f"variant={results['variant']} digest={results['config_digest'][:12]}")
     for name in ("tda", "tdg", "fa", "all"):

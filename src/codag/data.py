@@ -256,10 +256,6 @@ class DomainSequence:
         return len(self.specs)
 
     @property
-    def horizon(self) -> int:
-        return len(self.specs) - 1
-
-    @property
     def k(self) -> int:
         return self.test_sets[0].k
 
@@ -365,8 +361,3 @@ class SequenceConfig:
         if kwargs.get("shift") is not None:
             kwargs["shift"] = tuple(kwargs["shift"])
         return cls(**kwargs)
-
-
-def default_sequence(seed: int = 7, split_seed=2022) -> DomainSequence:
-    """The default desk-scale benchmark: five domains, rotations 0..120 degrees."""
-    return SequenceConfig(seed=seed).build(split_seed)

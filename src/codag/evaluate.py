@@ -12,12 +12,13 @@ and the composite is the average of the three metric means.
 """
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .nnmodel import ClassifierParams, forward
+from .nnmodel import ClassifierParams, atomic_write, forward
 
 
 class IncompleteMatrixError(RuntimeError):
@@ -194,10 +195,11 @@ class CurveLog:
             self.records.append((stage, epoch, domain, float(acc)))
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stage", "epoch", "domain", "accuracy"])
-            writer.writerows(self.records)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["stage", "epoch", "domain", "accuracy"])
+        writer.writerows(self.records)
+        atomic_write(path, text.getvalue().encode("utf-8"))
 
     @classmethod
     def load_csv(cls, path) -> "CurveLog":

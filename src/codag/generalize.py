@@ -86,17 +86,6 @@ def kl_divergence(q, p, axis: int = -1) -> np.ndarray:
     return terms.sum(axis=axis)
 
 
-def with_label_noise(data: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
-    """Copy with each label flipped to a random other class w.p. ``rate``."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
-    labels = data.labels.copy()
-    flip = rng.random(len(data)) < rate
-    if flip.any():
-        labels[flip] = (labels[flip] + rng.integers(1, data.k, size=int(flip.sum()))) % data.k
-    return Dataset(data.x, labels, data.k, data.domain_id, pseudo=data.pseudo)
-
-
 def _mixed_logit_loss(y, kinds, comp, q, alpha: float, clip_eps: float):
     """Logit-level loss: per-row CE/NL per ``kinds`` plus alpha * KL(q || p).
 

@@ -17,6 +17,7 @@ instead of faulting in fresh pages.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -83,14 +84,6 @@ class ClassifierParams:
     @property
     def feat_dim(self) -> int:
         return self.blocks["head.w"].shape[0]
-
-    def allclose(self, other: "ClassifierParams", atol: float = 0.0) -> bool:
-        if self.blocks.keys() != other.blocks.keys():
-            return False
-        return all(
-            np.allclose(self.blocks[k], other.blocks[k], rtol=0.0, atol=atol)
-            for k in self.blocks
-        )
 
 
 def init_params(config: ModelConfig, seed) -> ClassifierParams:
@@ -288,6 +281,19 @@ class Sgd:
             raise FloatingPointError("non-finite weights after an SGD step")
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` so that a reader sees the old file or the new one.
+
+    The bytes go to a temporary file in the same directory, which is closed
+    (flushed) and then renamed over ``path``; a kill leaves at most that
+    temporary file, which the next write of ``path`` replaces.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(params: ClassifierParams, path) -> None:
     """Magic + version byte + length-prefixed JSON header + float32 payload."""
     tensors = []
@@ -299,12 +305,8 @@ def save_checkpoint(params: ClassifierParams, path) -> None:
         )
         payload.extend(raw)
     header = json.dumps({"tensors": tensors}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(bytes([CHECKPOINT_VERSION]))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(payload)
+    atomic_write(path, b"".join([CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]),
+                                 struct.pack("<I", len(header)), header, payload]))
 
 
 def load_checkpoint(path) -> ClassifierParams:

@@ -20,8 +20,10 @@ from .data import DomainSequence, SequenceConfig, check_domain_order
 from .evaluate import AccuracyMatrix, CurveLog, MetricsReport, accuracy
 from .generalize import DGConfig, train_dg_source, train_dg_target
 from .nnmodel import (
+    CheckpointError,
     ClassifierParams,
     ModelConfig,
+    atomic_write,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -60,11 +62,15 @@ RECIPES = {
 
 VARIANTS = tuple(RECIPES)
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 class StageOrderError(RuntimeError):
     """Stages must run in sequence order, each exactly once."""
+
+
+class RunStateError(RuntimeError):
+    """A seed directory's state file is malformed or belongs to another run."""
 
 
 @dataclass
@@ -142,9 +148,21 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def run_digest(config: ExperimentConfig, seq: DomainSequence) -> str:
+    """sha256 over the config digest and every domain's training features.
+
+    The features cover CSV data, which the config names only by path.
+    """
+    h = hashlib.sha256(config_digest(config).encode("ascii"))
+    for train in seq.train_sets:
+        h.update(train.x.tobytes())
+    return h.hexdigest()
+
+
 @dataclass
 class RunState:
     seed: int
+    digest: str  # run_digest of the config and data this state belongs to
     n_domains: int
     next_stage: int
     buffer: ReplayBuffer
@@ -155,10 +173,12 @@ class RunState:
     da_params: ClassifierParams | None = None
 
 
-def new_run_state(seed: int, seq: DomainSequence, buffer_capacity: int) -> RunState:
+def new_run_state(seed: int, seq: DomainSequence, buffer_capacity: int,
+                  digest: str) -> RunState:
     n = seq.n_domains
     return RunState(
         seed=seed,
+        digest=digest,
         n_domains=n,
         next_stage=0,
         buffer=ReplayBuffer(buffer_capacity, seq.k),
@@ -228,20 +248,24 @@ def run_stage(state: RunState, t: int, seq: DomainSequence,
     return state
 
 
+def _ckpt_name(role: str, stage: int) -> str:
+    return f"checkpoints/{role}_stage{stage}.ckpt"
+
+
 def save_run_state(state: RunState, seed_dir) -> None:
-    """Resumable snapshot: counters, matrices, buffer, curve records."""
-    ckpt_dir = os.path.join(seed_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
+    """Commit a stage: its checkpoints, curves.csv, then state.json, each atomically."""
+    os.makedirs(os.path.join(seed_dir, "checkpoints"), exist_ok=True)
     last = state.next_stage - 1
-    dg_ckpt = f"checkpoints/dg_stage{last}.ckpt" if state.dg_params is not None else None
     da_ckpt = None
     if state.da_params is not None:
-        da_ckpt = f"checkpoints/da_stage{last}.ckpt"
+        da_ckpt = _ckpt_name("da", last)
         save_checkpoint(state.da_params, os.path.join(seed_dir, da_ckpt))
-    if state.dg_params is not None:
-        save_checkpoint(state.dg_params, os.path.join(seed_dir, dg_ckpt))
+    dg_ckpt = _ckpt_name("dg", last)
+    save_checkpoint(state.dg_params, os.path.join(seed_dir, dg_ckpt))
+    state.curves.save_csv(os.path.join(seed_dir, "curves.csv"))
     payload = {
         "version": STATE_VERSION,
+        "digest": state.digest,
         "seed": state.seed,
         "n_domains": state.n_domains,
         "next_stage": state.next_stage,
@@ -250,32 +274,64 @@ def save_run_state(state: RunState, seed_dir) -> None:
         "da_ckpt": da_ckpt,
         "da_matrix": state.da_matrix.to_state(),
         "dg_matrix": state.dg_matrix.to_state(),
-        "curves": [list(rec) for rec in state.curves.records],
     }
-    with open(os.path.join(seed_dir, "state.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    state.curves.save_csv(os.path.join(seed_dir, "curves.csv"))
+    atomic_write(os.path.join(seed_dir, "state.json"), json.dumps(payload).encode("utf-8"))
 
 
-def load_run_state(seed_dir) -> RunState:
-    with open(os.path.join(seed_dir, "state.json"), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != STATE_VERSION:
-        raise ValueError(f"unsupported run-state version {payload.get('version')}")
-    curves = CurveLog([tuple(rec) for rec in payload["curves"]])
-    state = RunState(
-        seed=payload["seed"],
-        n_domains=payload["n_domains"],
-        next_stage=payload["next_stage"],
-        buffer=ReplayBuffer.from_dict(payload["buffer"]),
-        da_matrix=AccuracyMatrix.from_state(payload["da_matrix"]),
-        dg_matrix=AccuracyMatrix.from_state(payload["dg_matrix"]),
-        curves=curves,
-    )
-    if payload["dg_ckpt"]:
-        state.dg_params = load_checkpoint(os.path.join(seed_dir, payload["dg_ckpt"]))
-    if payload["da_ckpt"]:
-        state.da_params = load_checkpoint(os.path.join(seed_dir, payload["da_ckpt"]))
+_STATE_FIELDS = {"digest": str, "seed": int, "n_domains": int, "next_stage": int,
+                 "buffer": dict, "dg_ckpt": str, "da_ckpt": (str, type(None)),
+                 "da_matrix": dict, "dg_matrix": dict}
+
+
+def load_run_state(seed_dir, seq: DomainSequence, digest: str) -> RunState:
+    """The last stage committed under ``seed_dir`` by the run whose digest is ``digest``.
+
+    Raises ``RunStateError``, naming the state file, for anything malformed,
+    and naming both digests when the state belongs to another config or data.
+    """
+    path = os.path.join(seed_dir, "state.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != STATE_VERSION:
+            raise ValueError(f"unsupported run-state version {version!r}, "
+                             f"expected {STATE_VERSION}")
+        for key, kind in _STATE_FIELDS.items():
+            if not isinstance(payload.get(key), kind):
+                raise ValueError(f"key {key!r} is missing or has the wrong type")
+        if payload["digest"] != digest:
+            raise RunStateError(
+                f"{seed_dir}: state digest {payload['digest']} does not match this run's "
+                f"{digest}; the config or the data changed since it was written")
+        next_stage = payload["next_stage"]
+        state = RunState(
+            seed=payload["seed"],
+            digest=digest,
+            n_domains=payload["n_domains"],
+            next_stage=next_stage,
+            buffer=ReplayBuffer.from_dict(payload["buffer"], seq),
+            da_matrix=AccuracyMatrix.from_state(payload["da_matrix"]),
+            dg_matrix=AccuracyMatrix.from_state(payload["dg_matrix"]),
+            curves=CurveLog([rec for rec in CurveLog.load_csv(
+                os.path.join(seed_dir, "curves.csv")).records if rec[0] < next_stage]),
+        )
+        sizes = {state.n_domains, state.da_matrix.n_domains, state.dg_matrix.n_domains}
+        if (sizes != {seq.n_domains} or not 0 < next_stage <= seq.n_domains
+                or state.buffer.k != seq.k):
+            raise ValueError(f"counters do not fit a {seq.n_domains}-domain, "
+                             f"{seq.k}-class sequence")
+        for role, attr in (("dg", "dg_params"), ("da", "da_params")):
+            ckpt = payload[f"{role}_ckpt"]
+            if ckpt not in (None, _ckpt_name(role, next_stage - 1)):
+                raise ValueError(f"checkpoint path {ckpt!r} is not this stage's file "
+                                 f"under {seed_dir}")
+            if ckpt is not None:
+                setattr(state, attr, load_checkpoint(os.path.join(seed_dir, ckpt)))
+    except KeyError as exc:
+        raise RunStateError(f"{path}: malformed run state: missing key {exc}") from None
+    except (OSError, ValueError, TypeError, IndexError, AttributeError, CheckpointError) as exc:
+        raise RunStateError(f"{path}: malformed run state: {exc}") from None
     return state
 
 
@@ -285,11 +341,11 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
     seq = config.sequence.build(split_seed=substream(seed, "data"))
     if config.domain_order:
         seq = seq.reordered(list(config.domain_order))
-    state = None
+    digest = run_digest(config, seq)
     if resume and seed_dir is not None and os.path.exists(os.path.join(seed_dir, "state.json")):
-        state = load_run_state(seed_dir)
-    if state is None:
-        state = new_run_state(seed, seq, config.buffer_capacity)
+        state = load_run_state(seed_dir, seq, digest)
+    else:
+        state = new_run_state(seed, seq, config.buffer_capacity, digest)
     for t in range(state.next_stage, seq.n_domains):
         try:
             run_stage(state, t, seq, config)
@@ -364,6 +420,6 @@ def run_experiment(config: ExperimentConfig, resume: bool = False, jobs: int = 1
         "aggregate": _aggregate(per_seed),
     }
     if out_dir is not None:
-        with open(os.path.join(out_dir, "results.json"), "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2)
+        atomic_write(os.path.join(out_dir, "results.json"),
+                     json.dumps(results, indent=2).encode("utf-8"))
     return results

@@ -3,18 +3,17 @@
 Capacity splits evenly across seen domains (remainder to the earliest), and
 within a domain as evenly as possible across classes. Per class, samples are
 kept in herding order over the current DG features; shrinking a quota later
-only truncates that stored order, never re-selects.
+only truncates that stored order, never re-selects. A stored exemplar is a
+row index into its domain's training features, which the buffer references
+and never copies.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, DomainSequence
 from .nnmodel import ClassifierParams, features
-
-LABEL_TRUE = "true"
-LABEL_PSEUDO = "pseudo"
 
 
 def herding_select(feature_vectors, m: int) -> np.ndarray:
@@ -46,8 +45,9 @@ def herding_select(feature_vectors, m: int) -> np.ndarray:
 @dataclass
 class _DomainStore:
     domain_id: int
-    label_kind: str
-    per_class: dict[int, np.ndarray] = field(default_factory=dict)  # herding-ordered rows
+    pseudo: bool
+    x: np.ndarray  # the domain's training features, shared
+    per_class: dict[int, np.ndarray] = field(default_factory=dict)  # herding-ordered row indices
 
     def n_entries(self) -> int:
         return sum(rows.shape[0] for rows in self.per_class.values())
@@ -81,10 +81,10 @@ class ReplayBuffer:
                 rows = store.per_class[cls]
                 if rows.shape[0] == 0:
                     continue
-                xs.append(rows)
+                xs.append(store.x[rows])
                 ys.append(np.full(rows.shape[0], cls, dtype=np.int64))
                 ds.append(np.full(rows.shape[0], store.domain_id, dtype=np.int64))
-                ps.append(np.full(rows.shape[0], store.label_kind == LABEL_PSEUDO))
+                ps.append(np.full(rows.shape[0], store.pseudo))
         if not xs:
             d = 0
             return (np.empty((0, d)), np.empty(0, dtype=np.int64),
@@ -99,7 +99,7 @@ class ReplayBuffer:
             "domains": [
                 {
                     "domain_id": store.domain_id,
-                    "label_kind": store.label_kind,
+                    "pseudo": store.pseudo,
                     "classes": {str(c): rows.tolist() for c, rows in store.per_class.items()},
                 }
                 for store in self._domains
@@ -107,12 +107,21 @@ class ReplayBuffer:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ReplayBuffer":
+    def from_dict(cls, raw: dict, seq: DomainSequence) -> "ReplayBuffer":
+        """Inverse of ``to_dict``; row indices resolve against ``seq.train_sets``."""
+        xs = {train.domain_id: train.x for train in seq.train_sets}
         buf = cls(raw["capacity"], raw["k"])
         for dom in raw["domains"]:
-            store = _DomainStore(dom["domain_id"], dom["label_kind"])
+            store = _DomainStore(dom["domain_id"], dom["pseudo"], xs.get(dom["domain_id"]))
+            if store.x is None or type(store.pseudo) is not bool:
+                raise ValueError(f"malformed buffer domain {store.domain_id!r}")
             for c, rows in dom["classes"].items():
-                store.per_class[int(c)] = np.asarray(rows, dtype=np.float64)
+                rows = np.array(rows)
+                if not (0 <= int(c) < buf.k and rows.ndim == 1 and (
+                        rows.size == 0 or rows.dtype.kind == "i"
+                        and 0 <= rows.min() <= rows.max() < len(store.x))):
+                    raise ValueError(f"malformed buffer rows: domain {store.domain_id}, class {c}")
+                store.per_class[int(c)] = rows.astype(np.int64)
             buf._domains.append(store)
         return buf
 
@@ -134,7 +143,6 @@ def update_buffer(buffer: ReplayBuffer, new_domain: Dataset,
     if not isinstance(new_domain, Dataset):
         raise TypeError(f"cannot buffer a {type(new_domain).__name__}")
     x, labels, domain_id = new_domain.x, new_domain.labels, new_domain.domain_id
-    label_kind = LABEL_PSEUDO if new_domain.pseudo else LABEL_TRUE
     if new_domain.k != buffer.k:
         raise ValueError(f"class count mismatch: buffer {buffer.k}, domain {new_domain.k}")
 
@@ -145,21 +153,18 @@ def update_buffer(buffer: ReplayBuffer, new_domain: Dataset,
 
     for age, store in enumerate(buffer._domains):
         class_quotas = _class_quotas(quotas[age], buffer.k)
-        trimmed = _DomainStore(store.domain_id, store.label_kind)
+        trimmed = _DomainStore(store.domain_id, store.pseudo, store.x)
         for cls, rows in store.per_class.items():
-            keep = min(class_quotas[cls], rows.shape[0])
-            trimmed.per_class[cls] = rows[:keep].copy()
+            trimmed.per_class[cls] = rows[:class_quotas[cls]]
         out._domains.append(trimmed)
 
     class_quotas = _class_quotas(quotas[-1], buffer.k)
-    fresh = _DomainStore(domain_id, label_kind)
+    fresh = _DomainStore(domain_id, new_domain.pseudo, x)
     for cls in range(buffer.k):
         idx = np.where(labels == cls)[0]
         take = min(class_quotas[cls], idx.size)
-        if take == 0:
-            fresh.per_class[cls] = np.empty((0, x.shape[1]))
-            continue
-        order = herding_select(features(dg_params, x[idx]), take)
-        fresh.per_class[cls] = x[idx[order]].copy()
+        if take:
+            idx = idx[herding_select(features(dg_params, x[idx]), take)]
+        fresh.per_class[cls] = idx[:take]
     out._domains.append(fresh)
     return out

@@ -9,22 +9,38 @@ import numpy as np
 from codag import (
     AdaptConfig,
     AugmentConfig,
+    Dataset,
     DGConfig,
     ModelConfig,
     ReplayBuffer,
+    SequenceConfig,
     accuracy,
     adapt_domain,
-    default_sequence,
     generate_pseudo_labels,
     init_params,
     train_dg_source,
     train_dg_target,
-    with_label_noise,
 )
 from codag.orchestrate import ExperimentConfig, run_seed
 from codag.rng import RngStreams, substream
 
 SEEDS5 = (2022, 2023, 2024, 2025, 2026)
+
+
+def default_sequence(seed: int = 7, split_seed=2022):
+    """The default desk-scale benchmark: five domains, rotations 0..120 degrees."""
+    return SequenceConfig(seed=seed).build(split_seed)
+
+
+def with_label_noise(data, rate: float, rng: np.random.Generator):
+    """Copy with each label flipped to a random other class w.p. ``rate``."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
+    labels = data.labels.copy()
+    flip = rng.random(len(data)) < rate
+    if flip.any():
+        labels[flip] = (labels[flip] + rng.integers(1, data.k, size=int(flip.sum()))) % data.k
+    return Dataset(data.x, labels, data.k, data.domain_id, pseudo=data.pseudo)
 
 
 def run_variant(variant: str, seed: int, log_curves: bool = False):

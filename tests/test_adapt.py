@@ -6,13 +6,37 @@ from codag.adapt import (
     adapt_domain,
     centroid_pseudo_labels,
     generate_pseudo_labels,
-    im_loss,
 )
 from codag.data import Dataset
 from codag.nnmodel import ClassifierParams, ModelConfig, features, forward, init_params, softmax
 from codag.rng import substream
 
 from conftest import source_model
+
+
+# Reference IM loss on probabilities: the oracle for the pipeline's logit-level loss.
+
+def im_loss(probs) -> float:
+    """Mean per-sample entropy minus entropy of the mean prediction.
+
+    Minimizing drives individual predictions confident while keeping the
+    batch-level marginal diverse. Bounds: [-ln K, ln K].
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] == 0:
+        raise ValueError("probs must be a nonempty (n, K) array")
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise ValueError("rows must be valid probability vectors")
+    if not np.allclose(p.sum(axis=1), 1.0, atol=1e-6):
+        raise ValueError("rows must sum to 1")
+    h_cond = float(np.mean(_entropy(p)))
+    h_marg = float(_entropy(p.mean(axis=0)[None, :])[0])
+    return h_cond - h_marg
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    return -terms.sum(axis=1)
 
 
 def test_im_loss_uniform_rows_is_zero():

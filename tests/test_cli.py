@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -90,6 +91,62 @@ def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, re
     assert "Traceback" not in err
     if jobs == "1":  # pool workers warn on their own stderr, out of recwarn's reach
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _error_lines(err: str) -> list[str]:
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_resume_with_changed_config_exits_2(tmp_path, tiny_config_file, capsys, jobs):
+    out = tmp_path / "out"
+    run = ["run", "--config", tiny_config_file, "--override", "seeds=[7, 8]", "--out", str(out)]
+    assert main(run) == 0
+    written = json.loads((out / "seed7" / "state.json").read_text())["digest"]
+    capsys.readouterr()
+    assert main(run + ["--resume", "--jobs", jobs, "--override", "dg.alpha=0"]) == 2
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1
+    assert str(out / "seed7") in errors[0] and written in errors[0]
+    assert len(re.findall(r"\b[0-9a-f]{64}\b", errors[0])) == 2  # stored and current digest
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fault", ["no-buffer", "truncated"])
+def test_malformed_state_is_one_error_line(tmp_path, tiny_config_file, capsys, jobs, fault):
+    out = tmp_path / "out"
+    run = ["run", "--config", tiny_config_file, "--override", "seeds=[7, 8]", "--out", str(out)]
+    assert main(run) == 0
+    state = out / "seed7" / "state.json"
+    if fault == "no-buffer":
+        payload = json.loads(state.read_text())
+        del payload["buffer"]
+        state.write_text(json.dumps(payload))
+    else:
+        state.write_text(state.read_text()[:300])
+    capsys.readouterr()
+    assert main(run + ["--resume", "--jobs", jobs]) == 2
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1 and str(state) in errors[0]
+
+
+def test_resume_with_changed_csv_data_exits_2(tmp_path, tiny_config_file, capsys):
+    data_dir = tmp_path / "domains"
+    assert main(["gen-data", "--config", tiny_config_file, "--out", str(data_dir)]) == 0
+    out = tmp_path / "out"
+    run = ["run", "--config", tiny_config_file, "--override", "sequence.kind=csv-folder",
+           "--override", f"sequence.path={data_dir}", "--out", str(out)]
+    assert main(run) == 0
+    assert main(run + ["--resume"]) == 0  # same config, same data
+    domain = data_dir / "domain_02.csv"
+    lines = domain.read_text().splitlines()
+    lines[1] = "0.5," + lines[1].split(",", 1)[1]  # one feature of one row
+    domain.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(run + ["--resume"]) == 2
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1 and "digest" in errors[0]
 
 
 def _run_child(code: str, **env_vars) -> str:

@@ -9,11 +9,12 @@ from codag.data import (
     HiddenLabelsError,
     SequenceConfig,
     class_means,
-    default_sequence,
     load_csv_domain,
     make_rotated_clusters,
     split_source,
 )
+
+from conftest import default_sequence
 
 
 def test_zero_noise_identity_transform():

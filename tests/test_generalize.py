@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from codag.augment import AugmentConfig, randmix
-from codag.data import Dataset, default_sequence
+from codag.data import Dataset
 from codag.generalize import (
     DGConfig,
     PHASE_CE,
@@ -14,12 +14,11 @@ from codag.generalize import (
     select_confident,
     train_dg_source,
     train_dg_target,
-    with_label_noise,
 )
 from codag.nnmodel import ClassifierParams, ModelConfig, forward, init_params, softmax
 from codag.rng import RngStreams, substream
 
-from conftest import selnlpl_noise_diff, source_model
+from conftest import default_sequence, selnlpl_noise_diff, source_model, with_label_noise
 
 
 # Scalar reference losses: the oracles the vectorized training loss is checked against.

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from codag.nnmodel import ModelConfig, init_params
 from codag.orchestrate import (
     VARIANTS,
     ExperimentConfig,
+    RunStateError,
     StageOrderError,
     config_digest,
     new_run_state,
+    run_digest,
     run_experiment,
     run_seed,
     run_stage,
@@ -58,7 +61,7 @@ def test_source_only_horizon():
 def test_stage_order_enforced():
     cfg = tiny_config().normalized()
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
-    state = new_run_state(7, seq, cfg.buffer_capacity)
+    state = new_run_state(7, seq, cfg.buffer_capacity, run_digest(cfg, seq))
     with pytest.raises(StageOrderError):
         run_stage(state, 1, seq, cfg)
     run_stage(state, 0, seq, cfg)
@@ -158,7 +161,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     seed_dir = tmp_path / "partial"
     os.makedirs(seed_dir)
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
-    state = new_run_state(7, seq, cfg.buffer_capacity)
+    state = new_run_state(7, seq, cfg.buffer_capacity, run_digest(cfg, seq))
     for t in range(2):  # stop midway
         run_stage(state, t, seq, cfg)
     orchestrate.save_run_state(state, str(seed_dir))
@@ -168,9 +171,22 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     np.testing.assert_allclose(resumed.da_matrix.values, full.da_matrix.values, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, variant):
-    cfg = tiny_config(variant=variant).normalized()
+def _tree(root) -> dict[str, bytes]:
+    """Every file under ``root`` by relative path."""
+    out = {}
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+# Interrupted after stage 1 (ids: the variant) and after stage 0 ("-after0").
+@pytest.mark.parametrize("variant, stop", [pytest.param(v, 2, id=v) for v in VARIANTS]
+                         + [pytest.param(v, 1, id=f"{v}-after0") for v in VARIANTS])
+def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, variant, stop):
+    cfg = tiny_config(variant=variant, log_curves=True).normalized()
     writes = []
     real_save = orchestrate.save_checkpoint
 
@@ -187,29 +203,103 @@ def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, 
 
     real_stage = orchestrate.run_stage
 
-    def stop_after_stage_1(state, t, *args, **kwargs):
-        if t == 2:
+    def stop_before(state, t, *args, **kwargs):
+        if t == stop:
             raise KeyboardInterrupt
         return real_stage(state, t, *args, **kwargs)
 
     part_dir = tmp_path / "part"
-    monkeypatch.setattr(orchestrate, "run_stage", stop_after_stage_1)
+    monkeypatch.setattr(orchestrate, "run_stage", stop_before)
     with pytest.raises(KeyboardInterrupt):
         run_seed(cfg, 7, seed_dir=str(part_dir))
-    assert json.loads((part_dir / "state.json").read_text())["next_stage"] == 2
+    assert json.loads((part_dir / "state.json").read_text())["next_stage"] == stop
     monkeypatch.setattr(orchestrate, "run_stage", real_stage)
     resumed, _ = run_seed(cfg, 7, seed_dir=str(part_dir), resume=True)
 
     np.testing.assert_array_equal(resumed.dg_matrix.values, full.dg_matrix.values)
     np.testing.assert_array_equal(resumed.da_matrix.values, full.da_matrix.values)
+    assert full.curves.records and resumed.curves.records == full.curves.records
+    # checkpoints, curves.csv and state.json, byte for byte
+    assert _tree(part_dir) == _tree(full_dir)
     names = sorted(os.listdir(full_dir / "checkpoints"))
-    assert sorted(os.listdir(part_dir / "checkpoints")) == names
-    for name in names:
-        assert ((part_dir / "checkpoints" / name).read_bytes()
-                == (full_dir / "checkpoints" / name).read_bytes()), name
     for run_dir, paths in ((full_dir, full_writes), (part_dir, writes)):
         expected = [str(run_dir / "checkpoints" / name) for name in names]
         assert sorted(paths) == expected  # every checkpoint written exactly once
+
+
+def test_killed_write_resumes_to_uninterrupted_bytes(tmp_path, monkeypatch):
+    """A kill at any file replacement leaves a tree that --resume completes."""
+    cfg = tiny_config(log_curves=True).normalized()
+    real_replace = os.replace
+    replaced = []
+
+    def counting_replace(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    run_seed(cfg, 7, seed_dir=str(tmp_path / "full"))
+    expected = _tree(tmp_path / "full")
+    # per stage: its checkpoints, then curves.csv, then state.json last
+    assert replaced == ["dg_stage0.ckpt", "curves.csv", "state.json"] + [
+        name for t in (1, 2)
+        for name in (f"da_stage{t}.ckpt", f"dg_stage{t}.ckpt", "curves.csv", "state.json")]
+
+    for k in range(1, len(replaced) + 1):
+        calls = []
+
+        def killed_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError(f"killed at replacement {k}")
+            real_replace(src, dst)
+
+        run_dir = tmp_path / f"kill{k}"
+        monkeypatch.setattr(os, "replace", killed_replace)
+        with pytest.raises(OSError, match="killed"):
+            run_seed(cfg, 7, seed_dir=str(run_dir))
+        monkeypatch.setattr(os, "replace", real_replace)
+        run_seed(cfg, 7, seed_dir=str(run_dir), resume=True)
+        assert _tree(run_dir) == expected, f"kill at replacement {k}"
+
+
+def _edit_state(seed_dir, edit):
+    path = seed_dir / "state.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+STATE_FAULTS = {
+    "truncated": lambda d: (d / "state.json").write_text((d / "state.json").read_text()[:300]),
+    "not-an-object": lambda d: (d / "state.json").write_text("[1, 2]"),
+    "version-1": lambda d: _edit_state(d, lambda p: p.update(version=1)),
+    "no-buffer": lambda d: _edit_state(d, lambda p: p.pop("buffer")),
+    "stage-as-string": lambda d: _edit_state(d, lambda p: p.update(next_stage="2")),
+    "stage-too-far": lambda d: _edit_state(d, lambda p: p.update(next_stage=4)),
+    "buffer-classes": lambda d: _edit_state(d, lambda p: p["buffer"].update(k=4)),
+    "bad-matrix": lambda d: _edit_state(d, lambda p: p["dg_matrix"].pop("filled")),
+    "row-out-of-range": lambda d: _edit_state(
+        d, lambda p: p["buffer"]["domains"][0]["classes"]["0"].append(10 ** 6)),
+    "row-as-float": lambda d: _edit_state(
+        d, lambda p: p["buffer"]["domains"][0]["classes"]["0"].append(1.5)),
+    "unknown-domain": lambda d: _edit_state(
+        d, lambda p: p["buffer"]["domains"][0].update(domain_id=9)),
+    "ckpt-outside": lambda d: (shutil.copy(d / "checkpoints" / "dg_stage2.ckpt", d.parent),
+                               _edit_state(d, lambda p: p.update(dg_ckpt="../dg_stage2.ckpt"))),
+    "ckpt-missing": lambda d: os.remove(d / "checkpoints" / "dg_stage2.ckpt"),
+    "no-curves": lambda d: os.remove(d / "curves.csv"),
+}
+
+
+@pytest.mark.parametrize("fault", STATE_FAULTS)
+def test_malformed_state_raises_run_state_error(tmp_path, fault):
+    cfg = tiny_config().normalized()
+    seed_dir = tmp_path / "seed7"
+    run_seed(cfg, 7, seed_dir=str(seed_dir))
+    STATE_FAULTS[fault](seed_dir)
+    with pytest.raises(RunStateError, match=r"seed7.state\.json: malformed run state"):
+        run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
 
 
 def test_parallel_jobs_match_sequential(tmp_path):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from codag.data import Dataset
+from codag.data import Dataset, SequenceConfig
 from codag.nnmodel import ModelConfig, init_params
 from codag.replay import ReplayBuffer, herding_select, update_buffer
 
@@ -149,16 +151,32 @@ def test_scarce_class_keeps_what_exists(dg_params):
     assert counts[0] == 20 and counts[1] == 20 and counts[2:].sum() == 0
 
 
+def _reordered_sequence():
+    cfg = SequenceConfig(n_per_domain=60, k=5, d=6, angles_deg=(0.0, 30.0, 60.0, 90.0, 120.0),
+                         seed=3)
+    return cfg.build(split_seed=0).reordered([3, 1, 4, 2])
+
+
 def test_roundtrip_serialization(dg_params):
-    buf = update_buffer(ReplayBuffer(60, 5), _labeled_domain(200, 5, 6, 0, 1), dg_params)
-    buf = update_buffer(buf, _pseudo_domain(150, 5, 6, 1, 2), dg_params)
-    again = ReplayBuffer.from_dict(buf.to_dict())
-    ax, ay, adom, apseudo = buf.as_arrays()
-    bx, by, bdom, bpseudo = again.as_arrays()
-    np.testing.assert_array_equal(ax, bx)
-    np.testing.assert_array_equal(ay, by)
-    np.testing.assert_array_equal(adom, bdom)
-    np.testing.assert_array_equal(apseudo, bpseudo)
+    seq = _reordered_sequence()
+    buf = ReplayBuffer(60, 5)
+    for t, train in enumerate(seq.train_sets):
+        labeled = train if t == 0 else Dataset(train.x, seq.test_sets[t].labels, train.k,
+                                               train.domain_id, pseudo=True)
+        buf = update_buffer(buf, labeled, dg_params)
+    raw = json.loads(json.dumps(buf.to_dict()))
+    assert [dom["domain_id"] for dom in raw["domains"]] == [0, 3, 1, 4, 2]
+    assert all(type(row) is int for dom in raw["domains"]
+               for rows in dom["classes"].values() for row in rows)  # indices, not features
+
+    again = ReplayBuffer.from_dict(raw, _reordered_sequence())  # rebuilt, not shared
+    for a, b in zip(buf.as_arrays(), again.as_arrays()):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    x, _, dom, pseudo = again.as_arrays()
+    assert x.shape == (60, 6) and not pseudo[dom == 0].any() and pseudo[dom != 0].all()
+    rows = {train.domain_id: train.x for train in seq.train_sets}
+    assert all((rows[d] == row).all(axis=1).any() for d, row in zip(dom, x))
 
 
 def test_update_buffer_rejects_mismatched_classes(dg_params):
