@@ -15,7 +15,8 @@ from .nnmodel import (
     HEAD_BLOCKS,
     ClassifierParams,
     Sgd,
-    features,
+    features,  # noqa: F401  (unused here; perfbench's span wrappers look it up in this module)
+    features_and_logits,
     forward,
     gradient,
     log_softmax,
@@ -57,9 +58,8 @@ def centroid_pseudo_labels(params: ClassifierParams, dataset: Dataset) -> np.nda
     (empty classes keep their seed centroid) and re-assigns. Cosine distance,
     ties to the lowest class index.
     """
-    x = dataset.x
-    feats = features(params, x)
-    probs = softmax(forward(params, x))
+    feats, logits = features_and_logits(params, dataset.x)
+    probs = softmax(logits)
     k = probs.shape[1]
 
     weight_sums = probs.sum(axis=0)

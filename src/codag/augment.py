@@ -31,6 +31,7 @@ def randmix(
     config: AugmentConfig,
     rng: np.random.Generator,
     *,
+    batch_size: int | None = None,
     weights=None,
     transforms=None,
 ) -> np.ndarray:
@@ -38,31 +39,45 @@ def randmix(
 
     Slot 0 is the identity when ``config.identity_slot``; the remaining slots
     are random affine maps (entries ~ N(0, 1/d), zero bias) followed by tanh.
+    With ``batch_size``, every consecutive ``batch_size``-row slice gets its
+    own weights, maps and noise, drawn in the order and with the values of
+    one call per slice; the elementwise work then runs once over all rows.
     ``weights``/``transforms`` override the sampled values (test hooks).
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a nonempty (n, d) array")
-    d = x.shape[1]
+    n, d = x.shape
     m = config.n_transforms
-
-    if weights is None:
-        w = rng.dirichlet(np.full(m, config.mix_concentration))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (m,):
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (m,):
             raise ValueError(f"weights must have length {m}")
+    first = int(config.identity_slot and transforms is None)  # 1: slot 0 is the identity
+    step = n if batch_size is None else batch_size
+
+    w = np.empty((m, n, 1))  # slot i's weight on every row
+    views = np.empty((m - first, n, d))  # views[i - first] is slot i's view of every row
+    noise = np.empty_like(x) if config.noise_sigma > 0 else None
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        xb = x[rows]
+        w[:, rows, 0] = (rng.dirichlet(np.full(m, config.mix_concentration))
+                         if weights is None else weights)[:, None]
+        for i in range(first, m):
+            view = views[i - first, rows]
+            if transforms is not None:
+                view[...] = transforms[i](xb)
+            else:
+                np.matmul(xb, rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)), out=view)
+        if noise is not None:
+            noise[rows] = rng.normal(0.0, config.noise_sigma, xb.shape)
+    if transforms is None:
+        np.tanh(views, out=views)
 
     out = np.zeros_like(x)
     for i in range(m):
-        if transforms is not None:
-            view = np.asarray(transforms[i](x), dtype=np.float64)
-        elif i == 0 and config.identity_slot:
-            view = x
-        else:
-            a = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
-            view = np.tanh(x @ a)
-        out += w[i] * view
-    if config.noise_sigma > 0:
-        out += rng.normal(0.0, config.noise_sigma, x.shape)
+        out += w[i] * (views[i - first] if i >= first else x)
+    if noise is not None:
+        out += noise
     return out

@@ -47,8 +47,8 @@ class AccuracyMatrix:
         row = np.asarray(accuracies, dtype=np.float64)
         if row.shape != (self.n_domains,):
             raise ValueError(f"row must have {self.n_domains} entries")
-        if np.any(row < 0) or np.any(row > 1):
-            raise ValueError("accuracies must lie in [0, 1]")
+        if not np.all((row >= 0) & (row <= 1)):  # False for NaN too
+            raise ValueError("accuracies must be finite and lie in [0, 1]")
         if self._filled[stage]:
             raise ValueError(f"row {stage} already recorded")
         self._values[stage] = row
@@ -91,8 +91,6 @@ class AccuracyMatrix:
         arr = np.asarray(grid, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("accuracy grid must be square")
-        if np.any(arr < 0) or np.any(arr > 1) or not np.all(np.isfinite(arr)):
-            raise ValueError("accuracy grid values must lie in [0, 1]")
         mat = cls(arr.shape[0], role)
         for t in range(arr.shape[0]):
             mat.set_row(t, arr[t])

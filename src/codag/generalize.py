@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, randmix
-from .data import Dataset, iter_batches
+from .data import Dataset
 from .nnmodel import ClassifierParams, Sgd, forward, gradient, log_softmax, softmax
 from .rng import RngStreams
 
@@ -102,25 +102,25 @@ def _mixed_logit_loss(y, kinds, comp, q, alpha: float, clip_eps: float):
 
         n_labeled = int(np.count_nonzero(kinds != _SKIP))
         if n_labeled:
-            label_sum = 0.0
-            ce_rows = np.where(kinds == _CE)[0]
-            if ce_rows.size:
-                py = p[ce_rows, y[ce_rows]]
-                label_sum += float(-np.log(np.maximum(py, clip_eps)).sum())
-                live = ce_rows[py > clip_eps]
-                dl[live] += p[live]
-                dl[live, y[live]] -= 1.0
-            nl_rows = np.where(kinds == _NL)[0]
-            if nl_rows.size:
-                pc = p[nl_rows, comp[nl_rows]]
-                keep = 1.0 - pc
-                label_sum += float(-np.log(np.maximum(keep, clip_eps)).sum())
-                mask = keep > clip_eps
-                live = nl_rows[mask]
-                coef = pc[mask] / keep[mask]
-                dl[live] -= coef[:, None] * p[live]
-                dl[live, comp[live]] += coef
+            rows = np.arange(n)
+            ce, nl = kinds == _CE, kinds == _NL
+            # The class each labeled row's term acts on: its label, or for NL its complement.
+            target = y if comp is None else np.where(nl, comp, y)
+            pt = p[rows, target]
+            keep = 1.0 - pt
+            label_sum = float(-np.log(np.maximum(pt[ce], clip_eps)).sum())
+            label_sum += float(-np.log(np.maximum(keep[nl], clip_eps)).sum())
             total += label_sum / n_labeled
+            # Clipped rows get zero gradient. 0.0 - x, not -x, keeps the sign of a zero.
+            ce &= pt > clip_eps
+            nl &= keep > clip_eps
+            coef = pt[nl] / keep[nl]
+            dl[ce] = p[ce]
+            dl[nl] = 0.0 - coef[:, None] * p[nl]
+            shift = np.zeros(n)
+            shift[ce] = -1.0
+            shift[nl] = coef
+            dl[rows, target] += shift
             dl /= n_labeled
 
         if q is not None and alpha > 0:
@@ -175,20 +175,33 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
             confident = select_confident(params, x[is_pseudo], config.pl_conf_threshold)
             kinds[is_pseudo] = np.where(confident, _CE, _SKIP)
 
+        # One shuffle, one augmentation call and one teacher pass per epoch;
+        # the batches are slices of them.
+        perm = rng.shuffle.permutation(n)
+        xe, ye, ke = x[perm], y[perm], kinds[perm]
+        if aug is not None:
+            xe = randmix(xe, aug, rng.aug, batch_size=config.batch_size)
+        qe = None
+        if teacher is not None:
+            logits = forward(teacher, xe)
+            for start in range(0, n, config.batch_size):
+                if min(config.batch_size, n - start) == 1:
+                    # A one-row product is matrix-vector, whose sums can differ in
+                    # the last bit from a block's; such a batch keeps its own pass.
+                    logits[start] = forward(teacher, xe[start])
+            qe = softmax(logits)
         losses = []
         try:
-            for idx in iter_batches(n, config.batch_size, rng.shuffle):
-                xb = x[idx]
-                if aug is not None:
-                    xb = randmix(xb, aug, rng.aug)
-                kb = kinds[idx]
-                comp = np.zeros(idx.shape[0], dtype=np.int64)
+            for start in range(0, n, config.batch_size):
+                rows = slice(start, start + config.batch_size)
+                yb, kb = ye[rows], ke[rows]
+                comp = np.zeros(yb.shape[0], dtype=np.int64)
                 nl_mask = kb == _NL
                 if nl_mask.any():
-                    comp[nl_mask] = draw_complementary_labels(y[idx][nl_mask], k, rng.nl)
-                q = softmax(forward(teacher, xb)) if teacher is not None else None
-                loss_fn = _mixed_logit_loss(y[idx], kb, comp, q, config.alpha, config.clip_eps)
-                loss, grads = gradient(loss_fn, params, xb)
+                    comp[nl_mask] = draw_complementary_labels(yb[nl_mask], k, rng.nl)
+                q = qe[rows] if qe is not None else None
+                loss_fn = _mixed_logit_loss(yb, kb, comp, q, config.alpha, config.clip_eps)
+                loss, grads = gradient(loss_fn, params, xe[rows])
                 opt.step(params, grads)
                 losses.append(loss)
         except FloatingPointError as exc:

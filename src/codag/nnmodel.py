@@ -148,27 +148,38 @@ def _row_edges(n: int, widest: int) -> list[int]:
     return edges
 
 
-def _blocked(params: ClassifierParams, x, want_logits: bool) -> np.ndarray:
+def _blocked(params: ClassifierParams, x, keep_feats: bool):
+    """(features or None, logits) from one row-blocked pass over ``x``."""
     xb, single = _as_batch(params, x)
     w = _weights(params)
     feat_dim, k = w["head.w"].shape
-    out = np.empty((xb.shape[0], k if want_logits else feat_dim))
+    feats_out = np.empty((xb.shape[0], feat_dim)) if keep_feats else None
+    logits_out = np.empty((xb.shape[0], k))
     edges = _row_edges(xb.shape[0], max(max(block.shape) for block in w.values()))
     for start, stop in zip(edges, edges[1:]):
         # No cache: each layer's temporaries die before the next block starts.
         feats, logits = _forward_cached(w, xb[start:stop])
-        out[start:stop] = logits if want_logits else feats
-    return out[0] if single else out
+        logits_out[start:stop] = logits
+        if keep_feats:
+            feats_out[start:stop] = feats
+    if single:
+        return (feats_out[0] if keep_feats else None), logits_out[0]
+    return feats_out, logits_out
 
 
 def forward(params: ClassifierParams, x) -> np.ndarray:
     """Logits for a single vector or a batch; rows align with inputs."""
-    return _blocked(params, x, want_logits=True)
+    return _blocked(params, x, keep_feats=False)[1]
 
 
 def features(params: ClassifierParams, x) -> np.ndarray:
     """Feature-extractor output (the head's input)."""
-    return _blocked(params, x, want_logits=False)
+    return _blocked(params, x, keep_feats=True)[0]
+
+
+def features_and_logits(params: ClassifierParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` and ``forward`` of ``x`` from one pass through the extractor."""
+    return _blocked(params, x, keep_feats=True)
 
 
 def softmax(logits) -> np.ndarray:

@@ -29,17 +29,27 @@ def herding_select(feature_vectors, m: int) -> np.ndarray:
     if m > n:
         raise ValueError(f"cannot select {m} of {n} items")
     mu = feats.mean(axis=0)
-    unchosen = list(range(n))
+    # The unchosen rows, compacted in index order; a pick shifts the rest up.
+    rows, left = feats.copy(), np.arange(n)
+    work, dists = np.empty_like(feats), np.empty(n)
     running = np.zeros(feats.shape[1])
-    order: list[int] = []
+    order = np.empty(m, dtype=np.int64)
     for step in range(1, m + 1):
-        cand = (running[None, :] + feats[unchosen]) / step
-        dists = np.linalg.norm(mu[None, :] - cand, axis=1)
-        j = int(np.argmin(dists))  # first minimum = lowest index (unchosen is sorted)
-        idx = unchosen.pop(j)
-        order.append(idx)
-        running += feats[idx]
-    return np.asarray(order, dtype=np.int64)
+        r = n - step + 1
+        cand, dist = work[:r], dists[:r]
+        # ||mu - (running + row) / step|| per row, in np.linalg.norm's arithmetic.
+        np.add(running, rows[:r], out=cand)
+        np.divide(cand, step, out=cand)
+        np.subtract(mu, cand, out=cand)
+        np.multiply(cand, cand, out=cand)
+        np.add.reduce(cand, axis=1, out=dist)
+        np.sqrt(dist, out=dist)
+        j = int(np.argmin(dist))  # first minimum = lowest index (rows stay in index order)
+        order[step - 1] = left[j]
+        running += rows[j]
+        rows[j:r - 1] = rows[j + 1:r]
+        left[j:r - 1] = left[j + 1:r]
+    return order
 
 
 @dataclass

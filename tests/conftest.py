@@ -1,4 +1,9 @@
-"""Shared fixtures: full-fidelity runs are expensive, so they are session-scoped."""
+"""Shared fixtures: full-fidelity runs are expensive, so they are session-scoped
+and their independent runs go through a process pool."""
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -58,36 +63,45 @@ def source_model(seed: int, seq=None):
     return seq, params
 
 
-def selnlpl_noise_diff(seed: int, noise_rate: float = 0.20) -> float:
-    """SelNLPL-on minus SelNLPL-off mean test accuracy after a full chain with
-    noise injected into every stage's pseudo-labels (buffer removed, matching
-    how the schedule's contribution is isolated)."""
+def selnlpl_chain(seed: int, selnlpl: bool, noise_rate: float = 0.20) -> float:
+    """Mean test accuracy after a full chain with noise injected into every
+    stage's pseudo-labels (buffer removed, matching how the schedule's
+    contribution is isolated)."""
+    seq = default_sequence(split_seed=substream(seed, "data"))
+    aug = AugmentConfig()
+    dgcfg = DGConfig(selnlpl=selnlpl)
+    dg = train_dg_source(
+        init_params(ModelConfig(d=seq.d, k=seq.k), substream(seed, "init")),
+        seq.train_sets[0], dgcfg, aug, RngStreams.for_stage(seed, 0),
+    )
+    buf = ReplayBuffer(0, seq.k)
+    for t in range(1, seq.n_domains):
+        da = adapt_domain(dg, seq.train_sets[t], AdaptConfig(), substream(seed, "shuffle", t))
+        pl = generate_pseudo_labels(da, seq.train_sets[t])
+        pl = with_label_noise(pl, noise_rate, substream(seed, "nl", 90 + t))
+        dg = train_dg_target(dg, pl, buf, dgcfg, aug, RngStreams.for_stage(seed, t))
+    return float(np.mean([accuracy(dg, ts) for ts in seq.test_sets]))
 
-    def chain(selnlpl: bool) -> float:
-        seq = default_sequence(split_seed=substream(seed, "data"))
-        aug = AugmentConfig()
-        dgcfg = DGConfig(selnlpl=selnlpl)
-        dg = train_dg_source(
-            init_params(ModelConfig(d=seq.d, k=seq.k), substream(seed, "init")),
-            seq.train_sets[0], dgcfg, aug, RngStreams.for_stage(seed, 0),
-        )
-        buf = ReplayBuffer(0, seq.k)
-        for t in range(1, seq.n_domains):
-            da = adapt_domain(dg, seq.train_sets[t], AdaptConfig(), substream(seed, "shuffle", t))
-            pl = generate_pseudo_labels(da, seq.train_sets[t])
-            pl = with_label_noise(pl, noise_rate, substream(seed, "nl", 90 + t))
-            dg = train_dg_target(dg, pl, buf, dgcfg, aug, RngStreams.for_stage(seed, t))
-        return float(np.mean([accuracy(dg, ts) for ts in seq.test_sets]))
 
-    return chain(True) - chain(False)
+def run_in_pool(fn, arg_tuples) -> list:
+    """``fn(*args)`` for every tuple, in order, on min(cpu count, runs) workers.
+
+    Spawned workers import this module afresh, so codag pins BLAS before numpy loads.
+    """
+    workers = min(os.cpu_count() or 1, len(arg_tuples))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(fn, *args) for args in arg_tuples]
+        return [future.result() for future in futures]
 
 
 @pytest.fixture(scope="session")
 def variant_runs():
     """(RunState, MetricsReport) per (variant, seed) for the directional checks."""
+    variants = ("codag", "codag-da-init", "codag-no-buffer", "dg-only")
+    runs = [(variant, seed) for variant in variants for seed in SEEDS5]
     out = {}
-    for variant in ("codag", "codag-da-init", "codag-no-buffer", "dg-only"):
-        out[variant] = {seed: run_variant(variant, seed) for seed in SEEDS5}
+    for (variant, seed), result in zip(runs, run_in_pool(run_variant, runs)):
+        out.setdefault(variant, {})[seed] = result
     return out
 
 
@@ -100,4 +114,7 @@ def codag_curve_state():
 
 @pytest.fixture(scope="session")
 def selnlpl_noise_diffs():
-    return {seed: selnlpl_noise_diff(seed) for seed in SEEDS5}
+    """SelNLPL-on minus SelNLPL-off accuracy of the noisy chain, per seed."""
+    chains = [(seed, selnlpl) for seed in SEEDS5 for selnlpl in (True, False)]
+    acc = dict(zip(chains, run_in_pool(selnlpl_chain, chains)))
+    return {seed: acc[seed, True] - acc[seed, False] for seed in SEEDS5}

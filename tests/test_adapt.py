@@ -3,12 +3,21 @@ import pytest
 
 from codag.adapt import (
     AdaptConfig,
+    _cosine_distances,
     adapt_domain,
     centroid_pseudo_labels,
     generate_pseudo_labels,
 )
 from codag.data import Dataset
-from codag.nnmodel import ClassifierParams, ModelConfig, features, forward, init_params, softmax
+from codag.nnmodel import (
+    ClassifierParams,
+    ModelConfig,
+    features,
+    features_and_logits,
+    forward,
+    init_params,
+    softmax,
+)
 from codag.rng import substream
 
 from conftest import source_model
@@ -112,6 +121,30 @@ def test_centroid_labels_match_independent_oracle():
     got = centroid_pseudo_labels(params, ds)
     expected = _two_round_centroid_oracle(features(params, x), softmax(forward(params, x)))
     np.testing.assert_array_equal(got, expected)
+
+
+def two_pass_centroid_labels(params, x):
+    """Centroid labels from separate ``features`` and ``forward`` passes."""
+    feats = features(params, x)
+    probs = softmax(forward(params, x))
+    seed_centroids = (probs.T @ feats) / (probs.sum(axis=0)[:, None] + 1e-8)
+    labels = np.argmin(_cosine_distances(feats, seed_centroids), axis=1)
+    onehot = np.eye(probs.shape[1])[labels]
+    counts = onehot.sum(axis=0)
+    centroids = (onehot.T @ feats) / (counts[:, None] + 1e-8)
+    centroids[counts == 0] = seed_centroids[counts == 0]
+    return np.argmin(_cosine_distances(feats, centroids), axis=1)
+
+
+@pytest.mark.parametrize("n", [500, 129])  # 129: a one-row tail after a 128-row block
+def test_centroid_labels_equal_two_pass_result(n):
+    params = init_params(ModelConfig(d=16, k=5), 11)
+    x = np.random.default_rng(n).standard_normal((n, 16))
+    feats, logits = features_and_logits(params, x)
+    assert feats.tobytes() == features(params, x).tobytes()
+    assert logits.tobytes() == forward(params, x).tobytes()
+    np.testing.assert_array_equal(centroid_pseudo_labels(params, Dataset(x, None, 5)),
+                                  two_pass_centroid_labels(params, x))
 
 
 def test_centroid_labels_separated_clusters():

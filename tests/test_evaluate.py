@@ -138,6 +138,9 @@ def test_accuracy_matrix_guards():
         mat.set_row(0, [0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         mat.set_row(1, [1.5, 0.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mat.set_row(1, [bad, 0.5, 0.5])
     with pytest.raises(IncompleteMatrixError):
         mat.require_complete()
     with pytest.raises(ValueError):

@@ -279,6 +279,8 @@ STATE_FAULTS = {
     "stage-too-far": lambda d: _edit_state(d, lambda p: p.update(next_stage=4)),
     "buffer-classes": lambda d: _edit_state(d, lambda p: p["buffer"].update(k=4)),
     "bad-matrix": lambda d: _edit_state(d, lambda p: p["dg_matrix"].pop("filled")),
+    "nan-accuracy": lambda d: _edit_state(
+        d, lambda p: p["dg_matrix"]["values"][0].__setitem__(0, float("nan"))),
     "row-out-of-range": lambda d: _edit_state(
         d, lambda p: p["buffer"]["domains"][0]["classes"]["0"].append(10 ** 6)),
     "row-as-float": lambda d: _edit_state(

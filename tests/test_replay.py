@@ -60,6 +60,39 @@ def test_herding_matches_brute_force_exhaustively():
             np.testing.assert_array_equal(herding_select(grid, m), brute_force_herding(grid, m))
 
 
+def list_loop_herding(feats, m):
+    """Herding that re-indexes the unchosen rows from a list at every pick."""
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.ndim == 1:
+        feats = feats[:, None]
+    mu = feats.mean(axis=0)
+    unchosen, running, order = list(range(len(feats))), np.zeros(feats.shape[1]), []
+    for step in range(1, m + 1):
+        cand = (running[None, :] + feats[unchosen]) / step
+        j = int(np.argmin(np.linalg.norm(mu[None, :] - cand, axis=1)))
+        order.append(unchosen.pop(j))
+        running += feats[order[-1]]
+    return np.asarray(order, dtype=np.int64)
+
+
+def test_herding_matches_list_loop_with_duplicated_rows():
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+        feats = rng.standard_normal((n, d))
+        dup = rng.integers(0, n, size=n // 2)
+        feats[rng.integers(0, n, size=n // 2)] = feats[dup]  # exact ties
+        for m in (1, n // 2, n):
+            got = herding_select(feats, m)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, list_loop_herding(feats, m))
+            if n <= 12:
+                np.testing.assert_array_equal(got, brute_force_herding(feats, m))
+    # the size update_buffer herds per class at the default config
+    feats = rng.standard_normal((120, 32))
+    np.testing.assert_array_equal(herding_select(feats, 120), list_loop_herding(feats, 120))
+
+
 def test_herding_rejects_oversized_request():
     with pytest.raises(ValueError):
         herding_select(np.zeros((3, 2)), 4)
