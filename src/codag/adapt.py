@@ -38,6 +38,8 @@ class AdaptConfig:
             raise ValueError("epochs must be nonnegative")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.im_weight < 0 or self.pl_weight < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.pl_refresh_interval < 1:

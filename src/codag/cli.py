@@ -8,13 +8,15 @@ Commands:
     version
 
 The config file is JSON with sections sequence/model/adapt/dg/aug plus
-domain_order, seeds, variant, and buffer_capacity (see README). Overrides
-use dotted paths (``dg.alpha=0``); values parse as JSON with plain-string
-fallback. CODAG_SEED in the environment replaces the seed list.
+domain_order, seeds, variant, buffer_capacity and log_curves (see README).
+Overrides use dotted paths (``dg.alpha=0``); values parse as JSON with
+plain-string fallback. An unknown key or mistyped value exits 2.
+CODAG_SEED in the environment replaces the seed list.
 """
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -23,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .evaluate import metrics_from_grids
+from .nnmodel import atomic_write
 from .orchestrate import ExperimentConfig, RunStateError, run_experiment
 
 
@@ -58,7 +61,7 @@ def apply_override(config: dict, assignment: str) -> None:
     for key in keys[:-1]:
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
-            raise CliError(f"override path {path!r} does not address a config section")
+            raise CliError(f"invalid config: override path {path!r} is not a config section")
     node[keys[-1]] = value
 
 
@@ -74,7 +77,7 @@ def build_config(config_path: str, overrides, out_dir=None) -> ExperimentConfig:
             raise CliError(f"CODAG_SEED must be an integer, got {env_seed!r}") from None
     try:
         config = ExperimentConfig.from_dict(raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{config_path}: invalid config: {exc}") from None
     if out_dir is not None:
         config.out_dir = out_dir
@@ -114,11 +117,12 @@ def cmd_gen_data(args) -> int:
         ds = make_rotated_clusters(spec, config.sequence.n_per_domain,
                                    config.sequence.k, config.sequence.d)
         path = os.path.join(args.out, f"domain_{spec.id:02d}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"f{i}" for i in range(ds.d)] + ["label"])
-            for row, label in zip(ds.x, ds.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow([f"f{i}" for i in range(ds.d)] + ["label"])
+        for row, label in zip(ds.x, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        atomic_write(path, text.getvalue().encode("utf-8"))
         print(f"wrote {path} ({len(ds)} rows)")
     return 0
 
@@ -170,8 +174,7 @@ def cmd_report(args) -> int:
     text = "\n".join(lines)
     print(text)
     report_path = os.path.join(args.runs, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=2)
+    atomic_write(report_path, json.dumps(table, indent=2).encode("utf-8"))
     print(f"report written to {report_path}")
     return 0
 

@@ -291,6 +291,14 @@ class SequenceConfig:
     source_fraction: float = 0.8
     path: str | None = None  # csv-folder: directory of domain_*.csv files
 
+    def __post_init__(self):
+        if self.kind not in ("synthetic-rotated", "csv-folder"):
+            raise ValueError(f"unknown sequence kind {self.kind!r}")
+        if min(self.n_per_domain, self.k, self.d) < 1:
+            raise ValueError("n_per_domain, k and d must be at least 1")
+        if not self.angles_deg:
+            raise ValueError("angles_deg must name at least one domain")
+
     def specs(self) -> list[DomainSpec]:
         if self.kind == "csv-folder":
             import glob
@@ -335,29 +343,3 @@ class SequenceConfig:
                 train_sets.append(full.without_labels())
                 test_sets.append(full)
         return DomainSequence(specs, train_sets, test_sets)
-
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "n_per_domain": self.n_per_domain,
-            "k": self.k,
-            "d": self.d,
-            "angles_deg": list(self.angles_deg),
-            "noise_sigma": self.noise_sigma,
-            "scale": self.scale,
-            "shift": list(self.shift) if self.shift is not None else None,
-            "seed": self.seed,
-            "source_fraction": self.source_fraction,
-        }
-        if self.path is not None:
-            out["path"] = self.path
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SequenceConfig":
-        kwargs = dict(raw)
-        if "angles_deg" in kwargs:
-            kwargs["angles_deg"] = tuple(kwargs["angles_deg"])
-        if kwargs.get("shift") is not None:
-            kwargs["shift"] = tuple(kwargs["shift"])
-        return cls(**kwargs)

@@ -163,17 +163,6 @@ class MetricsReport:
             allv = composite_all(tda_mean, tdg_mean, fa_mean)
         return cls(tda_vals, tdg_vals, fa_vals, tda_mean, tdg_mean, fa_mean, allv)
 
-    def to_dict(self) -> dict:
-        return {
-            "tda_per_domain": self.tda_per_domain,
-            "tdg_per_domain": self.tdg_per_domain,
-            "fa_per_domain": self.fa_per_domain,
-            "tda_mean": self.tda_mean,
-            "tdg_mean": self.tdg_mean,
-            "fa_mean": self.fa_mean,
-            "all": self.all,
-        }
-
 
 @dataclass
 class CurveLog:

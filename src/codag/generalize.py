@@ -45,6 +45,8 @@ class DGConfig:
             raise ValueError("epochs must be nonnegative")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         for name in ("nl_epoch_fraction", "selnl_epoch_fraction", "pl_conf_threshold",

@@ -35,22 +35,14 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture: d -> hidden... -> feat_dim (ReLU between layers) -> k."""
+    """Architecture: d -> hidden... -> feat_dim (ReLU between layers) -> k; d, k from the data."""
 
-    d: int | None = None  # resolved from data when None
-    k: int | None = None
     hidden: tuple[int, ...] = (64, 64)
     feat_dim: int = 32
 
     def __post_init__(self):
-        widths = [w for w in (self.d, *self.hidden, self.feat_dim, self.k) if w is not None]
-        if any(w <= 0 for w in widths):
+        if any(w <= 0 for w in (*self.hidden, self.feat_dim)):
             raise ValueError("all layer widths must be positive")
-
-    def extractor_widths(self) -> list[int]:
-        if self.d is None:
-            raise ValueError("model config not resolved: d unknown")
-        return [self.d, *self.hidden, self.feat_dim]
 
 
 class ClassifierParams:
@@ -86,20 +78,18 @@ class ClassifierParams:
         return self.blocks["head.w"].shape[0]
 
 
-def init_params(config: ModelConfig, seed) -> ClassifierParams:
+def init_params(config: ModelConfig, d: int, k: int, seed) -> ClassifierParams:
     """Uniform(-b, b) weights with b = sqrt(6 / (fan_in + fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
-    widths = config.extractor_widths()
-    if config.k is None:
-        raise ValueError("model config not resolved: k unknown")
+    widths = [d, *config.hidden, config.feat_dim]
     blocks: dict[str, np.ndarray] = {}
     for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         blocks[f"ext{i}.w"] = rng.uniform(-bound, bound, (fan_in, fan_out)).astype(np.float32)
         blocks[f"ext{i}.b"] = np.zeros(fan_out, dtype=np.float32)
-    bound = np.sqrt(6.0 / (config.feat_dim + config.k))
-    blocks["head.w"] = rng.uniform(-bound, bound, (config.feat_dim, config.k)).astype(np.float32)
-    blocks["head.b"] = np.zeros(config.k, dtype=np.float32)
+    bound = np.sqrt(6.0 / (config.feat_dim + k))
+    blocks["head.w"] = rng.uniform(-bound, bound, (config.feat_dim, k)).astype(np.float32)
+    blocks["head.b"] = np.zeros(k, dtype=np.float32)
     return ClassifierParams(blocks)
 
 

@@ -9,8 +9,10 @@ single steps of that loop; ``RECIPES`` is the table of variants.
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -75,8 +77,12 @@ class RunStateError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; construction folds the variant's recipe into
+    ``buffer_capacity`` and ``dg.selnlpl``. ``out_dir``, where
+    ``run_experiment`` writes, is a plain attribute outside the config."""
+
     sequence: SequenceConfig = field(default_factory=SequenceConfig)
-    domain_order: list[int] | None = None  # visit order of targets; None = natural
+    domain_order: tuple[int, ...] | None = None  # visit order of targets; None = natural
     seeds: tuple[int, ...] = (2022, 2023, 2024)
     variant: str = VARIANTS[0]  # the full method
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -84,63 +90,84 @@ class ExperimentConfig:
     dg: DGConfig = field(default_factory=DGConfig)
     aug: AugmentConfig = field(default_factory=AugmentConfig)
     buffer_capacity: int = 200
-    out_dir: str | None = None
     log_curves: bool = True
+    out_dir = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be distinct and nonnegative, got {list(self.seeds)}")
         if self.buffer_capacity < 0:
             raise ValueError("buffer_capacity must be nonnegative")
-        if self.domain_order:
+        if self.domain_order is not None:
             check_domain_order(self.domain_order, len(self.sequence.specs()))
-
-    def normalized(self) -> "ExperimentConfig":
-        """Variant knobs folded into the plain fields."""
         recipe = RECIPES[self.variant]
-        cfg = self
         if not recipe.buffer:
-            cfg = replace(cfg, buffer_capacity=0)
+            self.buffer_capacity = 0
         if not recipe.selnlpl:
-            cfg = replace(cfg, dg=replace(cfg.dg, selnlpl=False))
-        return cfg
+            self.dg = replace(self.dg, selnlpl=False)
 
     def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence.to_dict(),
-            "domain_order": list(self.domain_order) if self.domain_order else None,
-            "seeds": list(self.seeds),
-            "variant": self.variant,
-            "model": {"hidden": list(self.model.hidden), "feat_dim": self.model.feat_dim},
-            "adapt": asdict(self.adapt),
-            "dg": asdict(self.dg),
-            "aug": asdict(self.aug),
-            "buffer_capacity": self.buffer_capacity,
-            "log_curves": self.log_curves,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        kwargs = dict(raw)
-        kwargs.pop("out_dir", None)
-        if "sequence" in kwargs:
-            kwargs["sequence"] = SequenceConfig.from_dict(kwargs["sequence"])
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        if "model" in kwargs:
-            model = dict(kwargs["model"])
-            if "hidden" in model:
-                model["hidden"] = tuple(model["hidden"])
-            kwargs["model"] = ModelConfig(**model)
-        if "adapt" in kwargs:
-            kwargs["adapt"] = AdaptConfig(**kwargs["adapt"])
-        if "dg" in kwargs:
-            kwargs["dg"] = DGConfig(**kwargs["dg"])
-        if "aug" in kwargs:
-            kwargs["aug"] = AugmentConfig(**kwargs["aug"])
+        return config_from_dict(cls, raw)
+
+
+def config_to_dict(obj) -> dict:
+    """A dataclass as JSON data: nested dataclasses become dicts, tuples lists."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
+
+
+_JSON_TYPES = {float: (int, float)}  # an int stays an int, so the dict form round-trips
+
+
+def _read_value(tp, value, where: str):
+    if is_dataclass(tp):
+        return config_from_dict(tp, value, where)
+    args = typing.get_args(tp)
+    if type(None) in args:  # ``X | None``
+        return None if value is None else _read_value(args[0], value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return tuple(_read_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES.get(tp, tp)):
+        raise ValueError(f"{where} must be {tp.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    return value
+
+
+def config_from_dict(cls, raw, where: str = ""):
+    """Inverse of ``config_to_dict``: build ``cls`` from JSON data, sections
+    recursively, lists as tuples. Any unknown key or mistyped value raises
+    ``ValueError`` naming its dotted key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where or 'config'} must be an object, got {raw!r}")
+    known = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        path = f"{where}.{key}" if where else key
+        if key not in known:
+            raise ValueError(f"unknown key {path!r}")
+        kwargs[key] = _read_value(known[key], value, path)
+    try:
         return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def config_digest(config: ExperimentConfig) -> str:
@@ -222,8 +249,7 @@ def run_stage(state: RunState, t: int, seq: DomainSequence,
     labeled = None
     if t == 0:
         labeled = train
-        params0 = init_params(replace(config.model, d=seq.d, k=seq.k),
-                              substream(state.seed, "init"))
+        params0 = init_params(config.model, seq.d, seq.k, substream(state.seed, "init"))
         aug = config.aug if recipe.dg_trains else None
         dg = train_dg_source(params0, labeled, config.dg, aug, streams, on_epoch)
     elif recipe.dg_trains:
@@ -337,7 +363,7 @@ def load_run_state(seed_dir, seq: DomainSequence, digest: str) -> RunState:
 
 def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
              resume: bool = False) -> tuple[RunState, MetricsReport]:
-    """All stages for one seed. ``config`` must already be normalized."""
+    """All stages for one seed."""
     seq = config.sequence.build(split_seed=substream(seed, "data"))
     if config.domain_order:
         seq = seq.reordered(list(config.domain_order))
@@ -362,7 +388,7 @@ def _seed_worker(config: ExperimentConfig, seed: int, seed_dir, resume: bool) ->
     return {
         "da_matrix": state.da_matrix.to_lists(),
         "dg_matrix": state.dg_matrix.to_lists(),
-        "metrics": metrics.to_dict(),
+        "metrics": config_to_dict(metrics),
     }
 
 
@@ -387,35 +413,34 @@ def run_experiment(config: ExperimentConfig, resume: bool = False, jobs: int = 1
     Returns the results document: per-seed accuracy matrices and metrics plus
     mean/std aggregates across seeds.
     """
-    cfg = config.normalized()
-    out_dir = cfg.out_dir
+    out_dir = config.out_dir
     per_seed: dict[str, dict] = {}
     seed_dirs = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for seed in cfg.seeds:
+        for seed in config.seeds:
             seed_dirs[seed] = os.path.join(out_dir, f"seed{seed}")
             os.makedirs(seed_dirs[seed], exist_ok=True)
 
-    if jobs > 1 and len(cfg.seeds) > 1:
+    if jobs > 1 and len(config.seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cfg.seeds))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(config.seeds))) as pool:
             futures = {
-                seed: pool.submit(_seed_worker, cfg, seed, seed_dirs.get(seed), resume)
-                for seed in cfg.seeds
+                seed: pool.submit(_seed_worker, config, seed, seed_dirs.get(seed), resume)
+                for seed in config.seeds
             }
             for seed, fut in futures.items():
                 per_seed[str(seed)] = fut.result()
     else:
-        for seed in cfg.seeds:
-            per_seed[str(seed)] = _seed_worker(cfg, seed, seed_dirs.get(seed), resume)
+        for seed in config.seeds:
+            per_seed[str(seed)] = _seed_worker(config, seed, seed_dirs.get(seed), resume)
 
     results = {
-        "config_digest": config_digest(cfg),
-        "config": cfg.to_dict(),
-        "variant": cfg.variant,
-        "domain_order": list(cfg.domain_order) if cfg.domain_order else None,
+        "config_digest": config_digest(config),
+        "config": config.to_dict(),
+        "variant": config.variant,
+        "domain_order": list(config.domain_order) if config.domain_order else None,
         "per_seed": per_seed,
         "aggregate": _aggregate(per_seed),
     }

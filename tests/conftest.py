@@ -49,7 +49,7 @@ def with_label_noise(data, rate: float, rng: np.random.Generator):
 
 
 def run_variant(variant: str, seed: int, log_curves: bool = False):
-    cfg = ExperimentConfig(seeds=(seed,), variant=variant, log_curves=log_curves).normalized()
+    cfg = ExperimentConfig(seeds=(seed,), variant=variant, log_curves=log_curves)
     return run_seed(cfg, seed)
 
 
@@ -57,7 +57,7 @@ def source_model(seed: int, seq=None):
     if seq is None:
         seq = default_sequence(split_seed=substream(seed, "data"))
     params = train_dg_source(
-        init_params(ModelConfig(d=seq.d, k=seq.k), substream(seed, "init")),
+        init_params(ModelConfig(), seq.d, seq.k, substream(seed, "init")),
         seq.train_sets[0], DGConfig(), AugmentConfig(), RngStreams.for_stage(seed, 0),
     )
     return seq, params
@@ -71,7 +71,7 @@ def selnlpl_chain(seed: int, selnlpl: bool, noise_rate: float = 0.20) -> float:
     aug = AugmentConfig()
     dgcfg = DGConfig(selnlpl=selnlpl)
     dg = train_dg_source(
-        init_params(ModelConfig(d=seq.d, k=seq.k), substream(seed, "init")),
+        init_params(ModelConfig(), seq.d, seq.k, substream(seed, "init")),
         seq.train_sets[0], dgcfg, aug, RngStreams.for_stage(seed, 0),
     )
     buf = ReplayBuffer(0, seq.k)

@@ -114,7 +114,7 @@ def _two_round_centroid_oracle(feats, probs):
 
 
 def test_centroid_labels_match_independent_oracle():
-    params = init_params(ModelConfig(d=6, k=3, hidden=(8,), feat_dim=4), 3)
+    params = init_params(ModelConfig(hidden=(8,), feat_dim=4), 6, 3, 3)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((20, 6))
     ds = Dataset(x, None, 3, domain_id=1, labels_hidden=False)
@@ -138,7 +138,7 @@ def two_pass_centroid_labels(params, x):
 
 @pytest.mark.parametrize("n", [500, 129])  # 129: a one-row tail after a 128-row block
 def test_centroid_labels_equal_two_pass_result(n):
-    params = init_params(ModelConfig(d=16, k=5), 11)
+    params = init_params(ModelConfig(), 16, 5, 11)
     x = np.random.default_rng(n).standard_normal((n, 16))
     feats, logits = features_and_logits(params, x)
     assert feats.tobytes() == features(params, x).tobytes()
@@ -171,7 +171,7 @@ def test_centroid_labels_separated_clusters():
 
 
 def test_centroid_labels_degenerate_identical_samples():
-    params = init_params(ModelConfig(d=3, k=4, hidden=(5,), feat_dim=3), 0)
+    params = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 0)
     x = np.tile(np.array([0.3, -0.7, 1.1]), (9, 1))
     labels = centroid_pseudo_labels(params, Dataset(x, None, 4))
     assert len(set(labels.tolist())) == 1
@@ -217,7 +217,7 @@ def test_generate_pseudo_labels_dominant_and_tied():
 
 
 def test_generate_pseudo_labels_matches_argmax_oracle():
-    params = init_params(ModelConfig(d=5, k=4, hidden=(6,), feat_dim=4), 8)
+    params = init_params(ModelConfig(hidden=(6,), feat_dim=4), 5, 4, 8)
     x = np.random.default_rng(3).standard_normal((50, 5))
     ds = Dataset(x, None, 4, domain_id=1)
     pl = generate_pseudo_labels(params, ds)
@@ -226,7 +226,7 @@ def test_generate_pseudo_labels_matches_argmax_oracle():
 
 
 def test_pseudo_labels_invariant_under_monotone_logit_transform():
-    params = init_params(ModelConfig(d=5, k=4, hidden=(6,), feat_dim=4), 8)
+    params = init_params(ModelConfig(hidden=(6,), feat_dim=4), 5, 4, 8)
     x = np.random.default_rng(4).standard_normal((30, 5))
     ds = Dataset(x, None, 4, domain_id=1)
     base = generate_pseudo_labels(params, ds).labels
@@ -258,3 +258,6 @@ def test_adapt_config_validation():
         AdaptConfig(epochs=-1)
     with pytest.raises(ValueError):
         AdaptConfig(pl_refresh_interval=0)
+    for batch_size in (0, -5):
+        with pytest.raises(ValueError, match="batch_size"):
+            AdaptConfig(batch_size=batch_size)

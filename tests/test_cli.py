@@ -1,14 +1,19 @@
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import codag
-from codag.cli import main
+from codag.cli import CliError, build_config, main
+from codag.orchestrate import ExperimentConfig, config_from_dict
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -59,12 +64,99 @@ def test_run_rejects_jobs_below_one(tmp_path, tiny_config_file, capsys, jobs):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("removed", ["adapt.distance=cosine", "aug.resample=per-batch"])
+def _error_lines(err: str) -> list[str]:
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("removed", [
+    "adapt.distance=cosine", "aug.resample=per-batch", "model.d=99", "model.k=3",
+    "log_curves=no", "adapt.epochs=2.5", "buffer_capacity=1.5", "seeds=[7,7]",
+    "dg.bogus=1", "sequence=5",
+])
 def test_removed_config_keys_are_invalid(tmp_path, tiny_config_file, capsys, removed):
+    out = tmp_path / "out"
     code = main(["run", "--config", tiny_config_file, "--override", removed,
-                 "--out", str(tmp_path / "out")])
+                 "--jobs", "2", "--out", str(out)])
     assert code == 2
-    assert "invalid config" in capsys.readouterr().err
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1
+    assert "invalid config" in errors[0] and removed.split("=")[0] in errors[0]
+    assert not out.exists()
+
+
+def _dotted_items(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        yield prefix + key, value
+        if isinstance(value, dict):
+            yield from _dotted_items(value, prefix + key + ".")
+
+
+def _typed(tp, value) -> bool:
+    """Whether ``value`` is of the declared field type ``tp`` (an int passes as a float)."""
+    if dataclasses.is_dataclass(tp):
+        return all(_typed(f.type, getattr(value, f.name)) for f in dataclasses.fields(tp))
+    args = typing.get_args(tp)
+    if type(None) in args:
+        return value is None or any(_typed(a, value) for a in args if a is not type(None))
+    if typing.get_origin(tp) is tuple:
+        return isinstance(value, tuple) and all(_typed(args[0], v) for v in value)
+    return type(value) is tp or (tp is float and type(value) is int)
+
+
+def _holds(node, value) -> bool:
+    """A section override replaces the section, so only its own keys must hold."""
+    if isinstance(value, dict):
+        return isinstance(node, dict) and all(k in node and _holds(node[k], v)
+                                              for k, v in value.items())
+    return node == value
+
+
+DEFAULTS = dict(_dotted_items(ExperimentConfig().to_dict()))
+REAL_KEYS = sorted(DEFAULTS)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-1, 40) | st.integers()
+               | st.floats(0, 1) | st.floats(allow_nan=False) | st.text(max_size=4)
+               | st.sampled_from(["codag", "dg-only", "csv-folder"]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(REAL_KEYS) | st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+
+
+def _values_like(default):
+    """JSON values of the default's kind, so that many overrides build, and near misses."""
+    if isinstance(default, bool):
+        return st.booleans() | st.integers(0, 1)
+    if isinstance(default, (int, float)):
+        return st.integers(0, 40) | st.floats(0, 1) | st.booleans()
+    if isinstance(default, list) or default is None:
+        return st.lists(st.integers(1, 4), max_size=3) | JSON_LEAVES
+    return JSON_VALUES
+
+
+KEYS = st.sampled_from(REAL_KEYS) | st.lists(
+    st.sampled_from(REAL_KEYS) | st.text("abdkq_.", min_size=1, max_size=4),
+    min_size=1, max_size=3,
+).map(".".join)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=KEYS, data=st.data())
+def test_any_override_builds_or_is_invalid_config(tiny_config_file, monkeypatch, key, data):
+    monkeypatch.delenv("CODAG_SEED", raising=False)
+    value = data.draw(JSON_VALUES | _values_like(DEFAULTS.get(key)))
+    try:
+        config = build_config(tiny_config_file, [f"{key}={json.dumps(value)}"])
+    except CliError as exc:
+        assert exc.code == 2 and "invalid config" in str(exc)
+        return
+    node = config.to_dict()
+    for part in key.split("."):
+        node = node[part]
+    assert _holds(node, value)
+    assert _typed(ExperimentConfig, config)
 
 
 def test_bad_domain_order_fails_before_writing(tmp_path, tiny_config_file, capsys):
@@ -91,11 +183,6 @@ def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, re
     assert "Traceback" not in err
     if jobs == "1":  # pool workers warn on their own stderr, out of recwarn's reach
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-
-def _error_lines(err: str) -> list[str]:
-    assert "Traceback" not in err
-    return [line for line in err.splitlines() if line.startswith("error:")]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -211,7 +298,7 @@ def test_gen_data_roundtrips_through_csv(tmp_path, tiny_config_file):
     files = sorted(os.listdir(data_dir))
     assert files == ["domain_00.csv", "domain_01.csv", "domain_02.csv"]
 
-    synth = SequenceConfig.from_dict(TINY["sequence"])
+    synth = config_from_dict(SequenceConfig, TINY["sequence"])
     csv_cfg = SequenceConfig(kind="csv-folder", path=str(data_dir), k=3, d=4,
                              source_fraction=0.8)
     seq_a = synth.build(split_seed=substream(7, "data"))

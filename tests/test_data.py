@@ -13,6 +13,7 @@ from codag.data import (
     make_rotated_clusters,
     split_source,
 )
+from codag.orchestrate import config_from_dict, config_to_dict
 
 from conftest import default_sequence
 
@@ -168,8 +169,18 @@ def test_sequence_reorder_is_permutation_checked():
 
 def test_sequence_config_dict_roundtrip():
     cfg = SequenceConfig(n_per_domain=60, k=3, d=4, angles_deg=(0.0, 45.0), seed=5)
-    again = SequenceConfig.from_dict(cfg.to_dict())
+    again = config_from_dict(SequenceConfig, config_to_dict(cfg))
     assert again == cfg
+
+
+def test_sequence_config_validation():
+    with pytest.raises(ValueError, match="kind"):
+        SequenceConfig(kind="bogus")
+    for bad in ({"k": 0}, {"d": 0}, {"n_per_domain": 0}):
+        with pytest.raises(ValueError, match="at least 1"):
+            SequenceConfig(**bad)
+    with pytest.raises(ValueError, match="angles_deg"):
+        SequenceConfig(angles_deg=())
 
 
 def test_dataset_validation():

@@ -46,7 +46,7 @@ def test_accuracy_perfect_predictor():
 
 
 def test_accuracy_matches_counting_oracle_and_permutation_invariance():
-    params = init_params(ModelConfig(d=6, k=4, hidden=(8,), feat_dim=5), 3)
+    params = init_params(ModelConfig(hidden=(8,), feat_dim=5), 6, 4, 3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((100, 6))
     labels = rng.integers(0, 4, 100)

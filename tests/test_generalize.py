@@ -119,13 +119,13 @@ def test_select_confident_boundary_is_strict():
 
 def test_select_confident_zero_threshold_selects_all():
     data = _pl_dataset(seed=1)
-    params = init_params(ModelConfig(d=3, k=4, hidden=(5,), feat_dim=3), 2)
+    params = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 2)
     assert select_confident(params, data.x, 0.0).all()
 
 
 def test_select_confident_matches_brute_force_and_is_monotone():
     data = _pl_dataset(seed=3)
-    params = init_params(ModelConfig(d=3, k=4, hidden=(5,), feat_dim=3), 4)
+    params = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 4)
     conf = softmax(forward(params, data.x)).max(axis=1)
     prev = None
     for threshold in (0.0, 0.24, 0.26, 0.3, 0.5, 1.0):
@@ -150,7 +150,7 @@ def _bias_model(log_probs):
 
 
 def test_distill_loss_identical_params_is_zero():
-    params = init_params(ModelConfig(d=4, k=3, hidden=(5,), feat_dim=4), 1)
+    params = init_params(ModelConfig(hidden=(5,), feat_dim=4), 4, 3, 1)
     x = np.random.default_rng(0).standard_normal((6, 4))
     assert distill_loss(params, params, x) == pytest.approx(0.0, abs=1e-12)
 
@@ -158,8 +158,8 @@ def test_distill_loss_identical_params_is_zero():
 def test_distill_loss_nonnegative_on_random_pairs():
     rng = np.random.default_rng(1)
     for seed in range(5):
-        a = init_params(ModelConfig(d=4, k=3, hidden=(5,), feat_dim=4), seed)
-        b = init_params(ModelConfig(d=4, k=3, hidden=(5,), feat_dim=4), seed + 100)
+        a = init_params(ModelConfig(hidden=(5,), feat_dim=4), 4, 3, seed)
+        b = init_params(ModelConfig(hidden=(5,), feat_dim=4), 4, 3, seed + 100)
         x = rng.standard_normal((8, 4))
         assert distill_loss(a, b, x) >= 0.0
 
@@ -173,7 +173,7 @@ def test_distill_loss_hand_value():
 
 def test_train_source_zero_epochs_identity():
     seq, _ = source_model(2022)
-    params0 = init_params(ModelConfig(d=seq.d, k=seq.k), 0)
+    params0 = init_params(ModelConfig(), seq.d, seq.k, 0)
     out = train_dg_source(params0, seq.train_sets[0], DGConfig(epochs=0),
                           AugmentConfig(), RngStreams.for_stage(0, 0))
     for name in params0.blocks:
@@ -188,7 +188,7 @@ def test_train_source_beats_chance_and_loss_decreases():
 
     losses, phases = [], []
     train_dg_source(
-        init_params(ModelConfig(d=seq.d, k=seq.k), substream(2022, "init")),
+        init_params(ModelConfig(), seq.d, seq.k, substream(2022, "init")),
         seq.train_sets[0], DGConfig(), AugmentConfig(), RngStreams.for_stage(2022, 0),
         on_epoch=lambda e, p, loss, phase: (losses.append(loss), phases.append(phase)),
     )
@@ -200,7 +200,7 @@ def test_train_target_on_true_labels_equals_train_source():
     """One loop: a true-labeled pool with no buffer or teacher is source ERM."""
     source = default_sequence(split_seed=substream(2022, "data")).train_sets[0]
     assert not source.pseudo
-    params0 = init_params(ModelConfig(d=source.d, k=source.k), 4)
+    params0 = init_params(ModelConfig(), source.d, source.k, 4)
     cfg = DGConfig(epochs=6, alpha=0.0)
     from_source = train_dg_source(params0, source, cfg, AugmentConfig(),
                                   RngStreams.for_stage(3, 1))
@@ -211,7 +211,7 @@ def test_train_target_on_true_labels_equals_train_source():
 
 
 def test_train_target_zero_epochs_returns_prev():
-    prev = init_params(ModelConfig(d=3, k=4), 1)
+    prev = init_params(ModelConfig(), 3, 4, 1)
     out = train_dg_target(prev, _pl_dataset(), None, DGConfig(epochs=0),
                           AugmentConfig(), RngStreams.for_stage(0, 0))
     for name in prev.blocks:
@@ -221,7 +221,7 @@ def test_train_target_zero_epochs_returns_prev():
 def test_train_target_alpha_zero_no_selnlpl_equals_plain_ce():
     """First-batch loss must equal the scalar-op mean CE on the same batch."""
     data = _pl_dataset(n=25, seed=7)
-    prev = init_params(ModelConfig(d=3, k=4, hidden=(6,), feat_dim=4), 9)
+    prev = init_params(ModelConfig(hidden=(6,), feat_dim=4), 3, 4, 9)
     cfg = DGConfig(epochs=1, batch_size=25, alpha=0.0, selnlpl=False)
     aug = AugmentConfig(noise_sigma=0.05)
     captured = []
@@ -241,7 +241,7 @@ def test_train_target_alpha_zero_no_selnlpl_equals_plain_ce():
 
 def test_train_target_phase_schedule():
     data = _pl_dataset(n=20, seed=2)
-    prev = init_params(ModelConfig(d=3, k=4, hidden=(5,), feat_dim=3), 3)
+    prev = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 3)
     phases = []
     train_dg_target(prev, data, None,
                     DGConfig(epochs=8, batch_size=20, nl_epoch_fraction=0.25),
@@ -253,7 +253,7 @@ def test_train_target_phase_schedule():
 
 def test_train_target_selnlpl_off_single_phase():
     data = _pl_dataset(n=20, seed=2)
-    prev = init_params(ModelConfig(d=3, k=4, hidden=(5,), feat_dim=3), 3)
+    prev = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 3)
     phases = []
     train_dg_target(prev, data, None, DGConfig(epochs=3, selnlpl=False), None,
                     RngStreams.for_stage(1, 0),
@@ -286,6 +286,9 @@ def test_dg_config_validation():
         DGConfig(pl_conf_threshold=1.5)
     with pytest.raises(ValueError):
         DGConfig(lr=0.0)
+    for batch_size in (0, -5):
+        with pytest.raises(ValueError, match="batch_size"):
+            DGConfig(batch_size=batch_size)
     # 0.6 + 0.6 of 10 epochs: 6 NL and 4 SelNL epochs, so SelPL would never run.
     with pytest.raises(ValueError, match="SelPL"):
         DGConfig(epochs=10, nl_epoch_fraction=0.6, selnl_epoch_fraction=0.6)
@@ -415,7 +418,7 @@ def test_epoch_level_dg_loop_matches_per_batch_loop(n_pool, batch_size, monkeypa
     source, target = seq.train_sets[0], seq.train_sets[1]
     cfg = DGConfig(epochs=8, batch_size=batch_size)
     aug = AugmentConfig()
-    params0 = init_params(ModelConfig(d=seq.d, k=seq.k), 5)
+    params0 = init_params(ModelConfig(), seq.d, seq.k, 5)
 
     src = Dataset(source.x[:n_pool], source.labels[:n_pool], source.k, source.domain_id)
     prev = train_dg_source(params0, src, cfg, aug, RngStreams.for_stage(3, 0))

@@ -26,7 +26,7 @@ from codag.nnmodel import (
 
 
 def small_params(seed=1, d=4, k=3, hidden=(6,), feat_dim=5, float64=False):
-    params = init_params(ModelConfig(d=d, k=k, hidden=hidden, feat_dim=feat_dim), seed)
+    params = init_params(ModelConfig(hidden=hidden, feat_dim=feat_dim), d, k, seed)
     if float64:
         for name in params.blocks:
             params.blocks[name] = params.blocks[name].astype(np.float64)
@@ -34,8 +34,8 @@ def small_params(seed=1, d=4, k=3, hidden=(6,), feat_dim=5, float64=False):
 
 
 def test_init_determinism_and_bounds():
-    a = init_params(ModelConfig(d=3, k=2), 42)
-    b = init_params(ModelConfig(d=3, k=2), 42)
+    a = init_params(ModelConfig(), 3, 2, 42)
+    b = init_params(ModelConfig(), 3, 2, 42)
     assert a.blocks.keys() == b.blocks.keys()
     assert a.shadow is None
     for name in a.blocks:
@@ -107,7 +107,7 @@ def _single_pass(params, x):
 
 
 def test_row_blocked_forward_equals_single_pass():
-    params = init_params(ModelConfig(d=16, k=5), 4)  # widest layer 64
+    params = init_params(ModelConfig(), 16, 5, 4)  # widest layer 64
     block = _TEMP_BYTES // (8 * 64)
     assert block == 128
     rng = np.random.default_rng(3)
@@ -258,7 +258,7 @@ def test_sgd_leaves_frozen_blocks_bit_identical():
 
 @pytest.mark.parametrize("frozen", [(), HEAD_BLOCKS], ids=["all", "frozen-head"])
 def test_sgd_shadow_and_flat_update_match_per_block_oracle(frozen):
-    params = init_params(ModelConfig(d=16, k=5), 6)
+    params = init_params(ModelConfig(), 16, 5, 6)
     before = params.copy()
     oracle = {name: block.copy() for name, block in params.blocks.items()}
     velocity = {name: np.zeros(block.shape) for name, block in oracle.items()

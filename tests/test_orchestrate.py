@@ -42,7 +42,7 @@ def tiny_config(**over):
 
 
 def test_rerun_determinism():
-    cfg = tiny_config().normalized()
+    cfg = tiny_config()
     a, _ = run_seed(cfg, 7)
     b, _ = run_seed(cfg, 7)
     assert np.nanmax(np.abs(a.dg_matrix.values - b.dg_matrix.values)) <= 1e-9
@@ -51,7 +51,7 @@ def test_rerun_determinism():
 
 def test_source_only_horizon():
     cfg = tiny_config(sequence=SequenceConfig(n_per_domain=60, k=3, d=4,
-                                              angles_deg=(0.0,), seed=3)).normalized()
+                                              angles_deg=(0.0,), seed=3))
     state, metrics = run_seed(cfg, 7)
     assert state.next_stage == 1
     assert metrics.tdg_mean is None and metrics.fa_mean is None and metrics.all is None
@@ -59,7 +59,7 @@ def test_source_only_horizon():
 
 
 def test_stage_order_enforced():
-    cfg = tiny_config().normalized()
+    cfg = tiny_config()
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
     state = new_run_state(7, seq, cfg.buffer_capacity, run_digest(cfg, seq))
     with pytest.raises(StageOrderError):
@@ -75,7 +75,7 @@ def test_stage_order_enforced():
 
 def test_single_model_variants_mirror_matrices():
     for variant in ("dg-only", "da-only"):
-        cfg = tiny_config(variant=variant).normalized()
+        cfg = tiny_config(variant=variant)
         state, _ = run_seed(cfg, 7)
         np.testing.assert_array_equal(state.da_matrix.values, state.dg_matrix.values)
 
@@ -91,23 +91,23 @@ def test_da_init_variant_continues_from_previous_da(monkeypatch):
 
     monkeypatch.setattr(orchestrate, "adapt_domain", spy)
 
-    run_seed(tiny_config(variant="codag-da-init").normalized(), 7)
+    run_seed(tiny_config(variant="codag-da-init"), 7)
     assert len(calls) == 2
     assert calls[1][0] is calls[0][1]  # stage 2 starts from stage 1's adapted params
 
     calls.clear()
-    run_seed(tiny_config().normalized(), 7)
+    run_seed(tiny_config(), 7)
     assert len(calls) == 2
     assert calls[1][0] is not calls[0][1]  # plain variant restarts from the DG side
 
 
 def test_training_path_never_reads_hidden_labels():
-    cfg = tiny_config().normalized()
+    cfg = tiny_config()
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
     # the guard actually fires if a trainer is handed a hidden view
     with pytest.raises(HiddenLabelsError):
         train_dg_source(
-            init_params(ModelConfig(d=seq.d, k=seq.k, hidden=(8,), feat_dim=6), 0),
+            init_params(ModelConfig(hidden=(8,), feat_dim=6), seq.d, seq.k, 0),
             seq.train_sets[1], cfg.dg, AugmentConfig(), RngStreams.for_stage(0, 0),
         )
     # and the unsupervised pipeline completes without touching them
@@ -115,9 +115,9 @@ def test_training_path_never_reads_hidden_labels():
 
 
 def test_domain_order_permutes_columns():
-    cfg = tiny_config(domain_order=[2, 1]).normalized()
+    cfg = tiny_config(domain_order=[2, 1])
     state, _ = run_seed(cfg, 7)
-    natural, _ = run_seed(tiny_config().normalized(), 7)
+    natural, _ = run_seed(tiny_config(), 7)
     # source column identical; target columns swapped at stage 0
     assert state.dg_matrix.values[0][0] == natural.dg_matrix.values[0][0]
     assert state.dg_matrix.values[0][1] == pytest.approx(natural.dg_matrix.values[0][2])
@@ -125,14 +125,15 @@ def test_domain_order_permutes_columns():
 
 
 def test_no_buffer_variant_forces_zero_capacity():
-    cfg = tiny_config(variant="codag-no-buffer").normalized()
+    cfg = tiny_config(variant="codag-no-buffer")
     assert cfg.buffer_capacity == 0
     state, _ = run_seed(cfg, 7)
     assert state.buffer.n_entries == 0
 
 
 def test_run_experiment_artifacts(tmp_path):
-    cfg = tiny_config(seeds=(7, 8), out_dir=str(tmp_path / "run"))
+    cfg = tiny_config(seeds=(7, 8))
+    cfg.out_dir = str(tmp_path / "run")
     results = run_experiment(cfg)
     assert set(results["per_seed"]) == {"7", "8"}
     for entry in results["per_seed"].values():
@@ -155,7 +156,7 @@ def test_run_experiment_artifacts(tmp_path):
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
-    cfg = tiny_config(out_dir=None).normalized()
+    cfg = tiny_config()
     full, _ = run_seed(cfg, 7)
 
     seed_dir = tmp_path / "partial"
@@ -186,7 +187,7 @@ def _tree(root) -> dict[str, bytes]:
 @pytest.mark.parametrize("variant, stop", [pytest.param(v, 2, id=v) for v in VARIANTS]
                          + [pytest.param(v, 1, id=f"{v}-after0") for v in VARIANTS])
 def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, variant, stop):
-    cfg = tiny_config(variant=variant, log_curves=True).normalized()
+    cfg = tiny_config(variant=variant, log_curves=True)
     writes = []
     real_save = orchestrate.save_checkpoint
 
@@ -229,7 +230,7 @@ def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, 
 
 def test_killed_write_resumes_to_uninterrupted_bytes(tmp_path, monkeypatch):
     """A kill at any file replacement leaves a tree that --resume completes."""
-    cfg = tiny_config(log_curves=True).normalized()
+    cfg = tiny_config(log_curves=True)
     real_replace = os.replace
     replaced = []
 
@@ -296,7 +297,7 @@ STATE_FAULTS = {
 
 @pytest.mark.parametrize("fault", STATE_FAULTS)
 def test_malformed_state_raises_run_state_error(tmp_path, fault):
-    cfg = tiny_config().normalized()
+    cfg = tiny_config()
     seed_dir = tmp_path / "seed7"
     run_seed(cfg, 7, seed_dir=str(seed_dir))
     STATE_FAULTS[fault](seed_dir)
@@ -338,12 +339,13 @@ def test_pool_starts_no_more_workers_than_seeds(monkeypatch):
 
 def test_config_dict_roundtrip_and_digest():
     cfg = tiny_config(variant="codag-no-selnlpl", domain_order=[2, 1])
+    cfg.out_dir = "somewhere"
+    assert cfg.dg.selnlpl is False  # the variant is folded in at construction
+    assert tiny_config(variant="codag-no-buffer").buffer_capacity == 0
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert config_digest(again) == config_digest(cfg)
-    normalized = cfg.normalized()
-    assert normalized.dg.selnlpl is False
-    assert cfg.dg.selnlpl is True  # original untouched
+    assert "out_dir" not in cfg.to_dict() and again.out_dir is None
 
 
 def test_experiment_config_validation():
@@ -351,6 +353,10 @@ def test_experiment_config_validation():
         ExperimentConfig(variant="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(seeds=(7, 7))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExperimentConfig(seeds=(7, -1))
     with pytest.raises(ValueError):
         ExperimentConfig(buffer_capacity=-1)
     with pytest.raises(ValueError, match="domain_order"):
@@ -363,11 +369,10 @@ def test_matrices_match_checkpoint_reevaluation(tmp_path):
     from codag.nnmodel import load_checkpoint
 
     cfg = tiny_config(
-        sequence=SequenceConfig(n_per_domain=60, k=3, d=4, angles_deg=(0.0, 90.0), seed=3),
-        out_dir=str(tmp_path / "run"),
-    )
+        sequence=SequenceConfig(n_per_domain=60, k=3, d=4, angles_deg=(0.0, 90.0), seed=3))
+    cfg.out_dir = str(tmp_path / "run")
     results = run_experiment(cfg)
-    seq = cfg.normalized().sequence.build(split_seed=substream(7, "data"))
+    seq = cfg.sequence.build(split_seed=substream(7, "data"))
     seed_dir = tmp_path / "run" / "seed7"
     dg_mat = np.array(results["per_seed"]["7"]["dg_matrix"])
     da_mat = np.array(results["per_seed"]["7"]["da_matrix"])

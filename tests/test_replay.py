@@ -111,7 +111,7 @@ def _pseudo_domain(n, k, d, domain_id, seed):
 
 @pytest.fixture
 def dg_params():
-    return init_params(ModelConfig(d=6, k=5, hidden=(8,), feat_dim=4), 0)
+    return init_params(ModelConfig(hidden=(8,), feat_dim=4), 6, 5, 0)
 
 
 def test_source_stage_fills_to_capacity(dg_params):
