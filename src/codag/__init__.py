@@ -21,11 +21,9 @@ from .augment import AugmentConfig, randmix
 from .data import (
     Dataset,
     DomainSequence,
-    DomainSpec,
     HiddenLabelsError,
     SequenceConfig,
     load_csv_domain,
-    make_rotated_clusters,
     split_source,
 )
 from .evaluate import (

@@ -32,8 +32,6 @@ def randmix(
     rng: np.random.Generator,
     *,
     batch_size: int | None = None,
-    weights=None,
-    transforms=None,
 ) -> np.ndarray:
     """Augmented batch: sum_i w_i * T_i(x) + noise, same shape as the input.
 
@@ -42,18 +40,13 @@ def randmix(
     With ``batch_size``, every consecutive ``batch_size``-row slice gets its
     own weights, maps and noise, drawn in the order and with the values of
     one call per slice; the elementwise work then runs once over all rows.
-    ``weights``/``transforms`` override the sampled values (test hooks).
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a nonempty (n, d) array")
     n, d = x.shape
     m = config.n_transforms
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (m,):
-            raise ValueError(f"weights must have length {m}")
-    first = int(config.identity_slot and transforms is None)  # 1: slot 0 is the identity
+    first = int(config.identity_slot)  # 1: slot 0 is the identity
     step = n if batch_size is None else batch_size
 
     w = np.empty((m, n, 1))  # slot i's weight on every row
@@ -62,18 +55,12 @@ def randmix(
     for start in range(0, n, step):
         rows = slice(start, start + step)
         xb = x[rows]
-        w[:, rows, 0] = (rng.dirichlet(np.full(m, config.mix_concentration))
-                         if weights is None else weights)[:, None]
+        w[:, rows, 0] = rng.dirichlet(np.full(m, config.mix_concentration))[:, None]
         for i in range(first, m):
-            view = views[i - first, rows]
-            if transforms is not None:
-                view[...] = transforms[i](xb)
-            else:
-                np.matmul(xb, rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)), out=view)
+            np.matmul(xb, rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)), out=views[i - first, rows])
         if noise is not None:
             noise[rows] = rng.normal(0.0, config.noise_sigma, xb.shape)
-    if transforms is None:
-        np.tanh(views, out=views)
+    np.tanh(views, out=views)
 
     out = np.zeros_like(x)
     for i in range(m):

@@ -106,20 +106,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    config = build_config(args.config, args.override)
+    seq = build_config(args.config, args.override).sequence
+    if seq.kind != "synthetic-rotated":
+        raise CliError("gen-data only materializes synthetic-rotated sequences")
     os.makedirs(args.out, exist_ok=True)
-    specs = config.sequence.specs()
-    from .data import make_rotated_clusters
-
-    for spec in specs:
-        if spec.kind != "synthetic-rotated":
-            raise CliError("gen-data only materializes synthetic-rotated sequences")
-        ds = make_rotated_clusters(spec, config.sequence.n_per_domain,
-                                   config.sequence.k, config.sequence.d)
-        path = os.path.join(args.out, f"domain_{spec.id:02d}.csv")
+    for i in range(seq.n_domains):
+        ds = seq.domain(i)
+        path = os.path.join(args.out, f"domain_{i:02d}.csv")
         text = io.StringIO()
         writer = csv.writer(text)
-        writer.writerow([f"f{i}" for i in range(ds.d)] + ["label"])
+        writer.writerow([f"f{j}" for j in range(ds.d)] + ["label"])
         for row, label in zip(ds.x, ds.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
         atomic_write(path, text.getvalue().encode("utf-8"))

@@ -8,8 +8,10 @@ unsupervised contract is enforced mechanically.
 """
 
 import csv
+import glob
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,28 +25,6 @@ _NOISE_STREAM = 2
 
 class HiddenLabelsError(RuntimeError):
     """Training code touched labels of a domain that provides none."""
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Recipe for one domain in a sequence."""
-
-    id: int
-    kind: str = "synthetic-rotated"
-    rotation_angle: float = 0.0  # radians, applied in coordinates (0, 1)
-    noise_sigma: float = 0.15
-    scale: float = 1.0
-    shift: tuple[float, ...] | None = None  # None means zero shift
-    seed: int = 0
-    path: str | None = None  # csv-folder domains only
-
-    def __post_init__(self):
-        if self.kind not in ("synthetic-rotated", "csv-folder"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
 
 class Dataset:
@@ -121,60 +101,21 @@ def class_means(k: int, d: int, seed: int) -> np.ndarray:
     return means
 
 
-def make_rotated_clusters(
-    spec: DomainSpec, n: int, k: int, d: int, means: np.ndarray | None = None
-) -> Dataset:
-    """Balanced Gaussian clusters under the spec's domain transform.
-
-    The clean point of every sample is its class mean after rotation (first
-    two coordinates), scaling, and shift; noise_sigma adds isotropic noise.
-    ``means`` overrides the seed-derived class means (test hook).
-    """
-    if n < k:
-        raise ValueError(f"need at least one sample per class: n={n} < k={k}")
-    if d < 2:
-        raise ValueError("rotated clusters need d >= 2")
-    if means is None:
-        means = class_means(k, d, spec.seed)
-    means = np.asarray(means, dtype=np.float64)
-    if means.shape != (k, d):
-        raise ValueError(f"means must have shape ({k}, {d})")
-
-    transformed = means.copy()
-    c, s = math.cos(spec.rotation_angle), math.sin(spec.rotation_angle)
-    plane = transformed[:, :2] @ np.array([[c, s], [-s, c]])
-    transformed[:, :2] = plane
-    transformed *= spec.scale
-    if spec.shift is not None:
-        shift = np.asarray(spec.shift, dtype=np.float64)
-        if shift.shape != (d,):
-            raise ValueError(f"shift must have length {d}")
-        transformed += shift
-
-    counts = np.full(k, n // k, dtype=np.int64)
-    counts[: n % k] += 1
-    labels = np.repeat(np.arange(k), counts)
-    x = transformed[labels]
-    if spec.noise_sigma > 0:
-        noise_rng = np.random.default_rng(
-            np.random.SeedSequence([spec.seed, _NOISE_STREAM, spec.id])
-        )
-        x = x + spec.noise_sigma * noise_rng.standard_normal((n, d))
-    return Dataset(x, labels, k, domain_id=spec.id)
-
-
 def split_source(dataset: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Disjoint train/test partition; |train| = round(fraction * n)."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     dataset.labels  # raises if the dataset is unlabeled
-    n = len(dataset)
-    n_train = int(math.floor(fraction * n + 0.5))
-    if n_train == n:
-        raise ValueError(f"source_fraction {fraction} leaves the source test split empty; "
-                         "lower source_fraction")
-    perm = np.random.default_rng(seed).permutation(n)
+    n_train = _n_train(fraction, len(dataset))
+    perm = np.random.default_rng(seed).permutation(len(dataset))
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
+
+
+def _n_train(fraction: float, n: int) -> int:
+    """round(fraction * n), the source rows that train; raises if a split would be empty."""
+    n_train = int(math.floor(fraction * n + 0.5))
+    if not 0 < n_train < n:
+        raise ValueError(f"source_fraction {fraction} leaves the train or test split of a "
+                         f"{n}-row source empty")
+    return n_train
 
 
 def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -240,20 +181,12 @@ class DomainSequence:
     hides its labels.
     """
 
-    specs: list[DomainSpec]
     train_sets: list[Dataset]
     test_sets: list[Dataset]
 
-    def __post_init__(self):
-        ids = [s.id for s in self.specs]
-        if ids != list(range(len(self.specs))):
-            raise ValueError("domain ids must be contiguous from 0")
-        if not (len(self.specs) == len(self.train_sets) == len(self.test_sets)):
-            raise ValueError("specs and datasets must align")
-
     @property
     def n_domains(self) -> int:
-        return len(self.specs)
+        return len(self.test_sets)
 
     @property
     def k(self) -> int:
@@ -267,17 +200,18 @@ class DomainSequence:
         """Same domains visited source-first, then targets in ``target_order``."""
         check_domain_order(target_order, self.n_domains)
         order = [0, *target_order]
-        specs = [replace(self.specs[src], id=pos) for pos, src in enumerate(order)]
-        return DomainSequence(
-            specs,
-            [self.train_sets[src] for src in order],
-            [self.test_sets[src] for src in order],
-        )
+        return DomainSequence([self.train_sets[i] for i in order],
+                              [self.test_sets[i] for i in order])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceConfig:
-    """Config-file form of a domain sequence."""
+    """A domain sequence: its config section and the one recipe for its datasets.
+
+    Construction checks every value that does not depend on CSV content, so
+    a config that constructs also builds unless a CSV file is missing or
+    malformed.
+    """
 
     kind: str = "synthetic-rotated"
     n_per_domain: int = 500
@@ -293,53 +227,86 @@ class SequenceConfig:
 
     def __post_init__(self):
         if self.kind not in ("synthetic-rotated", "csv-folder"):
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if min(self.n_per_domain, self.k, self.d) < 1:
-            raise ValueError("n_per_domain, k and d must be at least 1")
+            raise ValueError(f"kind must be synthetic-rotated or csv-folder, got {self.kind!r}")
+        if self.kind == "csv-folder" and self.path is None:
+            raise ValueError("path must name a folder of domain_*.csv files for csv-folder")
+        if self.k < 2:
+            raise ValueError(f"k must be at least 2, since negative learning needs a "
+                             f"complementary class; got {self.k}")
+        if self.d < 1:
+            raise ValueError(f"d must be at least 1, got {self.d}")
+        if not 0 < self.source_fraction < 1:
+            raise ValueError(f"source_fraction must lie in (0, 1), got {self.source_fraction}")
+        if self.kind == "csv-folder":
+            return
+        # The synthetic generator's own ranges.
+        if self.d < 2:
+            raise ValueError(f"d must be at least 2 to rotate coordinates (0, 1), got {self.d}")
+        if self.n_per_domain < self.k:
+            raise ValueError(f"n_per_domain must be at least k={self.k}, got {self.n_per_domain}")
         if not self.angles_deg:
             raise ValueError("angles_deg must name at least one domain")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if self.scale <= 0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+        if self.shift is not None and len(self.shift) != self.d:
+            raise ValueError(f"shift must have d={self.d} entries, got {len(self.shift)}")
+        # |mean entry| <= 1 and |standard normal draw| < 64, so this bounds |feature|.
+        reach = self.scale + max(map(abs, self.shift or (0,))) + 64 * self.noise_sigma
+        if not math.isfinite(reach):
+            raise ValueError("scale, shift and noise_sigma are too large: features would overflow")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _n_train(self.source_fraction, self.n_per_domain)
 
-    def specs(self) -> list[DomainSpec]:
+    def _csv_files(self) -> list[str]:
+        files = sorted(glob.glob(os.path.join(self.path, "domain_*.csv")))
+        if not files:
+            raise ValueError(f"no domain_*.csv files under {self.path}")
+        return files
+
+    @property
+    def n_domains(self) -> int:
+        return len(self._csv_files() if self.kind == "csv-folder" else self.angles_deg)
+
+    def domain(self, i: int, csv_files: list[str] | None = None) -> Dataset:
+        """Domain ``i``'s full labeled dataset, in natural order.
+
+        A synthetic domain is balanced Gaussian clusters: the clean point of
+        a sample is its class mean rotated by ``angles_deg[i]`` in
+        coordinates (0, 1), then scaled and shifted; ``noise_sigma`` adds
+        isotropic noise. ``csv_files`` saves globbing the folder again.
+        """
         if self.kind == "csv-folder":
-            import glob
-            import os
+            path = (csv_files or self._csv_files())[i]
+            return load_csv_domain(path, self.k, self.d, domain_id=i)
+        transformed = class_means(self.k, self.d, self.seed)
+        angle = math.radians(self.angles_deg[i])
+        c, s = math.cos(angle), math.sin(angle)
+        transformed[:, :2] = transformed[:, :2] @ np.array([[c, s], [-s, c]])
+        transformed *= self.scale
+        if self.shift is not None:
+            transformed += np.asarray(self.shift, dtype=np.float64)
 
-            if self.path is None:
-                raise ValueError("csv-folder sequence needs a path")
-            files = sorted(glob.glob(os.path.join(self.path, "domain_*.csv")))
-            if not files:
-                raise ValueError(f"no domain_*.csv files under {self.path}")
-            return [
-                DomainSpec(id=i, kind="csv-folder", seed=self.seed, path=f)
-                for i, f in enumerate(files)
-            ]
-        return [
-            DomainSpec(
-                id=i,
-                rotation_angle=math.radians(angle),
-                noise_sigma=self.noise_sigma,
-                scale=self.scale,
-                shift=self.shift,
-                seed=self.seed,
-            )
-            for i, angle in enumerate(self.angles_deg)
-        ]
+        n, k = self.n_per_domain, self.k
+        counts = np.full(k, n // k, dtype=np.int64)
+        counts[: n % k] += 1
+        labels = np.repeat(np.arange(k), counts)
+        x = transformed[labels]
+        if self.noise_sigma > 0:
+            noise = np.random.default_rng(np.random.SeedSequence([self.seed, _NOISE_STREAM, i]))
+            x = x + self.noise_sigma * noise.standard_normal((n, self.d))
+        return Dataset(x, labels, k, domain_id=i)
 
     def build(self, split_seed) -> DomainSequence:
         """Materialize datasets: source split into train/test, targets shared."""
-        specs = self.specs()
-        train_sets: list[Dataset] = []
-        test_sets: list[Dataset] = []
-        for spec in specs:
-            if spec.kind == "csv-folder":
-                full = load_csv_domain(spec.path, self.k, self.d, domain_id=spec.id)
-            else:
-                full = make_rotated_clusters(spec, self.n_per_domain, self.k, self.d)
-            if spec.id == 0:
-                train, test = split_source(full, self.source_fraction, split_seed)
-                train_sets.append(train)
-                test_sets.append(test)
-            else:
-                train_sets.append(full.without_labels())
-                test_sets.append(full)
-        return DomainSequence(specs, train_sets, test_sets)
+        files = self._csv_files() if self.kind == "csv-folder" else None
+        source = self.domain(0, files)
+        try:
+            train, test = split_source(source, self.source_fraction, split_seed)
+        except ValueError as exc:  # construction checked synthetic sizes, so this is a CSV
+            raise ValueError(f"{files[0]}: {exc}") from None
+        del source  # the split holds its rows; free the full copy before the targets load
+        targets = [self.domain(i, files) for i in range(1, len(files or self.angles_deg))]
+        return DomainSequence([train] + [ds.without_labels() for ds in targets], [test] + targets)

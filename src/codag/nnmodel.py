@@ -73,10 +73,6 @@ class ClassifierParams:
     def n_classes(self) -> int:
         return self.blocks["head.w"].shape[1]
 
-    @property
-    def feat_dim(self) -> int:
-        return self.blocks["head.w"].shape[0]
-
 
 def init_params(config: ModelConfig, d: int, k: int, seed) -> ClassifierParams:
     """Uniform(-b, b) weights with b = sqrt(6 / (fan_in + fan_out)); zero biases."""

@@ -9,8 +9,8 @@ single steps of that loop; ``RECIPES`` is the table of variants.
 
 import hashlib
 import json
-import math
 import os
+import sys
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -103,7 +103,7 @@ class ExperimentConfig:
         if self.buffer_capacity < 0:
             raise ValueError("buffer_capacity must be nonnegative")
         if self.domain_order is not None:
-            check_domain_order(self.domain_order, len(self.sequence.specs()))
+            check_domain_order(self.domain_order, self.sequence.n_domains)
         recipe = RECIPES[self.variant]
         if not recipe.buffer:
             self.buffer_capacity = 0
@@ -146,7 +146,7 @@ def _read_value(tp, value, where: str):
         return tuple(_read_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES.get(tp, tp)):
         raise ValueError(f"{where} must be {tp.__name__}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if tp is float and not abs(value) <= sys.float_info.max:  # NaN, infinities, huge ints
         raise ValueError(f"{where} must be finite, got {value!r}")
     return value
 

@@ -23,8 +23,6 @@ def herding_select(feature_vectors, m: int) -> np.ndarray:
     ties resolve to the lowest index. Returns indices in pick order.
     """
     feats = np.asarray(feature_vectors, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[:, None]
     n = feats.shape[0]
     if m > n:
         raise ValueError(f"cannot select {m} of {n} items")

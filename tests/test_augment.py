@@ -5,11 +5,10 @@ from codag.augment import AugmentConfig, randmix
 
 
 def test_identity_weights_reproduce_input():
-    cfg = AugmentConfig(n_transforms=3, noise_sigma=0.0, identity_slot=True)
-    rng = np.random.default_rng(0)
+    # One slot, the identity: its Dirichlet weight is 1, so the input comes back.
+    cfg = AugmentConfig(n_transforms=1, noise_sigma=0.0, identity_slot=True)
     x = np.random.default_rng(1).standard_normal((8, 5))
-    w = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(randmix(x, cfg, rng, weights=w), x)
+    np.testing.assert_array_equal(randmix(x, cfg, np.random.default_rng(0)), x)
 
 
 def test_determinism_under_fixed_stream():
@@ -20,16 +19,24 @@ def test_determinism_under_fixed_stream():
     np.testing.assert_array_equal(a, b)
 
 
-def test_injected_transforms_follow_mixing_formula():
-    # w = (0.5, 0.5) with T_0 = identity and T_1 = -identity cancels exactly.
-    cfg = AugmentConfig(n_transforms=2, noise_sigma=0.0)
-    x = np.random.default_rng(3).standard_normal((4, 3))
-    out = randmix(
-        x, cfg, np.random.default_rng(0),
-        weights=np.array([0.5, 0.5]),
-        transforms=[lambda v: v, lambda v: -v],
-    )
-    np.testing.assert_allclose(out, np.zeros_like(x), atol=1e-15)
+@pytest.mark.parametrize("cfg", [
+    AugmentConfig(n_transforms=3),
+    AugmentConfig(n_transforms=2, identity_slot=False, mix_concentration=0.5),
+    AugmentConfig(n_transforms=4, noise_sigma=0.0),
+], ids=["default", "no-identity", "no-noise"])
+def test_mixing_formula_matches_twin_generator_oracle(cfg):
+    """sum_i w_i * T_i(x) + noise, with w, T and noise drawn in order from a twin stream."""
+    x = np.random.default_rng(3).standard_normal((6, 4))
+    twin = np.random.default_rng(12)
+    w = twin.dirichlet(np.full(cfg.n_transforms, cfg.mix_concentration))
+    views = [x] if cfg.identity_slot else []
+    while len(views) < cfg.n_transforms:
+        views.append(np.tanh(x @ twin.normal(0.0, 0.5, (4, 4))))  # N(0, 1/d) entries, d = 4
+    expected = sum(wi * view for wi, view in zip(w, views))
+    if cfg.noise_sigma > 0:
+        expected = expected + twin.normal(0.0, cfg.noise_sigma, x.shape)
+    np.testing.assert_allclose(randmix(x, cfg, np.random.default_rng(12)), expected,
+                               rtol=0, atol=1e-12)
 
 
 def test_sampled_weights_are_a_distribution():

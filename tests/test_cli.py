@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import codag
 from codag.cli import CliError, build_config, main
 from codag.orchestrate import ExperimentConfig, config_from_dict
+from codag.rng import substream
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -73,6 +74,7 @@ def _error_lines(err: str) -> list[str]:
     "adapt.distance=cosine", "aug.resample=per-batch", "model.d=99", "model.k=3",
     "log_curves=no", "adapt.epochs=2.5", "buffer_capacity=1.5", "seeds=[7,7]",
     "dg.bogus=1", "sequence=5",
+    pytest.param(f"sequence.scale={10**400}", id="sequence.scale=10**400"),  # no float holds it
 ])
 def test_removed_config_keys_are_invalid(tmp_path, tiny_config_file, capsys, removed):
     out = tmp_path / "out"
@@ -82,6 +84,25 @@ def test_removed_config_keys_are_invalid(tmp_path, tiny_config_file, capsys, rem
     errors = _error_lines(capsys.readouterr().err)
     assert len(errors) == 1
     assert "invalid config" in errors[0] and removed.split("=")[0] in errors[0]
+    assert not out.exists()
+
+
+# On TINY (k=3, d=4, 60 rows per domain) each value fails a sequence range check.
+@pytest.mark.parametrize("override", [
+    "sequence.source_fraction=0", "sequence.source_fraction=1.0",
+    "sequence.source_fraction=0.999", "sequence.shift=[1.0]", "sequence.n_per_domain=2",
+    "sequence.scale=0", "sequence.noise_sigma=-1", "sequence.d=1", "sequence.kind=csv-folder",
+    "sequence.k=1",
+])
+def test_out_of_range_sequence_is_invalid_config(tmp_path, tiny_config_file, capsys, override):
+    out = tmp_path / "out"
+    code = main(["run", "--config", tiny_config_file, "--override", override,
+                 "--jobs", "2", "--out", str(out)])
+    assert code == 2
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1
+    field = "path" if "csv-folder" in override else override.split("=")[0].split(".")[1]
+    assert "invalid config" in errors[0] and f"sequence: {field} " in errors[0]
     assert not out.exists()
 
 
@@ -157,6 +178,9 @@ def test_any_override_builds_or_is_invalid_config(tiny_config_file, monkeypatch,
         node = node[part]
     assert _holds(node, value)
     assert _typed(ExperimentConfig, config)
+    seq = config.sequence
+    if seq.kind == "synthetic-rotated" and seq.n_per_domain * seq.d * len(seq.angles_deg) <= 10**6:
+        seq.build(split_seed=substream(7, "data"))  # a config that constructs also builds
 
 
 def test_bad_domain_order_fails_before_writing(tmp_path, tiny_config_file, capsys):
@@ -291,7 +315,6 @@ def test_env_seed_overrides_seed_list(tmp_path, tiny_config_file, monkeypatch):
 
 def test_gen_data_roundtrips_through_csv(tmp_path, tiny_config_file):
     from codag.data import SequenceConfig
-    from codag.rng import substream
 
     data_dir = tmp_path / "domains"
     assert main(["gen-data", "--config", tiny_config_file, "--out", str(data_dir)]) == 0

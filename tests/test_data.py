@@ -1,16 +1,19 @@
+import csv
+import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from codag.data import (
     Dataset,
-    DomainSpec,
     HiddenLabelsError,
     SequenceConfig,
     class_means,
     load_csv_domain,
-    make_rotated_clusters,
     split_source,
 )
 from codag.orchestrate import config_from_dict, config_to_dict
@@ -19,73 +22,53 @@ from conftest import default_sequence
 
 
 def test_zero_noise_identity_transform():
-    spec = DomainSpec(id=0, rotation_angle=0.0, noise_sigma=0.0, scale=1.0, seed=3)
+    ds = SequenceConfig(n_per_domain=20, k=4, d=6, noise_sigma=0.0, seed=3).domain(0)
     means = class_means(4, 6, 3)
-    ds = make_rotated_clusters(spec, 20, 4, 6)
     for i in range(len(ds)):
         np.testing.assert_array_equal(ds.x[i], means[ds.labels[i]])
 
 
 def test_rotation_by_pi_negates_plane():
-    means = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    spec = DomainSpec(id=0, rotation_angle=math.pi, noise_sigma=0.0, seed=0)
-    ds = make_rotated_clusters(spec, 4, 2, 2, means=means)
-    for i in range(len(ds)):
-        expected = -means[ds.labels[i]]
-        np.testing.assert_allclose(ds.x[i], expected, atol=1e-12)
+    cfg = SequenceConfig(n_per_domain=4, k=2, d=2, angles_deg=(0.0, 180.0), noise_sigma=0.0,
+                         seed=0)
+    np.testing.assert_allclose(cfg.domain(1).x, -cfg.domain(0).x, atol=1e-12)
 
 
 def test_generator_determinism():
-    spec = DomainSpec(id=2, rotation_angle=0.7, noise_sigma=0.2, seed=11)
-    a = make_rotated_clusters(spec, 101, 5, 8)
-    b = make_rotated_clusters(spec, 101, 5, 8)
+    cfg = SequenceConfig(n_per_domain=101, k=5, d=8, angles_deg=(0.0, 10.0, math.degrees(0.7)),
+                         noise_sigma=0.2, seed=11)
+    a, b = cfg.domain(2), cfg.domain(2)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.labels, b.labels)
+    assert a.domain_id == 2
 
 
 def test_class_balance_within_one():
-    spec = DomainSpec(id=0, seed=5)
     for n in (23, 24, 25, 100):
-        ds = make_rotated_clusters(spec, n, 5, 4)
+        ds = SequenceConfig(n_per_domain=n, k=5, d=4, seed=5).domain(0)
         counts = np.bincount(ds.labels, minlength=5)
         assert counts.max() - counts.min() <= 1
         assert counts.sum() == n
 
 
 def test_scale_and_shift_applied_after_rotation():
-    means = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     shift = (0.5, -1.0, 2.0)
-    spec = DomainSpec(id=0, rotation_angle=math.pi / 2, noise_sigma=0.0, scale=2.0,
-                      shift=shift, seed=0)
-    ds = make_rotated_clusters(spec, 2, 2, 3, means=means)
-    got0 = ds.x[ds.labels == 0][0]
-    got1 = ds.x[ds.labels == 1][0]
+    cfg = SequenceConfig(n_per_domain=2, k=2, d=3, angles_deg=(90.0,), noise_sigma=0.0,
+                         scale=2.0, shift=shift, seed=0, source_fraction=0.5)
+    ds = cfg.domain(0)
+    means = class_means(2, 3, 0)
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # angle pi/2 in the (0,1) plane
-    exp0 = np.array([*(means[0, :2] @ rot), 0.0]) * 2.0 + np.array(shift)
-    exp1 = np.array([*(means[1, :2] @ rot), 0.0]) * 2.0 + np.array(shift)
-    np.testing.assert_allclose(got0, exp0, atol=1e-12)
-    np.testing.assert_allclose(got1, exp1, atol=1e-12)
-
-
-def test_invalid_cluster_arguments():
-    spec = DomainSpec(id=0, seed=1)
-    with pytest.raises(ValueError):
-        make_rotated_clusters(spec, 3, 5, 4)  # n < k
-    with pytest.raises(ValueError):
-        make_rotated_clusters(spec, 10, 2, 1)  # d < 2
-    with pytest.raises(ValueError):
-        DomainSpec(id=0, noise_sigma=-0.1)
-    with pytest.raises(ValueError):
-        DomainSpec(id=0, scale=0.0)
+    for c in range(2):
+        expected = np.array([*(means[c, :2] @ rot), means[c, 2]]) * 2.0 + np.array(shift)
+        np.testing.assert_allclose(ds.x[ds.labels == c][0], expected, atol=1e-12)
 
 
 def test_split_sizes_and_partition():
-    spec = DomainSpec(id=0, seed=9)
-    ds = make_rotated_clusters(spec, 10, 2, 3)
+    ds = SequenceConfig(n_per_domain=10, k=2, d=3, seed=9).domain(0)
     train, test = split_source(ds, 0.8, seed=0)
     assert len(train) == 8 and len(test) == 2
 
-    ds = make_rotated_clusters(spec, 137, 5, 3)
+    ds = SequenceConfig(n_per_domain=137, k=5, d=3, seed=9).domain(0)
     train, test = split_source(ds, 0.8, seed=4)
     assert len(train) + len(test) == 137
     merged = np.concatenate([train.x, test.x])
@@ -93,7 +76,7 @@ def test_split_sizes_and_partition():
 
 
 def test_split_seed_determinism_and_full_fraction():
-    ds = make_rotated_clusters(DomainSpec(id=0, seed=2), 50, 5, 4)
+    ds = SequenceConfig(n_per_domain=50, k=5, d=4, seed=2).domain(0)
     a_train, _ = split_source(ds, 0.5, seed=123)
     b_train, _ = split_source(ds, 0.5, seed=123)
     np.testing.assert_array_equal(a_train.x, b_train.x)
@@ -102,9 +85,9 @@ def test_split_seed_determinism_and_full_fraction():
 
 
 def test_split_fraction_bounds():
-    ds = make_rotated_clusters(DomainSpec(id=0, seed=2), 10, 2, 2)
-    for bad in (0.0, -0.5, 1.2):
-        with pytest.raises(ValueError):
+    ds = SequenceConfig(n_per_domain=10, k=2, d=2, seed=2).domain(0)
+    for bad in (0.0, -0.5, 1.2, 0.04, 0.96):  # the last two round to an empty split
+        with pytest.raises(ValueError, match="source_fraction"):
             split_source(ds, bad, seed=0)
 
 
@@ -137,8 +120,60 @@ def test_csv_errors_name_line_numbers(tmp_path):
         load_csv_domain(tmp_path / "missing.csv", k=2, d=2)
 
 
+def _rejects(parse, cell: str) -> bool:
+    try:
+        parse(cell)
+    except ValueError:
+        return True
+    return False
+
+
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+NOT_FLOAT = st.text(st.characters(blacklist_characters="\r\n"), max_size=5).filter(
+    lambda c: _rejects(float, c))
+NOT_INT = (st.text(st.characters(blacklist_characters="\r\n"), max_size=5) | NUMBERS).filter(
+    lambda c: _rejects(int, c))
+
+
+@st.composite
+def csv_with_one_bad_row(draw):
+    """(k, d, rows, bad): valid rows or blank lines, one malformed row at ``rows[bad]``."""
+    k, d = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    valid = st.tuples(st.lists(NUMBERS, min_size=d, max_size=d), st.integers(0, k - 1)).map(
+        lambda r: [*r[0], str(r[1])])
+    rows = draw(st.lists(valid | st.just([]), max_size=4))
+    feats = draw(st.lists(NUMBERS, min_size=d, max_size=d))
+    fault = draw(st.sampled_from(["columns", "feature", "label", "range"]))
+    if fault == "columns":
+        bad = draw(st.lists(NUMBERS, min_size=1, max_size=d + 3).filter(lambda r: len(r) != d + 1))
+    elif fault == "feature":
+        feats[draw(st.integers(0, d - 1))] = draw(NOT_FLOAT)
+        bad = [*feats, "0"]
+    elif fault == "label":
+        bad = [*feats, draw(NOT_INT)]
+    else:
+        bad = [*feats, str(draw(st.integers().filter(lambda v: not 0 <= v < k)))]
+    at = len(rows)
+    rows = rows + [bad] + draw(st.lists(valid, max_size=2))
+    return k, d, rows, at
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_with_one_bad_row())
+def test_malformed_csv_row_names_file_and_line(tmp_path, case):
+    k, d, rows, at = case
+    path = tmp_path / "domain_00.csv"
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    path.write_text(text.getvalue(), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_csv_domain(path, k=k, d=d)
+    assert str(info.value).startswith(f"{path}: line {at + 1}: ")
+
+
 def test_hidden_labels_raise():
-    ds = make_rotated_clusters(DomainSpec(id=1, seed=2), 10, 2, 2)
+    ds = SequenceConfig(n_per_domain=10, k=2, d=2, angles_deg=(0.0, 30.0), seed=2).domain(1)
     hidden = ds.without_labels()
     with pytest.raises(HiddenLabelsError):
         hidden.labels
@@ -159,8 +194,10 @@ def test_default_sequence_shape():
 def test_sequence_reorder_is_permutation_checked():
     seq = default_sequence()
     re = seq.reordered([3, 1, 4, 2])
-    assert [s.id for s in re.specs] == [0, 1, 2, 3, 4]
-    np.testing.assert_array_equal(re.test_sets[1].x, seq.test_sets[3].x)
+    assert re.n_domains == 5
+    for pos, src in enumerate([0, 3, 1, 4, 2]):
+        assert re.train_sets[pos] is seq.train_sets[src]
+        assert re.test_sets[pos] is seq.test_sets[src]
     with pytest.raises(ValueError):
         seq.reordered([1, 2, 3])
     with pytest.raises(ValueError):
@@ -174,13 +211,49 @@ def test_sequence_config_dict_roundtrip():
 
 
 def test_sequence_config_validation():
-    with pytest.raises(ValueError, match="kind"):
-        SequenceConfig(kind="bogus")
-    for bad in ({"k": 0}, {"d": 0}, {"n_per_domain": 0}):
-        with pytest.raises(ValueError, match="at least 1"):
+    for bad, match in [
+        ({"kind": "bogus"}, "kind"),
+        ({"kind": "csv-folder"}, "path"),
+        ({"k": 1}, "k must be at least 2"),
+        ({"k": 0}, "k must be at least 2"),
+        ({"d": 0}, "d must be at least 1"),
+        ({"d": 1}, "d must be at least 2"),
+        ({"n_per_domain": 0}, "n_per_domain"),
+        ({"n_per_domain": 3, "k": 5}, "n_per_domain"),  # a class with no sample
+        ({"angles_deg": ()}, "angles_deg"),
+        ({"noise_sigma": -0.1}, "noise_sigma"),
+        ({"scale": 0.0}, "scale"),
+        ({"shift": (1.0, 2.0)}, "shift"),
+        ({"noise_sigma": 1e307}, "overflow"),
+        ({"seed": -1}, "seed"),
+        ({"source_fraction": 0.0}, "source_fraction"),
+        ({"source_fraction": 1.0}, "source_fraction"),
+        ({"source_fraction": 0.999}, "source_fraction"),  # rounds to an empty test split
+        ({"source_fraction": 0.8, "n_per_domain": 2, "k": 2}, "source_fraction"),
+    ]:
+        with pytest.raises(ValueError, match=match):
             SequenceConfig(**bad)
-    with pytest.raises(ValueError, match="angles_deg"):
-        SequenceConfig(angles_deg=())
+    # A CSV folder's content sets the row count, so the generator's ranges do not apply.
+    SequenceConfig(kind="csv-folder", path="data", d=1, n_per_domain=0, angles_deg=(),
+                   noise_sigma=-1.0, scale=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SequenceConfig().k = 1
+
+
+def test_csv_folder_domains_and_missing_files(tmp_path):
+    for i, label in enumerate((0, 1, 1)):
+        (tmp_path / f"domain_{i:02d}.csv").write_text(f"0.5,1.5,0\n{i}.0,2.0,{label}\n")
+    cfg = SequenceConfig(kind="csv-folder", path=str(tmp_path), k=2, d=2)
+    assert cfg.n_domains == 3
+    assert cfg.domain(2).x[1, 0] == 2.0 and cfg.domain(2).domain_id == 2
+    with pytest.raises(ValueError, match="domain_00.csv: source_fraction"):  # 2 rows, 0.8
+        cfg.build(split_seed=0)
+    (tmp_path / "domain_00.csv").write_text("".join(f"0.5,{i}.0,{i % 2}\n" for i in range(5)))
+    seq = cfg.build(split_seed=0)
+    assert [len(s) for s in seq.test_sets] == [1, 2, 2] and seq.train_sets[2].labels_hidden
+    empty = SequenceConfig(kind="csv-folder", path=str(tmp_path / "none"), k=2, d=2)
+    with pytest.raises(ValueError, match="no domain_"):
+        empty.build(split_seed=0)
 
 
 def test_dataset_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codag.data import Dataset, DomainSpec, make_rotated_clusters
+from codag.data import Dataset, SequenceConfig
 from codag.evaluate import (
     AccuracyMatrix,
     CurveLog,
@@ -35,12 +35,12 @@ def _label_zero_model(d, k):
 
 
 def test_accuracy_constant_predictor_on_balanced_set():
-    ds = make_rotated_clusters(DomainSpec(id=0, seed=1), 100, 5, 4)
+    ds = SequenceConfig(n_per_domain=100, k=5, d=4, seed=1).domain(0)
     assert accuracy(_label_zero_model(4, 5), ds) == pytest.approx(0.2)
 
 
 def test_accuracy_perfect_predictor():
-    ds = make_rotated_clusters(DomainSpec(id=0, seed=1), 50, 5, 4)
+    ds = SequenceConfig(n_per_domain=50, k=5, d=4, seed=1).domain(0)
     perfect = Dataset(ds.x, np.zeros(50, dtype=int), 5)
     assert accuracy(_label_zero_model(4, 5), perfect) == 1.0
 

@@ -40,7 +40,7 @@ def test_herding_single_pick_is_closest_to_mean():
 
 
 def test_herding_tie_breaks_to_lowest_index():
-    order = herding_select(np.array([0.0, 1.0, 2.0]), 2)
+    order = herding_select(np.array([[0.0], [1.0], [2.0]]), 2)
     assert order.tolist() == [1, 0]
 
 
