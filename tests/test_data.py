@@ -63,6 +63,17 @@ def test_scale_and_shift_applied_after_rotation():
         np.testing.assert_allclose(ds.x[ds.labels == c][0], expected, atol=1e-12)
 
 
+def test_invalid_cluster_arguments():
+    for bad, match in [
+        ({"n_per_domain": 3, "k": 5}, "n_per_domain"),  # n < k: a class with no sample
+        ({"d": 1}, "d must be at least 2"),
+        ({"noise_sigma": -0.1}, "noise_sigma"),
+        ({"scale": 0.0}, "scale"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            SequenceConfig(**bad)
+
+
 def test_split_sizes_and_partition():
     ds = SequenceConfig(n_per_domain=10, k=2, d=3, seed=9).domain(0)
     train, test = split_source(ds, 0.8, seed=0)
@@ -217,12 +228,8 @@ def test_sequence_config_validation():
         ({"k": 1}, "k must be at least 2"),
         ({"k": 0}, "k must be at least 2"),
         ({"d": 0}, "d must be at least 1"),
-        ({"d": 1}, "d must be at least 2"),
         ({"n_per_domain": 0}, "n_per_domain"),
-        ({"n_per_domain": 3, "k": 5}, "n_per_domain"),  # a class with no sample
         ({"angles_deg": ()}, "angles_deg"),
-        ({"noise_sigma": -0.1}, "noise_sigma"),
-        ({"scale": 0.0}, "scale"),
         ({"shift": (1.0, 2.0)}, "shift"),
         ({"noise_sigma": 1e307}, "overflow"),
         ({"seed": -1}, "seed"),
