@@ -46,6 +46,8 @@ class AdaptConfig:
             raise ValueError("pl_refresh_interval must be at least 1")
 
 
+# Features near the float64 limit overflow the norms; the non-finite loss reports it.
+@np.errstate(over="ignore", invalid="ignore")
 def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     an = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
     bn = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-12)

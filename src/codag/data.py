@@ -129,6 +129,7 @@ def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
     """Parse one domain file: d float columns then one integer label column."""
     rows: list[list[float]] = []
     labels: list[int] = []
+    linenos: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
@@ -151,9 +152,15 @@ def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
                 raise ValueError(f"{path}: line {lineno}: label out of range [0, {k})")
             rows.append(feats)
             labels.append(label)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels), k, domain_id=domain_id)
+    x = np.array(rows)
+    finite = np.isfinite(x).all(axis=1)  # float() parses nan, inf and 1e999
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+    return Dataset(x, np.array(labels), k, domain_id=domain_id)
 
 
 def _looks_like_header(record: list[str]) -> bool:

@@ -21,118 +21,32 @@ from .data import Dataset
 from .nnmodel import ClassifierParams, atomic_write, forward
 
 
-class IncompleteMatrixError(RuntimeError):
-    """A metric was requested before every stage row was recorded."""
-
-
-class AccuracyMatrix:
-    """(T+1) x (T+1) grid A[t'][t]; row t' is written once, after stage t'."""
-
-    def __init__(self, n_domains: int, role: str):
-        if role not in ("da", "dg"):
-            raise ValueError(f"role must be 'da' or 'dg', got {role!r}")
-        self.role = role
-        self._values = np.full((n_domains, n_domains), np.nan)
-        self._filled = np.zeros(n_domains, dtype=bool)
-
-    @property
-    def n_domains(self) -> int:
-        return self._values.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values.copy()
-
-    def set_row(self, stage: int, accuracies) -> None:
-        row = np.asarray(accuracies, dtype=np.float64)
-        if row.shape != (self.n_domains,):
-            raise ValueError(f"row must have {self.n_domains} entries")
-        if not np.all((row >= 0) & (row <= 1)):  # False for NaN too
-            raise ValueError("accuracies must be finite and lie in [0, 1]")
-        if self._filled[stage]:
-            raise ValueError(f"row {stage} already recorded")
-        self._values[stage] = row
-        self._filled[stage] = True
-
-    def row(self, stage: int) -> np.ndarray:
-        return self._values[stage].copy()
-
-    @property
-    def complete(self) -> bool:
-        return bool(self._filled.all())
-
-    def require_complete(self) -> np.ndarray:
-        if not self.complete:
-            missing = np.where(~self._filled)[0].tolist()
-            raise IncompleteMatrixError(f"matrix rows missing for stages {missing}")
-        return self._values
-
-    def to_lists(self) -> list[list[float]]:
-        return self._values.tolist()
-
-    def to_state(self) -> dict:
-        return {
-            "role": self.role,
-            "values": np.where(np.isnan(self._values), None, self._values).tolist(),
-            "filled": self._filled.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, raw: dict) -> "AccuracyMatrix":
-        filled = raw["filled"]
-        mat = cls(len(filled), raw["role"])
-        for t, done in enumerate(filled):
-            if done:
-                mat.set_row(t, [v for v in raw["values"][t]])
-        return mat
-
-    @classmethod
-    def from_grid(cls, grid, role: str) -> "AccuracyMatrix":
-        arr = np.asarray(grid, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("accuracy grid must be square")
-        mat = cls(arr.shape[0], role)
-        for t in range(arr.shape[0]):
-            mat.set_row(t, arr[t])
-        return mat
-
-
 def accuracy(params: ClassifierParams, test: Dataset) -> float:
     """Fraction of samples whose argmax prediction matches the label."""
     preds = forward(params, test.x).argmax(axis=1)
     return float(np.mean(preds == test.labels))
 
 
-def _grid(matrix) -> np.ndarray:
-    if isinstance(matrix, AccuracyMatrix):
-        return matrix.require_complete()
-    return np.asarray(matrix, dtype=np.float64)
-
-
-def tda(da_matrix, dg_matrix) -> tuple[list[float], float]:
+def tda(da: np.ndarray, dg: np.ndarray) -> tuple[list[float], float]:
     """Per-domain accuracy right after each domain's own stage, and the mean.
 
     The source stage has no adaptation model, so its entry comes from the
     generalization matrix.
     """
-    da = _grid(da_matrix)
-    dg = _grid(dg_matrix)
     values = [float(dg[0, 0])]
     values += [float(da[t, t]) for t in range(1, da.shape[0])]
     return values, float(np.mean(values))
 
 
-def tdg(dg_matrix) -> tuple[list[float], float | None]:
+def tdg(dg: np.ndarray) -> tuple[list[float], float | None]:
     """Per-domain mean accuracy before each domain's stage (domains 1..T)."""
-    dg = _grid(dg_matrix)
     n = dg.shape[0]
     values = [float(np.mean(dg[:t, t])) for t in range(1, n)]
     return values, (float(np.mean(values)) if values else None)
 
 
-def fa(dg_matrix) -> tuple[list[float], float | None]:
+def fa(dg: np.ndarray) -> tuple[list[float], float | None]:
     """Per-domain mean accuracy after later stages (domains 0..T-1)."""
-    dg = _grid(dg_matrix)
     n = dg.shape[0]
     values = [float(np.mean(dg[t + 1:, t])) for t in range(n - 1)]
     return values, (float(np.mean(values)) if values else None)
@@ -154,10 +68,11 @@ class MetricsReport:
     all: float | None
 
     @classmethod
-    def from_matrices(cls, da_matrix, dg_matrix) -> "MetricsReport":
-        tda_vals, tda_mean = tda(da_matrix, dg_matrix)
-        tdg_vals, tdg_mean = tdg(dg_matrix)
-        fa_vals, fa_mean = fa(dg_matrix)
+    def from_matrices(cls, da: np.ndarray, dg: np.ndarray) -> "MetricsReport":
+        """Metrics of two complete (n, n) accuracy matrices."""
+        tda_vals, tda_mean = tda(da, dg)
+        tdg_vals, tdg_mean = tdg(dg)
+        fa_vals, fa_mean = fa(dg)
         allv = None
         if tdg_mean is not None and fa_mean is not None:
             allv = composite_all(tda_mean, tdg_mean, fa_mean)
@@ -193,17 +108,32 @@ class CurveLog:
         log = cls()
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            next(reader)  # header
+            if next(reader, None) != ["stage", "epoch", "domain", "accuracy"]:
+                raise ValueError(f"{path}: missing the curves header")
             for stage, epoch, domain, acc in reader:
                 log.records.append((int(stage), int(epoch), int(domain), float(acc)))
         return log
 
 
+def accuracy_rows(raw) -> np.ndarray:
+    """``raw`` as a 2-D float64 array; raises ``ValueError`` unless every entry lies in [0, 1]."""
+    try:
+        rows = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.ndim != 2:
+        raise ValueError("accuracy rows must form a 2-D grid of numbers")
+    if not np.all((rows >= 0) & (rows <= 1)):  # False for NaN too
+        raise ValueError("accuracies must be finite and lie in [0, 1]")
+    return rows
+
+
 def metrics_from_grids(dg_grid, da_grid=None) -> MetricsReport:
     """Metrics from raw grids; without an adaptation grid, one model fills both roles."""
-    dg = AccuracyMatrix.from_grid(dg_grid, "dg")
-    da = AccuracyMatrix.from_grid(da_grid, "da") if da_grid is not None else \
-        AccuracyMatrix.from_grid(dg_grid, "da")
-    if da.n_domains != dg.n_domains:
+    dg = accuracy_rows(dg_grid)
+    da = dg if da_grid is None else accuracy_rows(da_grid)
+    if dg.shape[0] != dg.shape[1]:
+        raise ValueError("accuracy grid must be square")
+    if da.shape != dg.shape:
         raise ValueError("matrices must agree in size")
     return MetricsReport.from_matrices(da, dg)

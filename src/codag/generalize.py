@@ -75,8 +75,6 @@ def draw_complementary_labels(labels, k: int, rng: np.random.Generator) -> np.nd
 
 def select_confident(params: ClassifierParams, x, threshold: float) -> np.ndarray:
     """Mask of rows whose max softmax under ``params`` strictly exceeds ``threshold``."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
     return softmax(forward(params, x)).max(axis=1) > threshold
 
 

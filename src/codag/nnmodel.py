@@ -16,6 +16,7 @@ at or under 64 KiB, so repeated full-set evaluation reuses warm memory
 instead of faulting in fresh pages.
 """
 
+import hashlib
 import json
 import os
 import struct
@@ -306,9 +307,12 @@ def save_checkpoint(params: ClassifierParams, path) -> None:
                                  struct.pack("<I", len(header)), header, payload]))
 
 
-def load_checkpoint(path) -> ClassifierParams:
+def load_checkpoint(path, sha256: str | None = None) -> ClassifierParams:
+    """Parse a checkpoint; with ``sha256``, only a file of that hash."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+        raise CheckpointError(f"{path}: sha256 differs from the one recorded at save time")
     pos = len(CHECKPOINT_MAGIC)
     if blob[:pos] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")

@@ -19,7 +19,7 @@ import numpy as np
 from .adapt import AdaptConfig, adapt_domain, generate_pseudo_labels
 from .augment import AugmentConfig
 from .data import DomainSequence, SequenceConfig, check_domain_order
-from .evaluate import AccuracyMatrix, CurveLog, MetricsReport, accuracy
+from .evaluate import CurveLog, MetricsReport, accuracy, accuracy_rows
 from .generalize import DGConfig, train_dg_source, train_dg_target
 from .nnmodel import (
     CheckpointError,
@@ -64,7 +64,7 @@ RECIPES = {
 
 VARIANTS = tuple(RECIPES)
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 class StageOrderError(RuntimeError):
@@ -190,11 +190,10 @@ def run_digest(config: ExperimentConfig, seq: DomainSequence) -> str:
 class RunState:
     seed: int
     digest: str  # run_digest of the config and data this state belongs to
-    n_domains: int
     next_stage: int
     buffer: ReplayBuffer
-    da_matrix: AccuracyMatrix
-    dg_matrix: AccuracyMatrix
+    da_matrix: np.ndarray  # (n, n) accuracies; stage t writes row t
+    dg_matrix: np.ndarray
     curves: CurveLog
     dg_params: ClassifierParams | None = None
     da_params: ClassifierParams | None = None
@@ -206,11 +205,10 @@ def new_run_state(seed: int, seq: DomainSequence, buffer_capacity: int,
     return RunState(
         seed=seed,
         digest=digest,
-        n_domains=n,
         next_stage=0,
         buffer=ReplayBuffer(buffer_capacity, seq.k),
-        da_matrix=AccuracyMatrix(n, "da"),
-        dg_matrix=AccuracyMatrix(n, "dg"),
+        da_matrix=np.full((n, n), np.nan),
+        dg_matrix=np.full((n, n), np.nan),
         curves=CurveLog(),
     )
 
@@ -265,8 +263,8 @@ def run_stage(state: RunState, t: int, seq: DomainSequence,
     dg_row = _eval_row(dg, seq)
     # Without a separate adaptation model, one model fills both matrix roles.
     da_row = dg_row if da is None or da is dg else _eval_row(da, seq)
-    state.dg_matrix.set_row(t, dg_row)
-    state.da_matrix.set_row(t, da_row)
+    state.dg_matrix[t] = dg_row
+    state.da_matrix[t] = da_row
     state.dg_params = dg
     if da is not None:
         state.da_params = da
@@ -279,41 +277,45 @@ def _ckpt_name(role: str, stage: int) -> str:
 
 
 def save_run_state(state: RunState, seed_dir) -> None:
-    """Commit a stage: its checkpoints, curves.csv, then state.json, each atomically."""
+    """Commit a stage: its checkpoints, curves.csv, then state.json, each atomically.
+
+    state.json holds only what the run cannot recompute from its config, seed
+    and data: the committed accuracy rows, the buffer's row indices and the
+    sha256 of each checkpoint.
+    """
     os.makedirs(os.path.join(seed_dir, "checkpoints"), exist_ok=True)
-    last = state.next_stage - 1
-    da_ckpt = None
-    if state.da_params is not None:
-        da_ckpt = _ckpt_name("da", last)
-        save_checkpoint(state.da_params, os.path.join(seed_dir, da_ckpt))
-    dg_ckpt = _ckpt_name("dg", last)
-    save_checkpoint(state.dg_params, os.path.join(seed_dir, dg_ckpt))
+    sha256 = {}
+    for role, params in (("da", state.da_params), ("dg", state.dg_params)):
+        if params is not None:
+            path = os.path.join(seed_dir, _ckpt_name(role, state.next_stage - 1))
+            save_checkpoint(params, path)
+            with open(path, "rb") as fh:
+                sha256[role] = hashlib.sha256(fh.read()).hexdigest()
     state.curves.save_csv(os.path.join(seed_dir, "curves.csv"))
     payload = {
         "version": STATE_VERSION,
         "digest": state.digest,
-        "seed": state.seed,
-        "n_domains": state.n_domains,
         "next_stage": state.next_stage,
+        "dg_rows": state.dg_matrix[:state.next_stage].tolist(),
+        "da_rows": state.da_matrix[:state.next_stage].tolist(),
         "buffer": state.buffer.to_dict(),
-        "dg_ckpt": dg_ckpt,
-        "da_ckpt": da_ckpt,
-        "da_matrix": state.da_matrix.to_state(),
-        "dg_matrix": state.dg_matrix.to_state(),
+        "sha256": sha256,
     }
     atomic_write(os.path.join(seed_dir, "state.json"), json.dumps(payload).encode("utf-8"))
 
 
-_STATE_FIELDS = {"digest": str, "seed": int, "n_domains": int, "next_stage": int,
-                 "buffer": dict, "dg_ckpt": str, "da_ckpt": (str, type(None)),
-                 "da_matrix": dict, "dg_matrix": dict}
+_STATE_FIELDS = {"version": int, "digest": str, "next_stage": int, "dg_rows": list,
+                 "da_rows": list, "buffer": list, "sha256": dict}
 
 
-def load_run_state(seed_dir, seq: DomainSequence, digest: str) -> RunState:
-    """The last stage committed under ``seed_dir`` by the run whose digest is ``digest``.
+def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
+                      config: ExperimentConfig) -> None:
+    """Advance the fresh ``state`` to the last stage committed under ``seed_dir``.
 
-    Raises ``RunStateError``, naming the state file, for anything malformed,
-    and naming both digests when the state belongs to another config or data.
+    Everything but the file's accuracy rows, buffer rows and checkpoint
+    hashes comes from ``state``, ``seq`` and ``config``. Raises
+    ``RunStateError``, naming the state file, for anything malformed, and
+    naming both digests when the state belongs to another config or data.
     """
     path = os.path.join(seed_dir, "state.json")
     try:
@@ -323,42 +325,41 @@ def load_run_state(seed_dir, seq: DomainSequence, digest: str) -> RunState:
         if version != STATE_VERSION:
             raise ValueError(f"unsupported run-state version {version!r}, "
                              f"expected {STATE_VERSION}")
+        if payload.keys() != _STATE_FIELDS.keys():
+            raise ValueError(f"missing keys {sorted(_STATE_FIELDS.keys() - payload.keys())}, "
+                             f"unknown keys {sorted(payload.keys() - _STATE_FIELDS.keys())}")
         for key, kind in _STATE_FIELDS.items():
-            if not isinstance(payload.get(key), kind):
-                raise ValueError(f"key {key!r} is missing or has the wrong type")
-        if payload["digest"] != digest:
+            if type(payload[key]) is not kind:
+                raise ValueError(f"key {key!r} must be of type {kind.__name__}")
+        if payload["digest"] != state.digest:
             raise RunStateError(
                 f"{seed_dir}: state digest {payload['digest']} does not match this run's "
-                f"{digest}; the config or the data changed since it was written")
-        next_stage = payload["next_stage"]
-        state = RunState(
-            seed=payload["seed"],
-            digest=digest,
-            n_domains=payload["n_domains"],
-            next_stage=next_stage,
-            buffer=ReplayBuffer.from_dict(payload["buffer"], seq),
-            da_matrix=AccuracyMatrix.from_state(payload["da_matrix"]),
-            dg_matrix=AccuracyMatrix.from_state(payload["dg_matrix"]),
-            curves=CurveLog([rec for rec in CurveLog.load_csv(
-                os.path.join(seed_dir, "curves.csv")).records if rec[0] < next_stage]),
-        )
-        sizes = {state.n_domains, state.da_matrix.n_domains, state.dg_matrix.n_domains}
-        if (sizes != {seq.n_domains} or not 0 < next_stage <= seq.n_domains
-                or state.buffer.k != seq.k):
-            raise ValueError(f"counters do not fit a {seq.n_domains}-domain, "
-                             f"{seq.k}-class sequence")
-        for role, attr in (("dg", "dg_params"), ("da", "da_params")):
-            ckpt = payload[f"{role}_ckpt"]
-            if ckpt not in (None, _ckpt_name(role, next_stage - 1)):
-                raise ValueError(f"checkpoint path {ckpt!r} is not this stage's file "
-                                 f"under {seed_dir}")
-            if ckpt is not None:
-                setattr(state, attr, load_checkpoint(os.path.join(seed_dir, ckpt)))
-    except KeyError as exc:
-        raise RunStateError(f"{path}: malformed run state: missing key {exc}") from None
-    except (OSError, ValueError, TypeError, IndexError, AttributeError, CheckpointError) as exc:
+                f"{state.digest}; the config or the data changed since it was written")
+        n, next_stage = seq.n_domains, payload["next_stage"]
+        if not 0 < next_stage <= n:
+            raise ValueError(f"next_stage {next_stage} does not fit a {n}-domain sequence")
+        for key, matrix in (("dg_rows", state.dg_matrix), ("da_rows", state.da_matrix)):
+            rows = accuracy_rows(payload[key])
+            if rows.shape != (next_stage, n):
+                raise ValueError(f"{key} must be {next_stage} rows of {n} accuracies")
+            matrix[:next_stage] = rows
+        stages = next_stage if config.buffer_capacity > 0 else 0
+        if len(payload["buffer"]) != stages:
+            raise ValueError(f"buffer must hold {stages} stages")
+        state.buffer = ReplayBuffer.from_dict(payload["buffer"], seq, config.buffer_capacity)
+        roles = ["dg"]
+        if RECIPES[config.variant].da_from is not None and next_stage > 1:
+            roles.append("da")
+        if set(payload["sha256"]) != set(roles):
+            raise ValueError(f"sha256 must name the checkpoints {roles}")
+        for role in roles:
+            ckpt = os.path.join(seed_dir, _ckpt_name(role, next_stage - 1))
+            setattr(state, f"{role}_params", load_checkpoint(ckpt, payload["sha256"][role]))
+        state.curves = CurveLog([rec for rec in CurveLog.load_csv(
+            os.path.join(seed_dir, "curves.csv")).records if rec[0] < next_stage])
+        state.next_stage = next_stage
+    except (OSError, ValueError, TypeError, CheckpointError) as exc:
         raise RunStateError(f"{path}: malformed run state: {exc}") from None
-    return state
 
 
 def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
@@ -367,11 +368,9 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
     seq = config.sequence.build(split_seed=substream(seed, "data"))
     if config.domain_order:
         seq = seq.reordered(list(config.domain_order))
-    digest = run_digest(config, seq)
+    state = new_run_state(seed, seq, config.buffer_capacity, run_digest(config, seq))
     if resume and seed_dir is not None and os.path.exists(os.path.join(seed_dir, "state.json")):
-        state = load_run_state(seed_dir, seq, digest)
-    else:
-        state = new_run_state(seed, seq, config.buffer_capacity, digest)
+        restore_run_state(state, seed_dir, seq, config)
     for t in range(state.next_stage, seq.n_domains):
         try:
             run_stage(state, t, seq, config)
@@ -386,8 +385,8 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
 def _seed_worker(config: ExperimentConfig, seed: int, seed_dir, resume: bool) -> dict:
     state, metrics = run_seed(config, seed, seed_dir=seed_dir, resume=resume)
     return {
-        "da_matrix": state.da_matrix.to_lists(),
-        "dg_matrix": state.dg_matrix.to_lists(),
+        "da_matrix": state.da_matrix.tolist(),
+        "dg_matrix": state.dg_matrix.tolist(),
         "metrics": config_to_dict(metrics),
     }
 

@@ -16,6 +16,8 @@ from .data import Dataset, DomainSequence
 from .nnmodel import ClassifierParams, features
 
 
+# Features near the float64 limit overflow the distances; the diverging run is reported downstream.
+@np.errstate(over="ignore", invalid="ignore")
 def herding_select(feature_vectors, m: int) -> np.ndarray:
     """Greedy pick order keeping the running mean close to the full mean.
 
@@ -100,36 +102,26 @@ class ReplayBuffer:
         return (np.concatenate(xs), np.concatenate(ys),
                 np.concatenate(ds), np.concatenate(ps))
 
-    def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "k": self.k,
-            "domains": [
-                {
-                    "domain_id": store.domain_id,
-                    "pseudo": store.pseudo,
-                    "classes": {str(c): rows.tolist() for c, rows in store.per_class.items()},
-                }
-                for store in self._domains
-            ],
-        }
+    def to_dict(self) -> list[list[list[int]]]:
+        """The kept row indices as JSON data: ``[stage][class]``, oldest stage first."""
+        return [[store.per_class[c].tolist() for c in range(self.k)] for store in self._domains]
 
     @classmethod
-    def from_dict(cls, raw: dict, seq: DomainSequence) -> "ReplayBuffer":
-        """Inverse of ``to_dict``; row indices resolve against ``seq.train_sets``."""
-        xs = {train.domain_id: train.x for train in seq.train_sets}
-        buf = cls(raw["capacity"], raw["k"])
-        for dom in raw["domains"]:
-            store = _DomainStore(dom["domain_id"], dom["pseudo"], xs.get(dom["domain_id"]))
-            if store.x is None or type(store.pseudo) is not bool:
-                raise ValueError(f"malformed buffer domain {store.domain_id!r}")
-            for c, rows in dom["classes"].items():
+    def from_dict(cls, raw: list, seq: DomainSequence, capacity: int) -> "ReplayBuffer":
+        """Inverse of ``to_dict``: stage ``i``'s rows index ``seq.train_sets[i]``,
+        whose labels are pseudo-labels for every stage after the source."""
+        buf = cls(capacity, seq.k)
+        for i, classes in enumerate(raw):
+            train = seq.train_sets[i]
+            if not (isinstance(classes, list) and len(classes) == buf.k):
+                raise ValueError(f"buffer stage {i} must hold {buf.k} class lists")
+            store = _DomainStore(train.domain_id, i > 0, train.x)
+            for c, rows in enumerate(classes):
                 rows = np.array(rows)
-                if not (0 <= int(c) < buf.k and rows.ndim == 1 and (
-                        rows.size == 0 or rows.dtype.kind == "i"
-                        and 0 <= rows.min() <= rows.max() < len(store.x))):
-                    raise ValueError(f"malformed buffer rows: domain {store.domain_id}, class {c}")
-                store.per_class[int(c)] = rows.astype(np.int64)
+                if not (rows.ndim == 1 and (rows.size == 0 or rows.dtype.kind == "i"
+                                            and 0 <= rows.min() <= rows.max() < len(train))):
+                    raise ValueError(f"malformed buffer rows: stage {i}, class {c}")
+                store.per_class[c] = rows.astype(np.int64)
             buf._domains.append(store)
         return buf
 

@@ -4,12 +4,16 @@ The heavyweight comparisons (four variants x five seeds at full fidelity)
 come from session fixtures in conftest so the suite runs them once.
 """
 
+import importlib.util
+import json
+import os
+
 import numpy as np
 
 from codag import adapt_domain, composite_all, fa, herding_select, softmax, tdg
 from codag.adapt import AdaptConfig, _im_pl_logit_loss
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
-from codag.nnmodel import gradient
+from codag.nnmodel import save_checkpoint
 from codag.rng import substream
 
 from conftest import run_variant, source_model
@@ -175,8 +179,8 @@ def test_criterion_6_noisy_label_schedule_helps(selnlpl_noise_diffs):
 def test_criterion_7_determinism(variant_runs):
     first, _ = variant_runs["codag"][2022]
     second, _ = run_variant("codag", 2022)
-    dg_diff = np.nanmax(np.abs(first.dg_matrix.values - second.dg_matrix.values))
-    da_diff = np.nanmax(np.abs(first.da_matrix.values - second.da_matrix.values))
+    dg_diff = np.nanmax(np.abs(first.dg_matrix - second.dg_matrix))
+    da_diff = np.nanmax(np.abs(first.da_matrix - second.da_matrix))
     _criterion(7, "identical (config, seed) runs agree within 1e-9",
                dg_diff <= 1e-9 and da_diff <= 1e-9,
                f"max diffs dg {dg_diff:.2e} da {da_diff:.2e}")
@@ -195,3 +199,28 @@ def test_criterion_8_sanity_floor(variant_runs):
         f"tda {codag_tda:.4f} vs {dgonly_tda:.4f}; per-domain tdg "
         f"{np.round(per_domain_tdg, 3).tolist()} vs chance {chance}",
     )
+
+
+_BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+_spec = importlib.util.spec_from_file_location("checks", os.path.join(_BENCH, "checks.py"))
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+
+def test_default_runs_match_golden_digests(variant_runs, codag_curve_state, tmp_path):
+    """The benchmark's golden digests, on the fixtures' default-config runs at seed 2022."""
+    with open(os.path.join(_BENCH, "golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)["default"]
+    runs = {"codag/2022": variant_runs["codag"][2022][0],
+            "dg-only/2022": variant_runs["dg-only"][2022][0],
+            "codag/2022 with curves": codag_curve_state[0]}
+    for name, state in runs.items():
+        seed_dir = tmp_path / name.replace("/", "-").replace(" ", "-")
+        last = state.next_stage - 1
+        os.makedirs(seed_dir / "checkpoints")
+        save_checkpoint(state.dg_params, seed_dir / "checkpoints" / f"dg_stage{last}.ckpt")
+        if state.da_params is not None:
+            save_checkpoint(state.da_params, seed_dir / "checkpoints" / f"da_stage{last}.ckpt")
+        entry = {"da_matrix": state.da_matrix.tolist(), "dg_matrix": state.dg_matrix.tolist()}
+        digest = checks.seed_run_digest(entry, str(seed_dir))
+        assert digest == golden[name.split()[0]], f"{name}: digest {digest} is not the golden one"

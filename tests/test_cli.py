@@ -16,6 +16,8 @@ from codag.cli import CliError, build_config, main
 from codag.orchestrate import ExperimentConfig, config_from_dict
 from codag.rng import substream
 
+from test_orchestrate import STATE_FAULTS
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -156,7 +158,19 @@ def _values_like(default):
     return JSON_VALUES
 
 
-KEYS = st.sampled_from(REAL_KEYS) | st.lists(
+SEQUENCE_KEYS = sorted(key for key in REAL_KEYS if key.startswith("sequence."))
+
+
+def _boundary_values(default):
+    """A sequence field's edge cases: zero, negative, tiny, huge, or a list of the wrong length."""
+    if isinstance(default, int):
+        return st.sampled_from([-1, 0, 1])
+    if isinstance(default, float):
+        return st.sampled_from([-1.0, 0.0, 1e-300, 1e300])
+    return st.lists(st.floats(-1, 1), max_size=6)
+
+
+KEYS = st.sampled_from(SEQUENCE_KEYS) | st.sampled_from(REAL_KEYS) | st.lists(
     st.sampled_from(REAL_KEYS) | st.text("abdkq_.", min_size=1, max_size=4),
     min_size=1, max_size=3,
 ).map(".".join)
@@ -167,7 +181,10 @@ KEYS = st.sampled_from(REAL_KEYS) | st.lists(
 @given(key=KEYS, data=st.data())
 def test_any_override_builds_or_is_invalid_config(tiny_config_file, monkeypatch, key, data):
     monkeypatch.delenv("CODAG_SEED", raising=False)
-    value = data.draw(JSON_VALUES | _values_like(DEFAULTS.get(key)))
+    if key in SEQUENCE_KEYS and data.draw(st.integers(0, 3)) > 0:  # three in four
+        value = data.draw(_boundary_values(DEFAULTS[key]))
+    else:
+        value = data.draw(JSON_VALUES | _values_like(DEFAULTS.get(key)))
     try:
         config = build_config(tiny_config_file, [f"{key}={json.dumps(value)}"])
     except CliError as exc:
@@ -179,8 +196,13 @@ def test_any_override_builds_or_is_invalid_config(tiny_config_file, monkeypatch,
     assert _holds(node, value)
     assert _typed(ExperimentConfig, config)
     seq = config.sequence
-    if seq.kind == "synthetic-rotated" and seq.n_per_domain * seq.d * len(seq.angles_deg) <= 10**6:
-        seq.build(split_seed=substream(7, "data"))  # a config that constructs also builds
+    # A config that constructs lies in the README's sequence ranges, and builds.
+    assert seq.k >= 2 and seq.d >= 1 and 0 < seq.source_fraction < 1
+    if seq.kind == "synthetic-rotated":
+        assert seq.scale > 0 and seq.noise_sigma >= 0 and seq.seed >= 0
+        assert seq.shift is None or len(seq.shift) == seq.d
+        if seq.n_per_domain * seq.d * len(seq.angles_deg) <= 10**6:
+            seq.build(split_seed=substream(7, "data"))
 
 
 def test_bad_domain_order_fails_before_writing(tmp_path, tiny_config_file, capsys):
@@ -209,6 +231,19 @@ def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, re
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_overflowing_features_are_one_error_line(tmp_path, tiny_config_file):
+    """Features near 1e300 overflow herding and the cosine norms; stderr holds only the error."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(codag.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-m", "codag.cli", "run", "--config", tiny_config_file,
+                           "--override", "sequence.scale=1e300", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: seed 7, stage 1: training diverged")
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_resume_with_changed_config_exits_2(tmp_path, tiny_config_file, capsys, jobs):
     out = tmp_path / "out"
@@ -224,22 +259,17 @@ def test_resume_with_changed_config_exits_2(tmp_path, tiny_config_file, capsys, 
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("fault", ["no-buffer", "truncated"])
+@pytest.mark.parametrize("fault", ["no-buffer", "truncated", "ckpt-payload-byte",
+                                   "ckpt-block-name"])
 def test_malformed_state_is_one_error_line(tmp_path, tiny_config_file, capsys, jobs, fault):
     out = tmp_path / "out"
     run = ["run", "--config", tiny_config_file, "--override", "seeds=[7, 8]", "--out", str(out)]
     assert main(run) == 0
-    state = out / "seed7" / "state.json"
-    if fault == "no-buffer":
-        payload = json.loads(state.read_text())
-        del payload["buffer"]
-        state.write_text(json.dumps(payload))
-    else:
-        state.write_text(state.read_text()[:300])
+    STATE_FAULTS[fault](out / "seed7")
     capsys.readouterr()
     assert main(run + ["--resume", "--jobs", jobs]) == 2
     errors = _error_lines(capsys.readouterr().err)
-    assert len(errors) == 1 and str(state) in errors[0]
+    assert len(errors) == 1 and str(out / "seed7" / "state.json") in errors[0]
 
 
 def test_resume_with_changed_csv_data_exits_2(tmp_path, tiny_config_file, capsys):

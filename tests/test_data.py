@@ -142,23 +142,27 @@ def _rejects(parse, cell: str) -> bool:
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 NOT_FLOAT = st.text(st.characters(blacklist_characters="\r\n"), max_size=5).filter(
     lambda c: _rejects(float, c))
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "NaN", " Infinity"])
 NOT_INT = (st.text(st.characters(blacklist_characters="\r\n"), max_size=5) | NUMBERS).filter(
     lambda c: _rejects(int, c))
 
 
 @st.composite
 def csv_with_one_bad_row(draw):
-    """(k, d, rows, bad): valid rows or blank lines, one malformed row at ``rows[bad]``."""
+    """(k, d, rows, bad, fault): valid rows or blank lines, one malformed row at ``rows[bad]``."""
     k, d = draw(st.integers(2, 5)), draw(st.integers(1, 4))
     valid = st.tuples(st.lists(NUMBERS, min_size=d, max_size=d), st.integers(0, k - 1)).map(
         lambda r: [*r[0], str(r[1])])
     rows = draw(st.lists(valid | st.just([]), max_size=4))
     feats = draw(st.lists(NUMBERS, min_size=d, max_size=d))
-    fault = draw(st.sampled_from(["columns", "feature", "label", "range"]))
+    fault = draw(st.sampled_from(["columns", "feature", "non-finite", "label", "range"]))
     if fault == "columns":
         bad = draw(st.lists(NUMBERS, min_size=1, max_size=d + 3).filter(lambda r: len(r) != d + 1))
     elif fault == "feature":
         feats[draw(st.integers(0, d - 1))] = draw(NOT_FLOAT)
+        bad = [*feats, "0"]
+    elif fault == "non-finite":
+        feats[draw(st.integers(0, d - 1))] = draw(NON_FINITE)
         bad = [*feats, "0"]
     elif fault == "label":
         bad = [*feats, draw(NOT_INT)]
@@ -166,14 +170,14 @@ def csv_with_one_bad_row(draw):
         bad = [*feats, str(draw(st.integers().filter(lambda v: not 0 <= v < k)))]
     at = len(rows)
     rows = rows + [bad] + draw(st.lists(valid, max_size=2))
-    return k, d, rows, at
+    return k, d, rows, at, fault
 
 
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=csv_with_one_bad_row())
 def test_malformed_csv_row_names_file_and_line(tmp_path, case):
-    k, d, rows, at = case
+    k, d, rows, at, fault = case
     path = tmp_path / "domain_00.csv"
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(rows)
@@ -181,6 +185,8 @@ def test_malformed_csv_row_names_file_and_line(tmp_path, case):
     with pytest.raises(ValueError) as info:
         load_csv_domain(path, k=k, d=d)
     assert str(info.value).startswith(f"{path}: line {at + 1}: ")
+    if fault == "non-finite":
+        assert str(info.value) == f"{path}: line {at + 1}: non-finite feature value"
 
 
 def test_hidden_labels_raise():

@@ -3,9 +3,7 @@ import pytest
 
 from codag.data import Dataset, SequenceConfig
 from codag.evaluate import (
-    AccuracyMatrix,
     CurveLog,
-    IncompleteMatrixError,
     MetricsReport,
     accuracy,
     composite_all,
@@ -132,30 +130,20 @@ def test_metrics_report_composite_consistency():
 
 
 def test_accuracy_matrix_guards():
-    mat = AccuracyMatrix(3, "dg")
-    mat.set_row(0, [0.5, 0.5, 0.5])
-    with pytest.raises(ValueError):
-        mat.set_row(0, [0.5, 0.5, 0.5])
-    with pytest.raises(ValueError):
-        mat.set_row(1, [1.5, 0.0, 0.0])
-    for bad in (np.nan, np.inf, -np.inf):
+    """Outside grids must be square, of equal size, finite and in [0, 1]; the state
+    loader's row checks live in test_orchestrate's STATE_FAULTS."""
+    good = [[0.5, 0.5, 0.5]] * 3
+    metrics_from_grids(good, good)
+    with pytest.raises(ValueError, match="square"):
+        metrics_from_grids(good[:2])
+    with pytest.raises(ValueError, match="agree in size"):
+        metrics_from_grids(good, [[0.5, 0.5]] * 2)
+    for bad in (1.5, -0.1, np.nan, np.inf, -np.inf):
+        grid = [[0.5, 0.5, 0.5], [bad, 0.5, 0.5], [0.5, 0.5, 0.5]]
         with pytest.raises(ValueError, match="finite"):
-            mat.set_row(1, [bad, 0.5, 0.5])
-    with pytest.raises(IncompleteMatrixError):
-        mat.require_complete()
-    with pytest.raises(ValueError):
-        AccuracyMatrix(3, "bogus")
-
-
-def test_accuracy_matrix_state_roundtrip():
-    mat = AccuracyMatrix(3, "da")
-    mat.set_row(0, [0.1, 0.2, 0.3])
-    mat.set_row(1, [0.4, 0.5, 0.6])
-    again = AccuracyMatrix.from_state(mat.to_state())
-    assert again.role == "da"
-    np.testing.assert_allclose(again.row(0), [0.1, 0.2, 0.3])
-    np.testing.assert_allclose(again.row(1), [0.4, 0.5, 0.6])
-    assert not again.complete
+            metrics_from_grids(grid)
+        with pytest.raises(ValueError, match="finite"):
+            metrics_from_grids(good, grid)
 
 
 def test_curve_log_ordering_and_roundtrip(tmp_path):

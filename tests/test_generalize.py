@@ -135,8 +135,6 @@ def test_select_confident_matches_brute_force_and_is_monotone():
         if prev is not None:
             assert set(got.tolist()) <= set(prev.tolist())
         prev = got
-    with pytest.raises(ValueError):
-        select_confident(params, data.x, 1.5)
 
 
 def _bias_model(log_probs):

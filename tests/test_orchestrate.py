@@ -1,6 +1,6 @@
+import hashlib
 import json
 import os
-import shutil
 
 import numpy as np
 import pytest
@@ -45,8 +45,8 @@ def test_rerun_determinism():
     cfg = tiny_config()
     a, _ = run_seed(cfg, 7)
     b, _ = run_seed(cfg, 7)
-    assert np.nanmax(np.abs(a.dg_matrix.values - b.dg_matrix.values)) <= 1e-9
-    assert np.nanmax(np.abs(a.da_matrix.values - b.da_matrix.values)) <= 1e-9
+    assert np.nanmax(np.abs(a.dg_matrix - b.dg_matrix)) <= 1e-9
+    assert np.nanmax(np.abs(a.da_matrix - b.da_matrix)) <= 1e-9
 
 
 def test_source_only_horizon():
@@ -77,7 +77,7 @@ def test_single_model_variants_mirror_matrices():
     for variant in ("dg-only", "da-only"):
         cfg = tiny_config(variant=variant)
         state, _ = run_seed(cfg, 7)
-        np.testing.assert_array_equal(state.da_matrix.values, state.dg_matrix.values)
+        np.testing.assert_array_equal(state.da_matrix, state.dg_matrix)
 
 
 def test_da_init_variant_continues_from_previous_da(monkeypatch):
@@ -119,9 +119,9 @@ def test_domain_order_permutes_columns():
     state, _ = run_seed(cfg, 7)
     natural, _ = run_seed(tiny_config(), 7)
     # source column identical; target columns swapped at stage 0
-    assert state.dg_matrix.values[0][0] == natural.dg_matrix.values[0][0]
-    assert state.dg_matrix.values[0][1] == pytest.approx(natural.dg_matrix.values[0][2])
-    assert state.dg_matrix.values[0][2] == pytest.approx(natural.dg_matrix.values[0][1])
+    assert state.dg_matrix[0][0] == natural.dg_matrix[0][0]
+    assert state.dg_matrix[0][1] == pytest.approx(natural.dg_matrix[0][2])
+    assert state.dg_matrix[0][2] == pytest.approx(natural.dg_matrix[0][1])
 
 
 def test_no_buffer_variant_forces_zero_capacity():
@@ -168,8 +168,8 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     orchestrate.save_run_state(state, str(seed_dir))
 
     resumed, _ = run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
-    np.testing.assert_allclose(resumed.dg_matrix.values, full.dg_matrix.values, atol=1e-12)
-    np.testing.assert_allclose(resumed.da_matrix.values, full.da_matrix.values, atol=1e-12)
+    np.testing.assert_allclose(resumed.dg_matrix, full.dg_matrix, atol=1e-12)
+    np.testing.assert_allclose(resumed.da_matrix, full.da_matrix, atol=1e-12)
 
 
 def _tree(root) -> dict[str, bytes]:
@@ -217,8 +217,8 @@ def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, 
     monkeypatch.setattr(orchestrate, "run_stage", real_stage)
     resumed, _ = run_seed(cfg, 7, seed_dir=str(part_dir), resume=True)
 
-    np.testing.assert_array_equal(resumed.dg_matrix.values, full.dg_matrix.values)
-    np.testing.assert_array_equal(resumed.da_matrix.values, full.da_matrix.values)
+    np.testing.assert_array_equal(resumed.dg_matrix, full.dg_matrix)
+    np.testing.assert_array_equal(resumed.da_matrix, full.da_matrix)
     assert full.curves.records and resumed.curves.records == full.curves.records
     # checkpoints, curves.csv and state.json, byte for byte
     assert _tree(part_dir) == _tree(full_dir)
@@ -264,6 +264,28 @@ def test_killed_write_resumes_to_uninterrupted_bytes(tmp_path, monkeypatch):
         assert _tree(run_dir) == expected, f"kill at replacement {k}"
 
 
+@pytest.mark.parametrize("variant", ["codag", "da-only", "dg-only"])
+def test_state_file_holds_only_what_a_run_cannot_recompute(tmp_path, variant):
+    cfg = tiny_config(variant=variant)
+    state, _ = run_seed(cfg, 7, seed_dir=str(tmp_path))
+    payload = json.loads((tmp_path / "state.json").read_text())
+    assert list(payload) == ["version", "digest", "next_stage", "dg_rows", "da_rows",
+                             "buffer", "sha256"]
+    assert payload["version"] == 3 and payload["next_stage"] == 3
+    assert payload["dg_rows"] == state.dg_matrix.tolist()
+    assert payload["da_rows"] == state.da_matrix.tolist()
+    if cfg.buffer_capacity == 0:
+        assert payload["buffer"] == []
+    else:
+        assert [len(classes) for classes in payload["buffer"]] == [3, 3, 3]
+        assert sum(len(rows) for rows in payload["buffer"][-1]) <= 10  # 30 over 3 domains
+    roles = ["da", "dg"] if variant != "dg-only" else ["dg"]
+    assert sorted(payload["sha256"]) == roles
+    for role in roles:
+        blob = (tmp_path / "checkpoints" / f"{role}_stage2.ckpt").read_bytes()
+        assert payload["sha256"][role] == hashlib.sha256(blob).hexdigest()
+
+
 def _edit_state(seed_dir, edit):
     path = seed_dir / "state.json"
     payload = json.loads(path.read_text())
@@ -271,27 +293,47 @@ def _edit_state(seed_dir, edit):
     path.write_text(json.dumps(payload))
 
 
+def _patch_file(path, old: bytes, new: bytes):
+    blob = path.read_bytes()
+    assert blob.count(old) >= 1
+    path.write_bytes(blob.replace(old, new, 1))
+
+
+def _flip_last_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+# Each fault edits the state of a finished 3-stage codag run on tiny_config.
 STATE_FAULTS = {
     "truncated": lambda d: (d / "state.json").write_text((d / "state.json").read_text()[:300]),
     "not-an-object": lambda d: (d / "state.json").write_text("[1, 2]"),
     "version-1": lambda d: _edit_state(d, lambda p: p.update(version=1)),
+    "version-2": lambda d: _edit_state(d, lambda p: p.update(version=2)),
+    "version-as-float": lambda d: _edit_state(d, lambda p: p.update(version=3.0)),
     "no-buffer": lambda d: _edit_state(d, lambda p: p.pop("buffer")),
+    "extra-seed": lambda d: _edit_state(d, lambda p: p.update(seed=7)),
     "stage-as-string": lambda d: _edit_state(d, lambda p: p.update(next_stage="2")),
+    "stage-as-bool": lambda d: _edit_state(d, lambda p: p.update(next_stage=True)),
     "stage-too-far": lambda d: _edit_state(d, lambda p: p.update(next_stage=4)),
-    "buffer-classes": lambda d: _edit_state(d, lambda p: p["buffer"].update(k=4)),
-    "bad-matrix": lambda d: _edit_state(d, lambda p: p["dg_matrix"].pop("filled")),
+    "bad-matrix": lambda d: _edit_state(d, lambda p: p.update(dg_rows={"values": p["dg_rows"]})),
     "nan-accuracy": lambda d: _edit_state(
-        d, lambda p: p["dg_matrix"]["values"][0].__setitem__(0, float("nan"))),
-    "row-out-of-range": lambda d: _edit_state(
-        d, lambda p: p["buffer"]["domains"][0]["classes"]["0"].append(10 ** 6)),
-    "row-as-float": lambda d: _edit_state(
-        d, lambda p: p["buffer"]["domains"][0]["classes"]["0"].append(1.5)),
-    "unknown-domain": lambda d: _edit_state(
-        d, lambda p: p["buffer"]["domains"][0].update(domain_id=9)),
-    "ckpt-outside": lambda d: (shutil.copy(d / "checkpoints" / "dg_stage2.ckpt", d.parent),
-                               _edit_state(d, lambda p: p.update(dg_ckpt="../dg_stage2.ckpt"))),
+        d, lambda p: p["dg_rows"][0].__setitem__(0, float("nan"))),
+    "accuracy-above-one": lambda d: _edit_state(d, lambda p: p["da_rows"][1].__setitem__(2, 1.5)),
+    "short-row": lambda d: _edit_state(d, lambda p: p["da_rows"][1].pop()),
+    "rows-not-next-stage": lambda d: _edit_state(d, lambda p: p["dg_rows"].pop()),
+    "buffer-stages": lambda d: _edit_state(d, lambda p: p["buffer"].append(p["buffer"][-1])),
+    "buffer-classes": lambda d: _edit_state(d, lambda p: p["buffer"][0].append([])),
+    "row-out-of-range": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(10 ** 6)),
+    "row-as-float": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(1.5)),
+    "hash-missing": lambda d: _edit_state(d, lambda p: p["sha256"].pop("da")),
     "ckpt-missing": lambda d: os.remove(d / "checkpoints" / "dg_stage2.ckpt"),
+    "ckpt-payload-byte": lambda d: _flip_last_byte(d / "checkpoints" / "dg_stage2.ckpt"),
+    "ckpt-block-name": lambda d: _patch_file(d / "checkpoints" / "da_stage2.ckpt",
+                                             b'"ext0.w"', b'"ext0/w"'),
     "no-curves": lambda d: os.remove(d / "curves.csv"),
+    "empty-curves": lambda d: (d / "curves.csv").write_text(""),
 }
 
 

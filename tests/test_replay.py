@@ -198,15 +198,16 @@ def test_roundtrip_serialization(dg_params):
                                                train.domain_id, pseudo=True)
         buf = update_buffer(buf, labeled, dg_params)
     raw = json.loads(json.dumps(buf.to_dict()))
-    assert [dom["domain_id"] for dom in raw["domains"]] == [0, 3, 1, 4, 2]
-    assert all(type(row) is int for dom in raw["domains"]
-               for rows in dom["classes"].values() for row in rows)  # indices, not features
+    assert len(raw) == 5 and all(len(classes) == 5 for classes in raw)  # [stage][class]
+    assert all(type(row) is int for classes in raw
+               for rows in classes for row in rows)  # indices, not features
 
-    again = ReplayBuffer.from_dict(raw, _reordered_sequence())  # rebuilt, not shared
+    again = ReplayBuffer.from_dict(raw, _reordered_sequence(), 60)  # rebuilt, not shared
     for a, b in zip(buf.as_arrays(), again.as_arrays()):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
     x, _, dom, pseudo = again.as_arrays()
+    assert dom[np.sort(np.unique(dom, return_index=True)[1])].tolist() == [0, 3, 1, 4, 2]
     assert x.shape == (60, 6) and not pseudo[dom == 0].any() and pseudo[dom != 0].all()
     rows = {train.domain_id: train.x for train in seq.train_sets}
     assert all((rows[d] == row).all(axis=1).any() for d, row in zip(dom, x))
