@@ -9,6 +9,8 @@ unsupervised contract is enforced mechanically.
 
 import csv
 import glob
+import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -125,34 +127,60 @@ def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
+# Parsed domain files, one entry per path: (sha256 of its bytes, k, d, features, labels).
+# The arrays are read-only because every load of that content shares them.
+_parsed_csv: dict[str, tuple[str, int, int, np.ndarray, np.ndarray]] = {}
+
+
 def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
-    """Parse one domain file: d float columns then one integer label column."""
+    """Parse one domain file: d float columns then one integer label column.
+
+    Each distinct file content is parsed once per process: a later load of the
+    same bytes (same sha256) with the same ``k`` and ``d`` returns a new
+    ``Dataset`` over the stored read-only arrays, and a changed file is parsed
+    again and replaces its path's entry.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    digest = hashlib.sha256(blob).hexdigest()
+    key = os.fspath(path)
+    hit = _parsed_csv.get(key)
+    if hit is not None and hit[:3] == (digest, k, d):
+        return Dataset(hit[3], hit[4], k, domain_id=domain_id)
+    x, labels = _parse_csv(blob.decode("utf-8"), path, k, d)
+    ds = Dataset(x, labels, k, domain_id=domain_id)
+    x.flags.writeable = labels.flags.writeable = False
+    _parsed_csv[key] = (digest, k, d, x, labels)
+    return ds
+
+
+def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (features, labels) of a domain file's text; errors name ``path`` and the line."""
     rows: list[list[float]] = []
     labels: list[int] = []
     linenos: list[int] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if lineno == 1 and _looks_like_header(record):
-                continue
-            if len(record) != d + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {d + 1} columns, got {len(record)}"
-                )
-            try:
-                feats = [float(cell) for cell in record[:d]]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-            try:
-                label = int(record[d])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed label") from None
-            if not 0 <= label < k:
-                raise ValueError(f"{path}: line {lineno}: label out of range [0, {k})")
-            rows.append(feats)
-            labels.append(label)
-            linenos.append(lineno)
+    for lineno, record in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        if lineno == 1 and _looks_like_header(record):
+            continue
+        if len(record) != d + 1:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {d + 1} columns, got {len(record)}"
+            )
+        try:
+            feats = [float(cell) for cell in record[:d]]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+        try:
+            label = int(record[d])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed label") from None
+        if not 0 <= label < k:
+            raise ValueError(f"{path}: line {lineno}: label out of range [0, {k})")
+        rows.append(feats)
+        labels.append(label)
+        linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     x = np.array(rows)
@@ -160,7 +188,7 @@ def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]
         raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-    return Dataset(x, np.array(labels), k, domain_id=domain_id)
+    return x, np.array(labels, dtype=np.int64)
 
 
 def _looks_like_header(record: list[str]) -> bool:
@@ -307,13 +335,18 @@ class SequenceConfig:
         return Dataset(x, labels, k, domain_id=i)
 
     def build(self, split_seed) -> DomainSequence:
-        """Materialize datasets: source split into train/test, targets shared."""
+        """Materialize datasets: source split into train/test, targets shared.
+
+        Only the source split depends on ``split_seed``. CSV domains come from
+        ``load_csv_domain``, so every build in a process shares one read-only
+        copy of each file's arrays.
+        """
         files = self._csv_files() if self.kind == "csv-folder" else None
         source = self.domain(0, files)
         try:
             train, test = split_source(source, self.source_fraction, split_seed)
         except ValueError as exc:  # construction checked synthetic sizes, so this is a CSV
             raise ValueError(f"{files[0]}: {exc}") from None
-        del source  # the split holds its rows; free the full copy before the targets load
+        del source  # frees a synthetic source before the targets generate; a CSV one stays cached
         targets = [self.domain(i, files) for i in range(1, len(files or self.angles_deg))]
         return DomainSequence([train] + [ds.without_labels() for ds in targets], [test] + targets)

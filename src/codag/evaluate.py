@@ -116,13 +116,16 @@ class CurveLog:
 
 
 def accuracy_rows(raw) -> np.ndarray:
-    """``raw`` as a 2-D float64 array; raises ``ValueError`` unless every entry lies in [0, 1]."""
+    """``raw`` as a 2-D float64 array; raises ``ValueError`` unless every entry is a
+    number, not a boolean, in [0, 1]."""
     try:
         rows = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError):
         rows = None
     if rows is None or rows.ndim != 2:
         raise ValueError("accuracy rows must form a 2-D grid of numbers")
+    if any(isinstance(v, (bool, np.bool_)) for row in raw for v in row):  # float64 takes them
+        raise ValueError("accuracies must be numbers, not booleans")
     if not np.all((rows >= 0) & (rows <= 1)):  # False for NaN too
         raise ValueError("accuracies must be finite and lie in [0, 1]")
     return rows

@@ -109,26 +109,39 @@ class ReplayBuffer:
     @classmethod
     def from_dict(cls, raw: list, seq: DomainSequence, capacity: int) -> "ReplayBuffer":
         """Inverse of ``to_dict``: stage ``i``'s rows index ``seq.train_sets[i]``,
-        whose labels are pseudo-labels for every stage after the source."""
+        whose labels are pseudo-labels for every stage after the source.
+
+        Raises ``ValueError`` unless each class list holds distinct in-range
+        row indices, no row repeats within a stage, and no list is longer
+        than its class quota after ``len(raw)`` stages at ``capacity``.
+        """
         buf = cls(capacity, seq.k)
+        quotas = _quotas(capacity, len(raw)) if raw else []
         for i, classes in enumerate(raw):
             train = seq.train_sets[i]
             if not (isinstance(classes, list) and len(classes) == buf.k):
                 raise ValueError(f"buffer stage {i} must hold {buf.k} class lists")
             store = _DomainStore(train.domain_id, i > 0, train.x)
-            for c, rows in enumerate(classes):
+            for c, (rows, quota) in enumerate(zip(classes, _quotas(quotas[i], buf.k))):
                 rows = np.array(rows)
                 if not (rows.ndim == 1 and (rows.size == 0 or rows.dtype.kind == "i"
                                             and 0 <= rows.min() <= rows.max() < len(train))):
                     raise ValueError(f"malformed buffer rows: stage {i}, class {c}")
+                if rows.size > quota:
+                    raise ValueError(f"buffer stage {i}, class {c} holds {rows.size} rows, "
+                                     f"over its quota of {quota}")
                 store.per_class[c] = rows.astype(np.int64)
+            kept = np.concatenate(list(store.per_class.values()))
+            if np.unique(kept).size != kept.size:
+                raise ValueError(f"buffer stage {i} repeats a row")
             buf._domains.append(store)
         return buf
 
 
-def _class_quotas(domain_quota: int, k: int) -> list[int]:
-    base, rem = divmod(domain_quota, k)
-    return [base + (c < rem) for c in range(k)]
+def _quotas(total: int, parts: int) -> list[int]:
+    """``total`` split into ``parts`` shares that differ by at most 1, the larger ones first."""
+    base, rem = divmod(total, parts)
+    return [base + (i < rem) for i in range(parts)]
 
 
 def update_buffer(buffer: ReplayBuffer, new_domain: Dataset,
@@ -147,18 +160,16 @@ def update_buffer(buffer: ReplayBuffer, new_domain: Dataset,
         raise ValueError(f"class count mismatch: buffer {buffer.k}, domain {new_domain.k}")
 
     out = ReplayBuffer(buffer.capacity, buffer.k)
-    n_domains = buffer.n_domains + 1
-    base, rem = divmod(buffer.capacity, n_domains)
-    quotas = [base + (i < rem) for i in range(n_domains)]
+    quotas = _quotas(buffer.capacity, buffer.n_domains + 1)
 
     for age, store in enumerate(buffer._domains):
-        class_quotas = _class_quotas(quotas[age], buffer.k)
+        class_quotas = _quotas(quotas[age], buffer.k)
         trimmed = _DomainStore(store.domain_id, store.pseudo, store.x)
         for cls, rows in store.per_class.items():
             trimmed.per_class[cls] = rows[:class_quotas[cls]]
         out._domains.append(trimmed)
 
-    class_quotas = _class_quotas(quotas[-1], buffer.k)
+    class_quotas = _quotas(quotas[-1], buffer.k)
     fresh = _DomainStore(domain_id, new_domain.pseudo, x)
     for cls in range(buffer.k):
         idx = np.where(labels == cls)[0]

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import codag
+import codag.orchestrate as orchestrate
 from codag.cli import CliError, build_config, main
 from codag.orchestrate import ExperimentConfig, config_from_dict
 from codag.rng import substream
@@ -272,6 +273,32 @@ def test_malformed_state_is_one_error_line(tmp_path, tiny_config_file, capsys, j
     assert len(errors) == 1 and str(out / "seed7" / "state.json") in errors[0]
 
 
+def test_resume_with_repeated_buffer_rows_exits_2(tmp_path, tiny_config_file, capsys,
+                                                  monkeypatch):
+    """Three copies of stage 0's class-0 rows, after a run stopped at stage 2."""
+    run_stage = orchestrate.run_stage
+
+    def stop_at_stage_2(state, t, seq, config):
+        if t == 2:
+            raise RuntimeError("interrupted")
+        return run_stage(state, t, seq, config)
+
+    out = tmp_path / "out"
+    run = ["run", "--config", tiny_config_file, "--out", str(out)]
+    monkeypatch.setattr(orchestrate, "run_stage", stop_at_stage_2)
+    assert main(run) == 1
+    monkeypatch.undo()
+    state_path = out / "seed7" / "state.json"
+    payload = json.loads(state_path.read_text())
+    assert payload["next_stage"] == 2
+    payload["buffer"][0][0] *= 3
+    state_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(run + ["--resume"]) == 2
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1 and str(state_path) in errors[0] and "quota" in errors[0]
+
+
 def test_resume_with_changed_csv_data_exits_2(tmp_path, tiny_config_file, capsys):
     data_dir = tmp_path / "domains"
     assert main(["gen-data", "--config", tiny_config_file, "--out", str(data_dir)]) == 0
@@ -456,6 +483,14 @@ def test_eval_matrix_rejects_bad_grids(tmp_path, capsys):
 
     path.write_text(json.dumps([1, 2, 3]))
     assert main(["eval-matrix", "--file", str(path)]) == 2
+
+    capsys.readouterr()
+    path.write_text(json.dumps({"dg": [[True, False], [True, True]]}))
+    assert main(["eval-matrix", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    errors = _error_lines(captured.err)
+    assert captured.out == "" and captured.err.splitlines() == errors
+    assert len(errors) == 1 and str(path) in errors[0]
 
 
 def test_eval_matrix_matches_library_on_random_grids(tmp_path, capsys):

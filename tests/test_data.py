@@ -1,13 +1,16 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import codag.data as data
 from codag.data import (
     Dataset,
     HiddenLabelsError,
@@ -16,9 +19,10 @@ from codag.data import (
     load_csv_domain,
     split_source,
 )
-from codag.orchestrate import config_from_dict, config_to_dict
+from codag.orchestrate import config_from_dict, config_to_dict, run_experiment
 
 from conftest import default_sequence
+from test_orchestrate import tiny_config
 
 
 def test_zero_noise_identity_transform():
@@ -276,3 +280,105 @@ def test_dataset_validation():
         Dataset([[np.inf, 0.0]], [0], 2)
     with pytest.raises(ValueError):
         Dataset([[0.0, 0.0]], [5], 2)
+
+
+def _write_csv_folder(folder) -> SequenceConfig:
+    """The tiny synthetic sequence (3 domains of 60 rows, k=3, d=4) as a CSV folder."""
+    synth = tiny_config().sequence
+    folder.mkdir()
+    for i in range(synth.n_domains):
+        ds = synth.domain(i)
+        rows = [[repr(float(v)) for v in x] + [str(y)] for x, y in zip(ds.x, ds.labels)]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        (folder / f"domain_{i:02d}.csv").write_text(text.getvalue())
+    return SequenceConfig(kind="csv-folder", path=str(folder), k=synth.k, d=synth.d)
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    """An empty CSV cache, and the list of paths ``_parse_csv`` is called for."""
+    monkeypatch.setattr(data, "_parsed_csv", {})
+    parse, calls = data._parse_csv, []
+
+    def counting(text, path, k, d):
+        calls.append(path)
+        return parse(text, path, k, d)
+
+    monkeypatch.setattr(data, "_parse_csv", counting)
+    return calls
+
+
+def test_builds_parse_each_csv_file_once(tmp_path, count_parses):
+    cfg = _write_csv_folder(tmp_path / "domains")
+    first = cfg.build(split_seed=0)
+    cfg.build(split_seed=0)
+    other_seed = cfg.build(split_seed=1)
+    assert count_parses == sorted(str(p) for p in (tmp_path / "domains").iterdir())
+    assert other_seed.test_sets[2].x is first.test_sets[2].x  # one shared copy
+    assert [ds.domain_id for ds in other_seed.test_sets] == [0, 1, 2]
+    assert load_csv_domain(count_parses[1], 3, 4, domain_id=5).domain_id == 5
+    assert len(count_parses) == 3
+
+
+def test_csv_rewritten_with_same_size_and_mtime_is_parsed_again(tmp_path, count_parses):
+    path = tmp_path / "domain_00.csv"
+    path.write_text("0.5,1.5,0\n0.25,1.0,1\n")
+    stat = os.stat(path)
+    first = load_csv_domain(path, k=2, d=2)
+    path.write_text("0.5,1.5,1\n0.75,1.0,1\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    again = load_csv_domain(path, k=2, d=2)
+    assert list(again.labels) == [1, 1] and again.x[1, 0] == 0.75
+    assert list(first.labels) == [0, 1] and first.x[1, 0] == 0.25
+    assert len(count_parses) == 2
+
+
+def test_cached_csv_arrays_are_read_only(tmp_path, count_parses):
+    seq = _write_csv_folder(tmp_path / "domains").build(split_seed=0)
+    again = load_csv_domain(tmp_path / "domains" / "domain_01.csv", k=3, d=4)
+    for arr in (again.x, again.labels, seq.train_sets[1].x, seq.test_sets[2].labels):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert len(count_parses) == 3
+
+
+def test_malformed_csv_fails_on_every_load_until_fixed(tmp_path, count_parses):
+    path = tmp_path / "domain_00.csv"
+    path.write_text("0.5,1.5,0\n0.25,nan,1\n")
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            load_csv_domain(path, k=2, d=2)
+        assert str(info.value) == f"{path}: line 2: non-finite feature value"
+    path.write_text("0.5,1.5,0\n0.25,2.0,1\n")
+    assert load_csv_domain(path, k=2, d=2).x[1, 1] == 2.0
+    path.write_text("0.5,1.5,2\n")
+    assert load_csv_domain(path, k=3, d=2).k == 3
+    for _ in range(2):  # the labels are checked against each caller's k
+        with pytest.raises(ValueError, match=r"line 1: label out of range \[0, 2\)"):
+            load_csv_domain(path, k=2, d=2)
+
+
+def _checkpoint_hashes(seed_dir) -> dict:
+    ckpts = sorted((seed_dir / "checkpoints").iterdir())
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in ckpts}
+
+
+def test_two_seed_csv_run_equals_single_seed_runs(tmp_path, count_parses, monkeypatch):
+    sequence = _write_csv_folder(tmp_path / "domains")
+    cfg = tiny_config(sequence=sequence, seeds=(7, 8))
+    cfg.out_dir = str(tmp_path / "both")
+    both = run_experiment(cfg)["per_seed"]
+    assert len(count_parses) == 3
+    for seed in (7, 8):
+        monkeypatch.setattr(data, "_parsed_csv", {})
+        alone = tiny_config(sequence=sequence, seeds=(seed,))
+        alone.out_dir = str(tmp_path / f"alone{seed}")
+        single = run_experiment(alone)["per_seed"][str(seed)]
+        for key in ("dg_matrix", "da_matrix"):
+            assert single[key] == both[str(seed)][key]
+        assert (_checkpoint_hashes(tmp_path / f"alone{seed}" / f"seed{seed}")
+                == _checkpoint_hashes(tmp_path / "both" / f"seed{seed}"))
+    assert len(count_parses) == 9

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codag.data import Dataset, SequenceConfig
 from codag.evaluate import (
@@ -109,6 +111,34 @@ def test_tdg_fa_brute_force_oracle():
             assert abs(fa_vals[t] - brute) < 1e-12
 
 
+@st.composite
+def matrix_pairs(draw):
+    """(da, dg): two complete n x n grids of accuracies as lists, n = 1..6."""
+    n = draw(st.integers(1, 6))
+    grid = st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=n,
+                    max_size=n)
+    return draw(grid), draw(grid)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(pair=matrix_pairs())
+def test_tda_and_all_match_brute_force(pair):
+    da, dg = pair
+    n = len(dg)
+    report = metrics_from_grids(dg, da)
+    tda_vals = [dg[0][0]] + [da[t][t] for t in range(1, n)]
+    assert report.tda_per_domain == tda_vals
+    tda_mean = sum(tda_vals) / n
+    assert report.tda_mean == pytest.approx(tda_mean, abs=1e-12)
+    if n == 1:
+        assert report.all is None
+        return
+    tdg_vals = [sum(dg[tp][t] for tp in range(t)) / t for t in range(1, n)]
+    fa_vals = [sum(dg[tp][t] for tp in range(t + 1, n)) / (n - 1 - t) for t in range(n - 1)]
+    brute_all = (tda_mean + sum(tdg_vals) / (n - 1) + sum(fa_vals) / (n - 1)) / 3
+    assert report.all == pytest.approx(brute_all, abs=1e-12)
+
+
 def test_single_domain_metrics_are_empty():
     grid = np.array([[0.9]])
     assert tdg(grid) == ([], None)
@@ -144,6 +174,12 @@ def test_accuracy_matrix_guards():
             metrics_from_grids(grid)
         with pytest.raises(ValueError, match="finite"):
             metrics_from_grids(good, grid)
+    for grid in ([[True, False], [True, True]], [[0.5, 0.5], [0.5, True]],
+                 np.ones((2, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="not booleans"):
+            metrics_from_grids(grid)
+        with pytest.raises(ValueError, match="not booleans"):
+            metrics_from_grids([[0.5, 0.5]] * 2, grid)
 
 
 def test_curve_log_ordering_and_roundtrip(tmp_path):

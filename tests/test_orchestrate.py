@@ -327,6 +327,14 @@ STATE_FAULTS = {
     "buffer-classes": lambda d: _edit_state(d, lambda p: p["buffer"][0].append([])),
     "row-out-of-range": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(10 ** 6)),
     "row-as-float": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(1.5)),
+    "row-repeated": lambda d: _edit_state(
+        d, lambda p: p["buffer"][0][0].__setitem__(1, p["buffer"][0][0][0])),
+    "row-in-two-classes": lambda d: _edit_state(
+        d, lambda p: p["buffer"][0][1].__setitem__(0, p["buffer"][0][0][0])),
+    # A source row not yet kept (the source trains on 48 rows), one over class 0's quota.
+    "class-over-quota": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(
+        min(set(range(48)) - {r for rows in p["buffer"][0] for r in rows}))),
+    "bool-accuracy": lambda d: _edit_state(d, lambda p: p["dg_rows"][1].__setitem__(0, True)),
     "hash-missing": lambda d: _edit_state(d, lambda p: p["sha256"].pop("da")),
     "ckpt-missing": lambda d: os.remove(d / "checkpoints" / "dg_stage2.ckpt"),
     "ckpt-payload-byte": lambda d: _flip_last_byte(d / "checkpoints" / "dg_stage2.ckpt"),
