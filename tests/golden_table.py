@@ -1,0 +1,103 @@
+"""Golden table of run outputs that Tier-1 checks bit for bit.
+
+Regenerate it, from the repository root, with
+
+    PYTHONPATH=src python tests/golden_table.py
+
+which rewrites ``tests/golden_table.json`` from the code as it stands (about
+15 s on two cores). A change that moves a golden value on purpose runs
+it and says why in CHANGES.md. The table pins what ``perfbench/golden.json``
+does not:
+
+- ``seed_runs``: the ``perfbench/checks.seed_run_digest`` of
+  ``codag-da-init`` and ``codag-no-buffer`` on the default config at the
+  five ``SEEDS5`` seeds, which the acceptance fixtures run anyway;
+- ``tiny``: the sha256 of every file that each variant writes on the tiny
+  CLI config (``test_cli.TINY``, one hidden layer) with curves on and
+  domain order ``[2, 1]``: results, state, curves and every checkpoint.
+
+It also records the numpy and BLAS it was taken with. Another build may
+round differently; the table is then re-pinned openly, not skipped.
+"""
+
+import hashlib
+import importlib.util
+import json
+import os
+
+import codag  # noqa: F401  (pins BLAS to one thread before numpy loads it)
+import numpy as np
+from codag.nnmodel import save_checkpoint
+from codag.orchestrate import VARIANTS, ExperimentConfig, run_experiment
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TABLE = os.path.join(HERE, "golden_table.json")
+SEED_VARIANTS = ("codag-da-init", "codag-no-buffer")
+TINY_ORDER = [2, 1]
+
+_spec = importlib.util.spec_from_file_location(
+    "checks", os.path.join(os.path.dirname(HERE), "perfbench", "checks.py"))
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+
+def build() -> dict:
+    """The numpy and BLAS whose rounding the table holds."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def state_digest(state, seed_dir) -> str:
+    """``checks.seed_run_digest`` of a finished ``RunState``, its final checkpoints
+    written under ``seed_dir``."""
+    last = state.next_stage - 1
+    os.makedirs(os.path.join(seed_dir, "checkpoints"))
+    save_checkpoint(state.dg_params, os.path.join(seed_dir, "checkpoints",
+                                                  f"dg_stage{last}.ckpt"))
+    if state.da_params is not None:
+        save_checkpoint(state.da_params, os.path.join(seed_dir, "checkpoints",
+                                                      f"da_stage{last}.ckpt"))
+    entry = {"da_matrix": state.da_matrix.tolist(), "dg_matrix": state.dg_matrix.tolist()}
+    return checks.seed_run_digest(entry, str(seed_dir))
+
+
+def tiny_file_hashes(variant: str, out_dir) -> dict[str, str]:
+    """sha256 of every file one tiny run of ``variant`` writes, by relative path."""
+    from test_cli import TINY
+
+    config = ExperimentConfig.from_dict(
+        dict(TINY, variant=variant, log_curves=True, domain_order=TINY_ORDER))
+    config.out_dir = str(out_dir)
+    run_experiment(config)
+    hashes = {}
+    for root, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                rel = os.path.relpath(path, out_dir).replace(os.sep, "/")
+                hashes[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(hashes.items()))
+
+
+def main() -> None:
+    import tempfile
+
+    from conftest import SEEDS5, run_in_pool, run_variant
+
+    runs = [(variant, seed) for variant in SEED_VARIANTS for seed in SEEDS5]
+    with tempfile.TemporaryDirectory() as tmp:
+        seed_runs = {
+            f"{variant}/{seed}": state_digest(state, os.path.join(tmp, f"{variant}-{seed}"))
+            for (variant, seed), (state, _) in zip(runs, run_in_pool(run_variant, runs))
+        }
+        tiny = {variant: tiny_file_hashes(variant, os.path.join(tmp, variant))
+                for variant in VARIANTS}
+    table = {"build": build(), "seed_runs": seed_runs, "tiny": tiny}
+    with open(TABLE, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(table, indent=1) + "\n")
+    print(f"wrote {TABLE}: {len(seed_runs)} seed-run digests, "
+          f"{sum(map(len, tiny.values()))} tiny-run files")
+
+
+if __name__ == "__main__":
+    main()
