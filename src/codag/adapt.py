@@ -79,7 +79,12 @@ def centroid_pseudo_labels(params: ClassifierParams, dataset: Dataset) -> np.nda
 
 
 def _im_pl_logit_loss(pl_labels: np.ndarray, im_weight: float, beta: float):
-    """Information maximization plus pseudo-label cross-entropy on logits."""
+    """Information maximization plus pseudo-label cross-entropy on logits.
+
+    The gradient is im_weight * (p / n) * (-log p + <p, log p> - <p, log pbar>
+    + log pbar) + beta * (p - onehot(pl)) / n, each element evaluated in that
+    order.
+    """
 
     def loss_fn(logits):
         # Diverged logits underflow a class's pbar to 0, so log(pbar) is -inf and
@@ -88,22 +93,30 @@ def _im_pl_logit_loss(pl_labels: np.ndarray, im_weight: float, beta: float):
             logp = log_softmax(logits)
             p = np.exp(logp)
             n, _ = p.shape
+            flat = np.arange(0, p.size, p.shape[1]) + pl_labels
 
             rowdot = (p * logp).sum(axis=1)  # = -H(p_i)
-            h_cond = float(-rowdot.mean())
-            pbar = p.mean(axis=0)
+            # add.reduce(a) / n is a.mean()'s arithmetic, without its Python wrapper.
+            h_cond = float(-(np.add.reduce(rowdot) / n))
+            pbar = np.add.reduce(p, axis=0) / n
             log_pbar = np.log(pbar)
             h_marg = float(-(pbar * log_pbar).sum())
             im = h_cond - h_marg
             cross = p @ log_pbar  # per-row sum_k p_ik log pbar_k
-            d_im = (p / n) * (-logp + rowdot[:, None] - cross[:, None] + log_pbar[None, :])
+            p_n = p / n
+            grad = np.negative(logp)
+            grad += rowdot[:, None]
+            grad -= cross[:, None]
+            grad += log_pbar
+            grad *= p_n
+            grad *= im_weight
 
-            ce = float(-logp[np.arange(n), pl_labels].mean())
-            d_ce = p.copy()
-            d_ce[np.arange(n), pl_labels] -= 1.0
-            d_ce /= n
+            ce = float(-(np.add.reduce(logp.ravel()[flat]) / n))
+            d_ce = np.multiply(p_n, beta, out=p_n)
+            d_ce.ravel()[flat] = (p.ravel()[flat] - 1.0) / n * beta
+            grad += d_ce
 
-        return im_weight * im + beta * ce, im_weight * d_im + beta * d_ce
+        return im_weight * im + beta * ce, grad
 
     return loss_fn
 

@@ -81,51 +81,59 @@ def select_confident(params: ClassifierParams, x, threshold: float) -> np.ndarra
 def kl_divergence(q, p, axis: int = -1) -> np.ndarray:
     """KL(q || p) with 0 log 0 = 0."""
     q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    terms = np.where(q > 0, q * (np.log(np.where(q > 0, q, 1.0)) - np.log(p)), 0.0)
-    return terms.sum(axis=axis)
+    support = q > 0
+    terms = np.log(np.where(support, q, 1.0)) - np.log(np.asarray(p, dtype=np.float64))
+    terms *= q
+    return np.where(support, terms, 0.0).sum(axis=axis)
 
 
 def _mixed_logit_loss(y, kinds, comp, q, alpha: float, clip_eps: float):
     """Logit-level loss: per-row CE/NL per ``kinds`` plus alpha * KL(q || p).
 
     Label losses average over labeled rows; distillation averages over the
-    whole batch. Rows in the clipped region contribute zero gradient.
+    whole batch. Rows in the clipped region contribute zero gradient. Every
+    element goes through the same operations, in the same order, as the
+    per-row definition: a CE row's gradient is p - onehot(y), an NL row's
+    0.0 - c * p + c * onehot(comp) with c = p_comp / (1 - p_comp), then the
+    label part is divided by the labeled count before distillation adds
+    alpha * (p - q) / n.
     """
+    n = kinds.shape[0]
+    ce, nl = kinds == _CE, kinds == _NL
+    n_labeled = int(np.count_nonzero(kinds != _SKIP))
+    # The class each labeled row's term acts on: its label, or for NL its complement.
+    target = y if comp is None else np.where(nl, comp, y)
 
     def loss_fn(logits):
         logp = log_softmax(logits)
         p = np.exp(logp)
-        n = logits.shape[0]
-        dl = np.zeros_like(p)
         total = 0.0
-
-        n_labeled = int(np.count_nonzero(kinds != _SKIP))
         if n_labeled:
-            rows = np.arange(n)
-            ce, nl = kinds == _CE, kinds == _NL
-            # The class each labeled row's term acts on: its label, or for NL its complement.
-            target = y if comp is None else np.where(nl, comp, y)
-            pt = p[rows, target]
+            flat = np.arange(0, p.size, p.shape[1]) + target
+            pt = p.ravel()[flat]
             keep = 1.0 - pt
-            label_sum = float(-np.log(np.maximum(pt[ce], clip_eps)).sum())
-            label_sum += float(-np.log(np.maximum(keep[nl], clip_eps)).sum())
-            total += label_sum / n_labeled
-            # Clipped rows get zero gradient. 0.0 - x, not -x, keeps the sign of a zero.
-            ce &= pt > clip_eps
-            nl &= keep > clip_eps
-            coef = pt[nl] / keep[nl]
-            dl[ce] = p[ce]
-            dl[nl] = 0.0 - coef[:, None] * p[nl]
-            shift = np.zeros(n)
-            shift[ce] = -1.0
-            shift[nl] = coef
-            dl[rows, target] += shift
+            # -log(max(p_t, eps)) for CE rows, -log(max(1 - p_t, eps)) for NL rows.
+            nll = np.where(nl, keep, pt)
+            np.negative(np.log(np.maximum(nll, clip_eps, out=nll), out=nll), out=nll)
+            total += (float(nll[ce].sum()) + float(nll[nl].sum())) / n_labeled
+            # Per-row factor: -1 for CE rows, c for NL rows, 0 for skipped and
+            # clipped rows; the gradient is 0.0 - factor * p, plus the factor
+            # at the target. 0.0 - x, not -x, keeps the sign of a zero.
+            shift = np.where(ce & (pt > clip_eps), -1.0, 0.0)
+            np.divide(pt, keep, out=shift, where=nl & (keep > clip_eps))
+            dl = np.multiply(shift[:, None], p)
+            np.subtract(0.0, dl, out=dl)
+            dl.ravel()[flat] += shift
             dl /= n_labeled
+        else:
+            dl = np.zeros_like(p)
 
         if q is not None and alpha > 0:
-            total += alpha * float(np.mean(kl_divergence(q, p)))
-            dl += alpha * (p - q) / n
+            total += alpha * (float(np.add.reduce(kl_divergence(q, p))) / n)  # the mean
+            kl_grad = np.subtract(p, q)
+            kl_grad *= alpha
+            kl_grad /= n
+            dl += kl_grad
         return total, dl
 
     return loss_fn
@@ -190,15 +198,19 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
                     # the last bit from a block's; such a batch keeps its own pass.
                     logits[start] = forward(teacher, xe[start])
             qe = softmax(logits)
+        # Complementary labels are drawn batch by batch for the NL rows, zero elsewhere.
+        nl_e = ke == _NL
+        has_nl = bool(nl_e.any())
+        comp_e = np.zeros(n, dtype=np.int64)
         losses = []
         try:
             for start in range(0, n, config.batch_size):
                 rows = slice(start, start + config.batch_size)
-                yb, kb = ye[rows], ke[rows]
-                comp = np.zeros(yb.shape[0], dtype=np.int64)
-                nl_mask = kb == _NL
-                if nl_mask.any():
-                    comp[nl_mask] = draw_complementary_labels(yb[nl_mask], k, rng.nl)
+                yb, kb, comp = ye[rows], ke[rows], comp_e[rows]
+                if has_nl:
+                    nl_mask = nl_e[rows]
+                    if nl_mask.any():
+                        comp[nl_mask] = draw_complementary_labels(yb[nl_mask], k, rng.nl)
                 q = qe[rows] if qe is not None else None
                 loss_fn = _mixed_logit_loss(yb, kb, comp, q, config.alpha, config.clip_eps)
                 loss, grads = gradient(loss_fn, params, xe[rows])

@@ -14,6 +14,14 @@ float64 is exact, so both give the same numbers. ``forward`` and
 ``features`` run long inputs in row blocks whose float64 temporaries stay
 at or under 64 KiB, so repeated full-set evaluation reuses warm memory
 instead of faulting in fresh pages.
+
+``Sgd`` also owns one flat float64 gradient buffer, whose views are attached
+as ``ClassifierParams.grads``. ``gradient`` writes each block's gradient
+into its view (``out=`` products and reductions, the same arithmetic as
+fresh arrays), so ``Sgd.step`` reads the buffer without copying. The grads
+that ``gradient`` returns therefore stay valid only until the next
+``gradient`` call on the same parameters; parameters without an ``Sgd``
+get fresh arrays on every call.
 """
 
 import hashlib
@@ -51,13 +59,16 @@ class ClassifierParams:
 
     ``shadow`` is None, or float64 copies of the blocks kept exact by the
     ``Sgd`` that owns their storage; its blocks are then read-only views.
+    ``grads`` is None, or that ``Sgd``'s gradient buffer as one float64 view
+    per block, which ``gradient`` fills.
     """
 
-    __slots__ = ("blocks", "shadow")
+    __slots__ = ("blocks", "shadow", "grads")
 
     def __init__(self, blocks: dict[str, np.ndarray]):
         self.blocks = dict(blocks)
         self.shadow: dict[str, np.ndarray] | None = None
+        self.grads: dict[str, np.ndarray] | None = None
 
     def copy(self) -> "ClassifierParams":
         return ClassifierParams({k: v.copy() for k, v in self.blocks.items()})
@@ -111,15 +122,24 @@ def _weights(params: ClassifierParams) -> dict[str, np.ndarray]:
 
 def _forward_cached(w: dict[str, np.ndarray], x: np.ndarray, cache: list | None = None):
     """(feats, logits) for float64 weights ``w``; appends each layer's input
-    and preact to ``cache`` when one is given."""
+    and, below the feature layer, its ReLU mask ``preact > 0`` to ``cache``
+    when one is given. Biases are added in place."""
     n_layers = (len(w) - 2) // 2
     a = x
     for i in range(n_layers):
-        z = a @ w[f"ext{i}.w"] + w[f"ext{i}.b"]
+        z = a @ w[f"ext{i}.w"]
+        z += w[f"ext{i}.b"]
+        if i == n_layers - 1:  # no ReLU on the feature layer
+            if cache is not None:
+                cache.append((a, None))
+            a = z
+            break
         if cache is not None:
-            cache.append((a, z))
-        a = np.maximum(z, 0.0) if i < n_layers - 1 else z  # no ReLU on the feature layer
-    return a, a @ w["head.w"] + w["head.b"]
+            cache.append((a, z > 0.0))
+        a = np.maximum(z, 0.0, out=z)
+    logits = a @ w["head.w"]
+    logits += w["head.b"]
+    return a, logits
 
 
 def _row_edges(n: int, widest: int) -> list[int]:
@@ -172,7 +192,7 @@ def features_and_logits(params: ClassifierParams, x) -> tuple[np.ndarray, np.nda
 def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max subtraction; rejects non-finite input."""
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("softmax input must be finite")
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -181,10 +201,12 @@ def softmax(logits) -> np.ndarray:
 
 def log_softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("log_softmax input must be finite")
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    lse = np.add.reduce(np.exp(z), axis=-1, keepdims=True)
+    z -= np.log(lse, out=lse)
+    return z
 
 
 def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
@@ -192,7 +214,9 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
 
     ``loss_fn`` maps the (n, K) logit matrix to ``(value, dvalue_dlogits)``;
     the reverse pass distributes dlogits through the architecture. With
-    ``freeze_head`` the head blocks get exactly-zero gradients.
+    ``freeze_head`` the head blocks get exactly-zero gradients. The grads
+    are ``params.grads`` when an ``Sgd`` owns the parameters, so they hold
+    only until the next call on the same parameters.
     """
     xb, _ = _as_batch(params, x)
     w = _weights(params)
@@ -203,23 +227,25 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
         raise FloatingPointError(f"non-finite loss: {loss}")
     dlogits = np.asarray(dlogits, dtype=np.float64)
 
-    grads: dict[str, np.ndarray] = {}
+    grads = params.grads
+    if grads is None:
+        grads = {name: np.empty(block.shape) for name, block in w.items()}
     if freeze_head:
-        grads["head.w"] = np.zeros_like(params.blocks["head.w"], dtype=np.float64)
-        grads["head.b"] = np.zeros_like(params.blocks["head.b"], dtype=np.float64)
+        grads["head.w"].fill(0.0)
+        grads["head.b"].fill(0.0)
     else:
-        grads["head.w"] = feats.T @ dlogits
-        grads["head.b"] = dlogits.sum(axis=0)
-    da = dlogits @ w["head.w"].T
+        np.matmul(feats.T, dlogits, out=grads["head.w"])
+        np.add.reduce(dlogits, axis=0, out=grads["head.b"])
+    dz = dlogits @ w["head.w"].T
 
-    n_layers = params.n_ext_layers
-    for i in reversed(range(n_layers)):
-        a_in, z = cache[i]
-        dz = da if i == n_layers - 1 else da * (z > 0.0)
-        grads[f"ext{i}.w"] = a_in.T @ dz
-        grads[f"ext{i}.b"] = dz.sum(axis=0)
+    for i in reversed(range(len(cache))):
+        a_in, mask = cache[i]
+        if mask is not None:
+            dz *= mask
+        np.matmul(a_in.T, dz, out=grads[f"ext{i}.w"])
+        np.add.reduce(dz, axis=0, out=grads[f"ext{i}.b"])
         if i > 0:
-            da = dz @ w[f"ext{i}.w"].T
+            dz = dz @ w[f"ext{i}.w"].T
     return float(loss), grads
 
 
@@ -228,8 +254,11 @@ class Sgd:
 
     The constructor repacks ``params`` into one flat float32 buffer, trainable
     blocks first so that frozen blocks are an untouched tail, and attaches an
-    exact float64 shadow of it. ``step`` updates both in whole-buffer
-    operations, with the same per-element arithmetic as a per-block update.
+    exact float64 shadow of it and a float64 gradient buffer of the same
+    layout (``params.grads``). ``step`` updates the weights in whole-buffer
+    operations, with the same per-element arithmetic as a per-block update;
+    it reads the gradient buffer in place when given ``params.grads`` and
+    never writes to it.
     """
 
     def __init__(self, params: ClassifierParams, lr: float, momentum: float = 0.9,
@@ -243,37 +272,41 @@ class Sgd:
         self._trainable = [name for name in order if name not in self.frozen]
         flat = np.concatenate([params.blocks[name].reshape(-1) for name in order],
                               dtype=np.float32)
-        shadow = flat.astype(np.float64)
-        views32, views64, offset = {}, {}, 0
+        shadow, grad = flat.astype(np.float64), np.empty(flat.size)
+        views32, views64, grads, offset = {}, {}, {}, 0
         for name in order:
             shape, stop = params.blocks[name].shape, offset + params.blocks[name].size
             views32[name] = flat[offset:stop].reshape(shape)
             views64[name] = shadow[offset:stop].reshape(shape)
+            grads[name] = grad[offset:stop].reshape(shape)
             offset = stop
         for view in (*views32.values(), *views64.values()):
             view.flags.writeable = False
         n = sum(params.blocks[name].size for name in self._trainable)
-        self._w32, self._w64 = flat[:n], shadow[:n]
-        self._grad = np.empty(n)
+        self._w32, self._w64, self._grad = flat[:n], shadow[:n], grad[:n]
+        self._scratch = np.empty(n)
         self.velocity = np.zeros(n)
         params.blocks = {name: views32[name] for name in params.blocks}
         params.shadow = {name: views64[name] for name in params.blocks}
+        params.grads = {name: grads[name] for name in params.blocks}
         self._params = params
 
     def step(self, params: ClassifierParams, grads: dict[str, np.ndarray]) -> None:
         """One update; raises FloatingPointError when a weight leaves the finite range."""
         if params is not self._params:
             raise ValueError("Sgd.step: params are not the ones this optimizer packed")
-        g = np.concatenate([grads[name].reshape(-1) for name in self._trainable],
-                           out=self._grad)
-        v = self.velocity
+        if grads is params.grads:
+            g = self._grad
+        else:
+            g = np.concatenate([grads[name].reshape(-1) for name in self._trainable])
+        v, t = self.velocity, self._scratch
         # A diverging run overflows the float32 cast; the check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             v *= self.momentum
             v += g
-            np.multiply(v, self.lr, out=g)
-            np.subtract(self._w64, g, out=g)
-            self._w32[...] = g
+            np.multiply(v, self.lr, out=t)
+            np.subtract(self._w64, t, out=t)
+            self._w32[...] = t
             self._w64[...] = self._w32
         if not np.isfinite(self._w64).all():
             raise FloatingPointError("non-finite weights after an SGD step")

@@ -8,6 +8,7 @@ row index into its domain's training features, which the buffer references
 and never copies.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,39 +17,91 @@ from .data import Dataset, DomainSequence
 from .nnmodel import ClassifierParams, features
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+_ETA = 2.0 ** -1074  # smallest subnormal float64
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): bounds the relative error of k roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
 # Features near the float64 limit overflow the distances; the diverging run is reported downstream.
 @np.errstate(over="ignore", invalid="ignore")
 def herding_select(feature_vectors, m: int) -> np.ndarray:
     """Greedy pick order keeping the running mean close to the full mean.
 
-    Step j adds the unchosen index minimizing ||mean(all) - mean(chosen+{j})||;
-    ties resolve to the lowest index. Returns indices in pick order.
+    Step s adds the unchosen index minimizing ||mean(all) - mean(chosen+{j})||,
+    evaluated as ``sqrt(add.reduce((mu - (running + x_j) / s) ** 2))``; ties
+    resolve to the lowest index. Returns indices in pick order.
+
+    Each step ranks the unchosen rows, then verifies the few near the
+    minimum. With c = mu - running / s, row i ranks by
+    e_i = ||x_i||^2 - 2 s c . x_i, one matrix-vector product for all rows;
+    e_i + s^2 ||c||^2 is s^2 times its squared distance. Let t_i be that
+    product in exact arithmetic on the stored floats, and g_i s^2 times the
+    exact score's sum of squares. Every squared term of either computation,
+    times s^2, is at most W = (s ||mu|| + ||running|| + max_i ||x_i||)^2,
+    so the standard rounding-error bounds (Higham, "Accuracy and Stability
+    of Numerical Algorithms", ch. 3, gamma_k = k u / (1 - k u)) give
+    |g_i - t_i| <= eps and |e_i + s^2 ||c||^2 - t_i| <= eps with
+    eps = gamma_{d+16} W + (2 s sqrt(W) + 3 s^2) d eta, where eta, the
+    smallest subnormal, covers underflow. A correctly rounded sqrt turns
+    D_a <= D_b into g_a <= (1 + gamma_4) g_b. So the row a of the exact
+    minimum has, for every row b,
+    e_a <= (1 + gamma_4)(e_b + s^2 ||c||^2 + 2 eps) + 2 eps - s^2 ||c||^2,
+    and with b the smallest rank every row within that limit is a
+    candidate. The code doubles eps and takes gamma_8 to cover the rounding
+    of the limit itself. A single candidate is the pick; several are
+    re-scored in the exact arithmetic. When a feature or the limit is not
+    finite, every unchosen row is a candidate. Chosen rows are marked, not
+    removed, so candidates stay in index order and the first minimum among
+    them is the first overall.
     """
     feats = np.asarray(feature_vectors, dtype=np.float64)
-    n = feats.shape[0]
+    n, d = feats.shape
     if m > n:
         raise ValueError(f"cannot select {m} of {n} items")
     mu = feats.mean(axis=0)
-    # The unchosen rows, compacted in index order; a pick shifts the rest up.
-    rows, left = feats.copy(), np.arange(n)
-    work, dists = np.empty_like(feats), np.empty(n)
-    running = np.zeros(feats.shape[1])
+    sq_norms = np.einsum("ij,ij->i", feats, feats)
+    mu_norm = math.sqrt(mu @ mu)
+    max_norm = math.sqrt(sq_norms.max()) if n else 0.0
+    rank_all = not np.isfinite(feats).all()
+    chosen = np.zeros(n, dtype=bool)
+    unranked = sq_norms  # a chosen row's norm becomes +inf, so it never ranks
+    rank = np.empty(n)
+    running = np.zeros(d)
     order = np.empty(m, dtype=np.int64)
     for step in range(1, m + 1):
-        r = n - step + 1
-        cand, dist = work[:r], dists[:r]
-        # ||mu - (running + row) / step|| per row, in np.linalg.norm's arithmetic.
-        np.add(running, rows[:r], out=cand)
-        np.divide(cand, step, out=cand)
-        np.subtract(mu, cand, out=cand)
-        np.multiply(cand, cand, out=cand)
-        np.add.reduce(cand, axis=1, out=dist)
-        np.sqrt(dist, out=dist)
-        j = int(np.argmin(dist))  # first minimum = lowest index (rows stay in index order)
-        order[step - 1] = left[j]
-        running += rows[j]
-        rows[j:r - 1] = rows[j + 1:r]
-        left[j:r - 1] = left[j + 1:r]
+        cand = None
+        if not rank_all:
+            c = mu - running / step
+            np.matmul(feats, c * (2.0 * step), out=rank)
+            np.subtract(unranked, rank, out=rank)
+            offset = step * step * float(c @ c)
+            bound = step * mu_norm + math.sqrt(running @ running) + max_norm
+            bound *= bound
+            margin = 4.0 * (_gamma(d + 16) * bound
+                            + (2.0 * step * math.sqrt(bound) + 3.0 * step * step) * d * _ETA)
+            limit = (float(rank.min()) + offset + margin) * (1.0 + _gamma(8)) + margin - offset
+            if math.isfinite(limit):
+                cand = np.flatnonzero(rank <= limit)
+        if cand is None:
+            cand = np.flatnonzero(~chosen)
+        if cand.size == 1:
+            j = int(cand[0])
+        else:
+            # ||mu - (running + row) / step|| per candidate, in np.linalg.norm's arithmetic.
+            diff = np.add(running, feats[cand])
+            diff /= step
+            np.subtract(mu, diff, out=diff)
+            diff *= diff
+            dist = np.sqrt(np.add.reduce(diff, axis=1))
+            j = int(cand[np.argmin(dist)])  # first minimum = lowest index
+        order[step - 1] = j
+        chosen[j] = True
+        unranked[j] = np.inf
+        running += feats[j]
     return order
 
 
@@ -112,8 +165,11 @@ class ReplayBuffer:
         whose labels are pseudo-labels for every stage after the source.
 
         Raises ``ValueError`` unless each class list holds distinct in-range
-        row indices, no row repeats within a stage, and no list is longer
-        than its class quota after ``len(raw)`` stages at ``capacity``.
+        row indices, no row repeats within a stage, no list is longer than
+        its class quota after ``len(raw)`` stages at ``capacity``, and every
+        row of the source stage carries its list's class. Target stages'
+        rows are not checked against a class: their pseudo-labels are not
+        stored.
         """
         buf = cls(capacity, seq.k)
         quotas = _quotas(capacity, len(raw)) if raw else []
@@ -130,6 +186,8 @@ class ReplayBuffer:
                 if rows.size > quota:
                     raise ValueError(f"buffer stage {i}, class {c} holds {rows.size} rows, "
                                      f"over its quota of {quota}")
+                if i == 0 and np.any(train.labels[rows] != c):
+                    raise ValueError(f"buffer stage 0, class {c} holds rows of another class")
                 store.per_class[c] = rows.astype(np.int64)
             kept = np.concatenate(list(store.per_class.values()))
             if np.unique(kept).size != kept.size:

@@ -273,6 +273,18 @@ def test_malformed_state_is_one_error_line(tmp_path, tiny_config_file, capsys, j
     assert len(errors) == 1 and str(out / "seed7" / "state.json") in errors[0]
 
 
+def test_resume_with_swapped_source_class_lists_exits_2(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "out"
+    run = ["run", "--config", tiny_config_file, "--out", str(out)]
+    assert main(run) == 0
+    STATE_FAULTS["class-lists-swapped"](out / "seed7")
+    capsys.readouterr()
+    assert main(run + ["--resume"]) == 2
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1 and str(out / "seed7" / "state.json") in errors[0]
+    assert "another class" in errors[0]
+
+
 def test_resume_with_repeated_buffer_rows_exits_2(tmp_path, tiny_config_file, capsys,
                                                   monkeypatch):
     """Three copies of stage 0's class-0 rows, after a run stopped at stage 2."""

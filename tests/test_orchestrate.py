@@ -335,6 +335,9 @@ STATE_FAULTS = {
     "class-over-quota": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(
         min(set(range(48)) - {r for rows in p["buffer"][0] for r in rows}))),
     "bool-accuracy": lambda d: _edit_state(d, lambda p: p["dg_rows"][1].__setitem__(0, True)),
+    # Classes 1 and 2 share a quota, so only the source labels tell the swap.
+    "class-lists-swapped": lambda d: _edit_state(
+        d, lambda p: p["buffer"][0].insert(1, p["buffer"][0].pop())),
     "hash-missing": lambda d: _edit_state(d, lambda p: p["sha256"].pop("da")),
     "ckpt-missing": lambda d: os.remove(d / "checkpoints" / "dg_stage2.ckpt"),
     "ckpt-payload-byte": lambda d: _flip_last_byte(d / "checkpoints" / "dg_stage2.ckpt"),

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codag.data import Dataset, SequenceConfig
 from codag.nnmodel import ModelConfig, init_params
@@ -218,3 +220,44 @@ def test_update_buffer_rejects_mismatched_classes(dg_params):
         update_buffer(ReplayBuffer(10, 3), _labeled_domain(20, 5, 6, 0, 1), dg_params)
     with pytest.raises(TypeError):
         update_buffer(ReplayBuffer(10, 5), np.zeros((4, 6)), dg_params)
+
+
+@st.composite
+def buffer_chains(draw):
+    k = draw(st.integers(1, 5))
+    histogram = st.lists(st.integers(0, 12), min_size=k, max_size=k).filter(any)
+    histograms = draw(st.lists(histogram, min_size=1, max_size=5))
+    return draw(st.integers(0, 60)), k, histograms
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(chain=buffer_chains())
+def test_buffer_quotas_over_random_domains_and_class_histograms(chain):
+    """Capacity splits across domains into shares that differ by at most 1,
+    the remainder to the earliest; each (domain, class) keeps what its share
+    allows; and trimming keeps a prefix of the stored order."""
+    capacity, k, histograms = chain
+    rng = np.random.default_rng(len(histograms) * 1000 + capacity)
+    params = init_params(ModelConfig(hidden=(4,), feat_dim=3), 2, k, 0)
+    buf, kept = ReplayBuffer(capacity, k), []
+    for t, counts in enumerate(histograms):
+        labels = rng.permutation(np.repeat(np.arange(k), counts))
+        domain = Dataset(rng.standard_normal((labels.size, 2)), labels, k, domain_id=t,
+                         pseudo=t > 0)
+        buf = update_buffer(buf, domain, params)
+        shares = [capacity // (t + 1) + (i < capacity % (t + 1)) for i in range(t + 1)]
+        assert sum(shares) == capacity and max(shares) - min(shares) <= 1
+        assert shares == sorted(shares, reverse=True)
+        raw = buf.to_dict()
+        assert len(raw) == t + 1 and buf.n_entries <= capacity
+        kept.append([None] * k)
+        for i, (share, classes) in enumerate(zip(shares, raw)):
+            class_shares = [share // k + (c < share % k) for c in range(k)]
+            for c, rows in enumerate(classes):
+                before = kept[i][c]
+                if before is None:  # herded this stage from what the class has
+                    assert len(rows) == min(class_shares[c], histograms[i][c])
+                else:
+                    assert rows == before[:len(rows)]
+                    assert len(rows) == min(class_shares[c], len(before))
+                kept[i][c] = rows
