@@ -144,6 +144,7 @@ def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
             raise FloatingPointError(f"adaptation epoch {epoch}: {exc}") from exc
         if on_epoch is not None:
             on_epoch(epoch, params, float(np.mean(losses)))
+    params.grads = None  # a trained model keeps no gradient buffer
     return params
 
 

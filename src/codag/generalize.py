@@ -220,6 +220,7 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
             raise FloatingPointError(f"DG {phase} phase, epoch {epoch}: {exc}") from exc
         if on_epoch is not None:
             on_epoch(epoch, params, float(np.mean(losses)), phase)
+    params.grads = None  # a trained model keeps no gradient buffer
     return params
 
 

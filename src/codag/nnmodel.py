@@ -129,14 +129,10 @@ def _forward_cached(w: dict[str, np.ndarray], x: np.ndarray, cache: list | None 
     for i in range(n_layers):
         z = a @ w[f"ext{i}.w"]
         z += w[f"ext{i}.b"]
-        if i == n_layers - 1:  # no ReLU on the feature layer
-            if cache is not None:
-                cache.append((a, None))
-            a = z
-            break
+        last = i == n_layers - 1  # no ReLU on the feature layer
         if cache is not None:
-            cache.append((a, z > 0.0))
-        a = np.maximum(z, 0.0, out=z)
+            cache.append((a, None if last else z > 0.0))
+        a = z if last else np.maximum(z, 0.0, out=z)
     logits = a @ w["head.w"]
     logits += w["head.b"]
     return a, logits

@@ -40,10 +40,11 @@ def herding_select(feature_vectors, m: int) -> np.ndarray:
     e_i = ||x_i||^2 - 2 s c . x_i, one matrix-vector product for all rows;
     e_i + s^2 ||c||^2 is s^2 times its squared distance. Let t_i be that
     product in exact arithmetic on the stored floats, and g_i s^2 times the
-    exact score's sum of squares. Every squared term of either computation,
-    times s^2, is at most W = (s ||mu|| + ||running|| + max_i ||x_i||)^2,
-    so the standard rounding-error bounds (Higham, "Accuracy and Stability
-    of Numerical Algorithms", ch. 3, gamma_k = k u / (1 - k u)) give
+    exact score's sum of squares. The rounding errors of both computations
+    scale with the magnitudes s |mu_j| + |running_j| + |x_ij|, whose sum of
+    squares is at most W = (s ||mu|| + ||running|| + max_i ||x_i||)^2, so
+    the standard bounds (Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 3, gamma_k = k u / (1 - k u)) give
     |g_i - t_i| <= eps and |e_i + s^2 ||c||^2 - t_i| <= eps with
     eps = gamma_{d+16} W + (2 s sqrt(W) + 3 s^2) d eta, where eta, the
     smallest subnormal, covers underflow. A correctly rounded sqrt turns
