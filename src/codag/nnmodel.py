@@ -196,10 +196,11 @@ def softmax(logits) -> np.ndarray:
 
 
 def log_softmax(logits) -> np.ndarray:
+    """Row-wise log-softmax, C-contiguous whatever the input's layout."""
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ValueError("log_softmax input must be finite")
-    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    z = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), order="C")
     lse = np.add.reduce(np.exp(z), axis=-1, keepdims=True)
     z -= np.log(lse, out=lse)
     return z

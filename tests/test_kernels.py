@@ -51,22 +51,26 @@ def dg_cases(draw):
 
 
 @PROPERTY
-@given(case=dg_cases())
-def test_dg_loss_matches_oracle_bytes(case):
+@given(case=dg_cases(), fortran=st.booleans())
+def test_dg_loss_matches_oracle_bytes(case, fortran):
     logits, args = case
+    # The losses index flattened probabilities, so a column-major input must
+    # give the row-major result; the oracle sees row-major logits.
+    given_logits = np.asfortranarray(logits) if fortran else logits
     with np.errstate(divide="ignore", invalid="ignore"):  # KL terms of an underflowed p
-        _same(_mixed_logit_loss(*args)(logits), oracle.mixed_logit_loss(*args)(logits))
+        _same(_mixed_logit_loss(*args)(given_logits), oracle.mixed_logit_loss(*args)(logits))
 
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 70), k=st.integers(2, 6),
        scale=st.sampled_from(LOGIT_SCALES), im_weight=st.sampled_from([1.0, 0.7, 0.0]),
-       beta=st.sampled_from([0.3, 1.0, 0.0]))
-def test_im_loss_matches_oracle_bytes(seed, n, k, scale, im_weight, beta):
+       beta=st.sampled_from([0.3, 1.0, 0.0]), fortran=st.booleans())
+def test_im_loss_matches_oracle_bytes(seed, n, k, scale, im_weight, beta, fortran):
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((n, k)) * scale
+    given_logits = np.asfortranarray(logits) if fortran else logits
     pl = rng.integers(0, k, n)
-    _same(_im_pl_logit_loss(pl, im_weight, beta)(logits),
+    _same(_im_pl_logit_loss(pl, im_weight, beta)(given_logits),
           oracle.im_pl_logit_loss(pl, im_weight, beta)(logits))
 
 

@@ -245,9 +245,8 @@ def test_buffer_quotas_over_random_domains_and_class_histograms(chain):
         domain = Dataset(rng.standard_normal((labels.size, 2)), labels, k, domain_id=t,
                          pseudo=t > 0)
         buf = update_buffer(buf, domain, params)
+        # Shares at most 1 apart, the larger ones first; they add up to the capacity.
         shares = [capacity // (t + 1) + (i < capacity % (t + 1)) for i in range(t + 1)]
-        assert sum(shares) == capacity and max(shares) - min(shares) <= 1
-        assert shares == sorted(shares, reverse=True)
         raw = buf.to_dict()
         assert len(raw) == t + 1 and buf.n_entries <= capacity
         kept.append([None] * k)
