@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, iter_batches
+from .data import Dataset
 from .nnmodel import (
-    HEAD_BLOCKS,
     ClassifierParams,
     Sgd,
     features,  # noqa: F401  (unused here; perfbench's span wrappers look it up in this module)
@@ -124,27 +123,30 @@ def _im_pl_logit_loss(pl_labels: np.ndarray, im_weight: float, beta: float):
 def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
                  rng: np.random.Generator, on_epoch=None) -> ClassifierParams:
     """Adapt on unlabeled target data; the head stays bit-identical."""
-    x = target.x
+    x, n = target.x, len(target)
     params = dg_params.copy()
     if config.epochs == 0:
         return params
-    opt = Sgd(params, config.lr, frozen=HEAD_BLOCKS)
+    opt = Sgd(params, config.lr, freeze_head=True)
     pl = centroid_pseudo_labels(params, target)
     for epoch in range(config.epochs):
         if epoch > 0 and epoch % config.pl_refresh_interval == 0:
             pl = centroid_pseudo_labels(params, target)
+        # One shuffle per epoch; the batches are slices of it.
+        perm = rng.permutation(n)
+        xe, ple = x[perm], pl[perm]
         losses = []
         try:
-            for idx in iter_batches(x.shape[0], config.batch_size, rng):
-                loss_fn = _im_pl_logit_loss(pl[idx], config.im_weight, config.pl_weight)
-                loss, grads = gradient(loss_fn, params, x[idx], freeze_head=True)
+            for start in range(0, n, config.batch_size):
+                rows = slice(start, start + config.batch_size)
+                loss_fn = _im_pl_logit_loss(ple[rows], config.im_weight, config.pl_weight)
+                loss, grads = gradient(loss_fn, params, xe[rows], freeze_head=True)
                 opt.step(params, grads)
                 losses.append(loss)
         except FloatingPointError as exc:
             raise FloatingPointError(f"adaptation epoch {epoch}: {exc}") from exc
         if on_epoch is not None:
             on_epoch(epoch, params, float(np.mean(losses)))
-    params.grads = None  # a trained model keeps no gradient buffer
     return params
 
 

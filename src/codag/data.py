@@ -120,13 +120,6 @@ def _n_train(fraction: float, n: int) -> int:
     return n_train
 
 
-def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Index batches over one shuffle of ``range(n)``: a single permutation draw."""
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
 # Parsed domain files, one entry per path: (sha256 of its bytes, k, d, features, labels).
 # The arrays are read-only because every load of that content shares them.
 _parsed_csv: dict[str, tuple[str, int, int, np.ndarray, np.ndarray]] = {}

@@ -5,23 +5,22 @@ analytic gradients survive finite-difference scrutiny, while checkpoints
 stay bit-exact float32. Gradients are computed by an explicit reverse pass;
 losses plug in as ``loss_fn(logits) -> (value, dvalue_dlogits)``.
 
-``Sgd`` owns the storage of the parameters it trains: one flat float32
-buffer, whose read-only views are the blocks, and an exact float64 shadow of
-it that stays attached to the parameters (``ClassifierParams.shadow``).
-``forward``, ``features`` and ``gradient`` read the shadow when there is
-one and widen the blocks once per call when there is not; float32 to
-float64 is exact, so both give the same numbers. ``forward`` and
+Every ``ClassifierParams`` owns its storage. Its constructor packs the
+blocks, in their given order, into one flat buffer whose read-only views are
+the blocks, and builds an exact float64 shadow of it (``shadow``) and a
+float64 gradient buffer of the same layout (``grads``). ``blocks`` is a
+read-only mapping, so changing weights means building a new object.
+``forward``, ``features`` and ``gradient`` read the shadow; float32 to
+float64 is exact, so they compute on the stored weights. ``forward`` and
 ``features`` run long inputs in row blocks whose float64 temporaries stay
 at or under 64 KiB, so repeated full-set evaluation reuses warm memory
 instead of faulting in fresh pages.
 
-``Sgd`` also owns one flat float64 gradient buffer, whose views are attached
-as ``ClassifierParams.grads``. ``gradient`` writes each block's gradient
-into its view (``out=`` products and reductions, the same arithmetic as
-fresh arrays), so ``Sgd.step`` reads the buffer without copying. The grads
-that ``gradient`` returns therefore stay valid only until the next
-``gradient`` call on the same parameters; parameters without an ``Sgd``
-get fresh arrays on every call.
+``gradient`` writes each block's gradient into its view of ``grads``
+(``out=`` products and reductions, the same arithmetic as fresh arrays), so
+``Sgd.step`` reads the buffer without copying. The grads that ``gradient``
+returns therefore stay valid only until the next ``gradient`` call on the
+same parameters.
 """
 
 import hashlib
@@ -29,6 +28,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,21 +57,28 @@ class ModelConfig:
 class ClassifierParams:
     """Ordered named parameter blocks: ext{i}.w / ext{i}.b ... head.w / head.b.
 
-    ``shadow`` is None, or float64 copies of the blocks kept exact by the
-    ``Sgd`` that owns their storage; its blocks are then read-only views.
-    ``grads`` is None, or that ``Sgd``'s gradient buffer as one float64 view
-    per block, which ``gradient`` fills.
+    ``blocks`` are read-only views of one flat buffer whose dtype follows the
+    given blocks; ``shadow`` holds their exact float64 copies and ``grads``
+    the float64 gradient buffer that ``gradient`` fills, each as one view per
+    block in the same layout. All three mappings are read-only.
     """
 
-    __slots__ = ("blocks", "shadow", "grads")
+    __slots__ = ("blocks", "shadow", "grads", "_flat", "_flat64", "_flat_grads")
 
-    def __init__(self, blocks: dict[str, np.ndarray]):
-        self.blocks = dict(blocks)
-        self.shadow: dict[str, np.ndarray] | None = None
-        self.grads: dict[str, np.ndarray] | None = None
+    def __init__(self, blocks):
+        shapes = {name: np.shape(block) for name, block in blocks.items()}
+        self._flat = np.concatenate([np.ravel(block) for block in blocks.values()])
+        self._flat64 = self._flat.astype(np.float64)
+        self._flat_grads = np.empty(self._flat.size)
+        self.blocks = _views(self._flat, shapes, writeable=False)
+        self.shadow = _views(self._flat64, shapes, writeable=False)
+        self.grads = _views(self._flat_grads, shapes, writeable=True)
+
+    def __reduce__(self):  # mapping proxies do not pickle; the copy packs its own storage
+        return ClassifierParams, (dict(self.blocks),)
 
     def copy(self) -> "ClassifierParams":
-        return ClassifierParams({k: v.copy() for k, v in self.blocks.items()})
+        return ClassifierParams(self.blocks)
 
     @property
     def n_ext_layers(self) -> int:
@@ -84,6 +91,17 @@ class ClassifierParams:
     @property
     def n_classes(self) -> int:
         return self.blocks["head.w"].shape[1]
+
+
+def _views(flat: np.ndarray, shapes: dict, writeable: bool) -> MappingProxyType:
+    """One view of ``flat`` per block, packed in order."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        stop = offset + int(np.prod(shape, dtype=np.int64))
+        views[name] = flat[offset:stop].reshape(shape)
+        views[name].flags.writeable = writeable
+        offset = stop
+    return MappingProxyType(views)
 
 
 def init_params(config: ModelConfig, d: int, k: int, seed) -> ClassifierParams:
@@ -113,14 +131,7 @@ def _as_batch(params: ClassifierParams, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _weights(params: ClassifierParams) -> dict[str, np.ndarray]:
-    """float64 blocks: the optimizer's shadow, or one conversion per call."""
-    if params.shadow is not None:
-        return params.shadow
-    return {name: block.astype(np.float64) for name, block in params.blocks.items()}
-
-
-def _forward_cached(w: dict[str, np.ndarray], x: np.ndarray, cache: list | None = None):
+def _forward_cached(w, x: np.ndarray, cache: list | None = None):
     """(feats, logits) for float64 weights ``w``; appends each layer's input
     and, below the feature layer, its ReLU mask ``preact > 0`` to ``cache``
     when one is given. Biases are added in place."""
@@ -154,7 +165,7 @@ def _row_edges(n: int, widest: int) -> list[int]:
 def _blocked(params: ClassifierParams, x, keep_feats: bool):
     """(features or None, logits) from one row-blocked pass over ``x``."""
     xb, single = _as_batch(params, x)
-    w = _weights(params)
+    w = params.shadow
     feat_dim, k = w["head.w"].shape
     feats_out = np.empty((xb.shape[0], feat_dim)) if keep_feats else None
     logits_out = np.empty((xb.shape[0], k))
@@ -212,11 +223,11 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
     ``loss_fn`` maps the (n, K) logit matrix to ``(value, dvalue_dlogits)``;
     the reverse pass distributes dlogits through the architecture. With
     ``freeze_head`` the head blocks get exactly-zero gradients. The grads
-    are ``params.grads`` when an ``Sgd`` owns the parameters, so they hold
-    only until the next call on the same parameters.
+    are ``params.grads``, so they hold only until the next call on the same
+    parameters.
     """
     xb, _ = _as_batch(params, x)
-    w = _weights(params)
+    w = params.shadow
     cache = []
     feats, logits = _forward_cached(w, xb, cache)
     loss, dlogits = loss_fn(logits)
@@ -225,8 +236,6 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
     dlogits = np.asarray(dlogits, dtype=np.float64)
 
     grads = params.grads
-    if grads is None:
-        grads = {name: np.empty(block.shape) for name, block in w.items()}
     if freeze_head:
         grads["head.w"].fill(0.0)
         grads["head.b"].fill(0.0)
@@ -247,60 +256,41 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
 
 
 class Sgd:
-    """SGD with momentum. Frozen blocks are never touched, bit for bit.
+    """SGD with momentum over the parameters' own flat buffers.
 
-    The constructor repacks ``params`` into one flat float32 buffer, trainable
-    blocks first so that frozen blocks are an untouched tail, and attaches an
-    exact float64 shadow of it and a float64 gradient buffer of the same
-    layout (``params.grads``). ``step`` updates the weights in whole-buffer
-    operations, with the same per-element arithmetic as a per-block update;
-    it reads the gradient buffer in place when given ``params.grads`` and
-    never writes to it.
+    ``step`` updates the weights and their shadow in whole-buffer operations,
+    with the same per-element arithmetic as a per-block update, reading
+    ``params.grads`` in place and never writing to it. With ``freeze_head``
+    only the blocks before ``head.w`` and ``head.b``, which must be the last
+    two, are trained; the head is never touched, bit for bit.
     """
 
     def __init__(self, params: ClassifierParams, lr: float, momentum: float = 0.9,
-                 frozen: tuple[str, ...] = ()):
+                 freeze_head: bool = False):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
+        n = params._flat.size
+        if freeze_head:
+            if tuple(params.blocks)[-2:] != HEAD_BLOCKS:
+                raise ValueError("freeze_head needs head.w and head.b as the last two blocks")
+            n -= sum(params.blocks[name].size for name in HEAD_BLOCKS)
         self.lr = lr
         self.momentum = momentum
-        self.frozen = frozenset(frozen)
-        order = sorted(params.blocks, key=lambda name: name in self.frozen)
-        self._trainable = [name for name in order if name not in self.frozen]
-        flat = np.concatenate([params.blocks[name].reshape(-1) for name in order],
-                              dtype=np.float32)
-        shadow, grad = flat.astype(np.float64), np.empty(flat.size)
-        views32, views64, grads, offset = {}, {}, {}, 0
-        for name in order:
-            shape, stop = params.blocks[name].shape, offset + params.blocks[name].size
-            views32[name] = flat[offset:stop].reshape(shape)
-            views64[name] = shadow[offset:stop].reshape(shape)
-            grads[name] = grad[offset:stop].reshape(shape)
-            offset = stop
-        for view in (*views32.values(), *views64.values()):
-            view.flags.writeable = False
-        n = sum(params.blocks[name].size for name in self._trainable)
-        self._w32, self._w64, self._grad = flat[:n], shadow[:n], grad[:n]
+        self._params = params
+        self._w32, self._w64 = params._flat[:n], params._flat64[:n]
+        self._grad = params._flat_grads[:n]
         self._scratch = np.empty(n)
         self.velocity = np.zeros(n)
-        params.blocks = {name: views32[name] for name in params.blocks}
-        params.shadow = {name: views64[name] for name in params.blocks}
-        params.grads = {name: grads[name] for name in params.blocks}
-        self._params = params
 
-    def step(self, params: ClassifierParams, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: ClassifierParams, grads) -> None:
         """One update; raises FloatingPointError when a weight leaves the finite range."""
-        if params is not self._params:
-            raise ValueError("Sgd.step: params are not the ones this optimizer packed")
-        if grads is params.grads:
-            g = self._grad
-        else:
-            g = np.concatenate([grads[name].reshape(-1) for name in self._trainable])
+        if params is not self._params or grads is not params.grads:
+            raise ValueError("Sgd.step takes the packed params it was built on and their grads")
         v, t = self.velocity, self._scratch
         # A diverging run overflows the float32 cast; the check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             v *= self.momentum
-            v += g
+            v += self._grad
             np.multiply(v, self.lr, out=t)
             np.subtract(self._w64, t, out=t)
             self._w32[...] = t
@@ -385,7 +375,7 @@ def load_checkpoint(path, sha256: str | None = None) -> ClassifierParams:
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: truncated payload at {name}")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        blocks[name] = arr.astype(np.float32).reshape(shape)
+        blocks[name] = arr.reshape(shape)
         expected = offset + nbytes
     if expected != len(payload):
         raise CheckpointError(f"{path}: trailing bytes in payload")

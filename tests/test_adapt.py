@@ -230,9 +230,8 @@ def test_pseudo_labels_invariant_under_monotone_logit_transform():
     x = np.random.default_rng(4).standard_normal((30, 5))
     ds = Dataset(x, None, 4, domain_id=1)
     base = generate_pseudo_labels(params, ds).labels
-    scaled = params.copy()
-    scaled.blocks["head.w"] = scaled.blocks["head.w"] * np.float32(2.0)
-    scaled.blocks["head.b"] = scaled.blocks["head.b"] * np.float32(2.0)
+    scaled = ClassifierParams({name: block * np.float32(2.0) if name.startswith("head") else block
+                               for name, block in params.blocks.items()})
     np.testing.assert_array_equal(
         generate_pseudo_labels(scaled, ds).labels, base
     )

@@ -4,7 +4,6 @@ import pytest
 from codag.augment import AugmentConfig, randmix
 from codag.data import Dataset
 from codag import generalize
-from codag.data import iter_batches
 from codag.generalize import (
     _CE,
     _NL,
@@ -379,7 +378,9 @@ def per_batch_train_dg(params0, x, y, is_pseudo, teacher, config, aug, rng):
         elif phase == PHASE_SELPL:
             confident = select_confident(params, x[is_pseudo], config.pl_conf_threshold)
             kinds[is_pseudo] = np.where(confident, _CE, _SKIP)
-        for idx in iter_batches(len(x), config.batch_size, rng.shuffle):
+        perm = rng.shuffle.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            idx = perm[start:start + config.batch_size]
             xb = x[idx]
             if aug is not None:
                 xb = randmix(xb, aug, rng.aug)

@@ -28,16 +28,25 @@ from codag.nnmodel import (
 def small_params(seed=1, d=4, k=3, hidden=(6,), feat_dim=5, float64=False):
     params = init_params(ModelConfig(hidden=hidden, feat_dim=feat_dim), d, k, seed)
     if float64:
-        for name in params.blocks:
-            params.blocks[name] = params.blocks[name].astype(np.float64)
+        return ClassifierParams({name: block.astype(np.float64)
+                                 for name, block in params.blocks.items()})
     return params
+
+
+def assert_owns_exact_shadow(params):
+    """``shadow`` equals the widened blocks; blocks, shadow and grads share no memory."""
+    for name, block in params.blocks.items():
+        assert params.shadow[name].tobytes() == block.astype(np.float64).tobytes(), name
+    storage = [*params.blocks.values(), *params.shadow.values(), *params.grads.values()]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(storage)
+                   for b in storage[i + 1:])
 
 
 def test_init_determinism_and_bounds():
     a = init_params(ModelConfig(), 3, 2, 42)
     b = init_params(ModelConfig(), 3, 2, 42)
     assert a.blocks.keys() == b.blocks.keys()
-    assert a.shadow is None
+    assert_owns_exact_shadow(a)
     for name in a.blocks:
         np.testing.assert_array_equal(a.blocks[name], b.blocks[name])
     for name, block in a.blocks.items():
@@ -50,9 +59,8 @@ def test_init_determinism_and_bounds():
 
 
 def test_forward_zero_params_gives_zero_logits():
-    params = small_params()
-    for name in params.blocks:
-        params.blocks[name] = np.zeros_like(params.blocks[name])
+    params = ClassifierParams({name: np.zeros_like(block)
+                               for name, block in small_params().blocks.items()})
     out = forward(params, np.ones(4))
     np.testing.assert_array_equal(out, np.zeros(3))
 
@@ -125,10 +133,8 @@ def test_row_blocked_forward_equals_single_pass():
 
 
 def test_features_zero_extractor():
-    params = small_params()
-    for name in params.blocks:
-        if name.startswith("ext"):
-            params.blocks[name] = np.zeros_like(params.blocks[name])
+    params = ClassifierParams({name: np.zeros_like(block) if name.startswith("ext") else block
+                               for name, block in small_params().blocks.items()})
     np.testing.assert_array_equal(features(params, np.ones(4)), np.zeros(5))
 
 
@@ -146,19 +152,20 @@ def test_softmax_basics():
         softmax([np.inf, 0.0])
 
 
+def _moved(params, name, idx, step):
+    """New parameters with ``step`` added to one entry of block ``name``."""
+    block = params.blocks[name].copy()
+    block[idx] += step
+    return ClassifierParams({**params.blocks, name: block})
+
+
 def fd_gradient(loss_fn, params, x, h=1e-5):
     grads = {}
     for name, block in params.blocks.items():
         g = np.zeros_like(block)
-        it = np.nditer(block, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = block[idx]
-            block[idx] = orig + h
-            lp, _ = loss_fn(np.atleast_2d(forward(params, x)))
-            block[idx] = orig - h
-            lm, _ = loss_fn(np.atleast_2d(forward(params, x)))
-            block[idx] = orig
+        for idx in np.ndindex(block.shape):
+            lp, lm = (loss_fn(np.atleast_2d(forward(_moved(params, name, idx, step), x)))[0]
+                      for step in (h, -h))
             g[idx] = (lp - lm) / (2 * h)
         grads[name] = g
     return grads
@@ -247,10 +254,11 @@ def test_non_finite_loss_raises(fd_setup):
 def test_sgd_leaves_frozen_blocks_bit_identical():
     params = small_params(seed=9)
     before = {name: block.copy() for name, block in params.blocks.items()}
-    opt = Sgd(params, lr=0.1, frozen=("head.w", "head.b"))
-    grads = {name: np.ones_like(block, dtype=np.float64) for name, block in params.blocks.items()}
+    opt = Sgd(params, lr=0.1, freeze_head=True)
+    for grad in params.grads.values():
+        grad.fill(1.0)
     for _ in range(3):
-        opt.step(params, grads)
+        opt.step(params, params.grads)
     assert params.blocks["head.w"].tobytes() == before["head.w"].tobytes()
     assert params.blocks["head.b"].tobytes() == before["head.b"].tobytes()
     assert not np.array_equal(params.blocks["ext0.w"], before["ext0.w"])
@@ -264,7 +272,7 @@ def test_sgd_shadow_and_flat_update_match_per_block_oracle(frozen):
     velocity = {name: np.zeros(block.shape) for name, block in oracle.items()
                 if name not in frozen}
     lr, momentum = 0.05, 0.9
-    opt = Sgd(params, lr, momentum, frozen=frozen)
+    opt = Sgd(params, lr, momentum, freeze_head=bool(frozen))
     rng = np.random.default_rng(8)
     for _ in range(50):
         x = rng.standard_normal((64, 16))
@@ -293,9 +301,54 @@ def test_sgd_shadow_and_flat_update_match_per_block_oracle(frozen):
         opt.step(params.copy(), grads)
 
     clone = params.copy()
-    assert clone.shadow is None
+    assert_owns_exact_shadow(clone)
     owned = [*params.blocks.values(), *params.shadow.values()]
     assert not any(np.shares_memory(a, b) for a in clone.blocks.values() for b in owned)
+
+
+def test_every_params_object_owns_its_storage(tmp_path):
+    """init_params, load_checkpoint and copy() each give packed parameters
+    with an exact shadow and buffers of their own; blocks and their mapping
+    are read-only, grads are never shared, and Sgd refuses foreign grads."""
+    params = init_params(ModelConfig(), 16, 5, 6)
+    save_checkpoint(params, tmp_path / "model.ckpt")
+    loaded, clone = load_checkpoint(tmp_path / "model.ckpt"), params.copy()
+    made = [params, loaded, clone]
+    for p in made:
+        assert_owns_exact_shadow(p)
+        assert p.blocks["ext0.w"].dtype == np.float32
+    for i, a in enumerate(made):
+        for b in made[i + 1:]:
+            assert not any(np.shares_memory(u, v)
+                           for view in ("blocks", "shadow", "grads")
+                           for u in getattr(a, view).values()
+                           for v in getattr(b, view).values())
+
+    with pytest.raises(ValueError, match="read-only"):
+        params.blocks["ext0.w"][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.shadow["head.b"][0] = 1.0
+    for view in ("blocks", "shadow", "grads"):
+        with pytest.raises(TypeError):
+            getattr(params, view)["head.b"] = np.zeros(5, dtype=np.float32)
+
+    x = np.random.default_rng(0).standard_normal((32, 16))
+    loss_fn = _mixed_logit_loss(np.arange(32) % 5, np.full(32, _CE), None, None, 0.0, 1e-7)
+    _, grads = gradient(loss_fn, params, x)
+    assert grads is params.grads
+    before = {name: g.copy() for name, g in grads.items()}
+    _, other = gradient(loss_fn, clone, x[::-1])
+    assert other is clone.grads
+    assert all(grads[name].tobytes() == before[name].tobytes() for name in grads)
+
+    opt = Sgd(params, 0.1)
+    for foreign in ({name: g.copy() for name, g in grads.items()}, clone.grads):
+        with pytest.raises(ValueError, match="packed"):
+            opt.step(params, foreign)
+    head_first = ClassifierParams({name: params.blocks[name]
+                                   for name in [*HEAD_BLOCKS, *list(params.blocks)[:-2]]})
+    with pytest.raises(ValueError, match="last two"):
+        Sgd(head_first, 0.1, freeze_head=True)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -304,7 +357,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert loaded.blocks.keys() == params.blocks.keys()
-    assert loaded.shadow is None
+    assert_owns_exact_shadow(loaded)
     for name in params.blocks:
         assert loaded.blocks[name].dtype == np.float32
         assert loaded.blocks[name].tobytes() == params.blocks[name].tobytes()
