@@ -308,12 +308,18 @@ _STATE_FIELDS = {"version": int, "digest": str, "next_stage": int, "dg_rows": li
                  "da_rows": list, "buffer": list, "sha256": dict}
 
 
+def _layout(params: ClassifierParams) -> str:
+    """Block names, order and shapes, as one line."""
+    return ", ".join(f"{name}{list(block.shape)}" for name, block in params.blocks.items())
+
+
 def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
                       config: ExperimentConfig) -> None:
     """Advance the fresh ``state`` to the last stage committed under ``seed_dir``.
 
     Everything but the file's accuracy rows, buffer rows and checkpoint
-    hashes comes from ``state``, ``seq`` and ``config``. Raises
+    hashes comes from ``state``, ``seq`` and ``config``; each checkpoint's
+    block names, order and shapes must be those of ``config.model``. Raises
     ``RunStateError``, naming the state file, for anything malformed, and
     naming both digests when the state belongs to another config or data.
     """
@@ -352,9 +358,14 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
             roles.append("da")
         if set(payload["sha256"]) != set(roles):
             raise ValueError(f"sha256 must name the checkpoints {roles}")
+        layout = _layout(init_params(config.model, seq.d, seq.k, 0))
         for role in roles:
             ckpt = os.path.join(seed_dir, _ckpt_name(role, next_stage - 1))
-            setattr(state, f"{role}_params", load_checkpoint(ckpt, payload["sha256"][role]))
+            params = load_checkpoint(ckpt, payload["sha256"][role])
+            if _layout(params) != layout:
+                raise ValueError(f"{ckpt}: blocks {_layout(params)} do not match the "
+                                 f"model's {layout}")
+            setattr(state, f"{role}_params", params)
         state.curves = CurveLog([rec for rec in CurveLog.load_csv(
             os.path.join(seed_dir, "curves.csv")).records if rec[0] < next_stage])
         state.next_stage = next_stage

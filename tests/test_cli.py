@@ -285,9 +285,8 @@ def test_resume_with_swapped_source_class_lists_exits_2(tmp_path, tiny_config_fi
     assert "another class" in errors[0]
 
 
-def test_resume_with_repeated_buffer_rows_exits_2(tmp_path, tiny_config_file, capsys,
-                                                  monkeypatch):
-    """Three copies of stage 0's class-0 rows, after a run stopped at stage 2."""
+def _run_stopped_at_stage_2(run, monkeypatch):
+    """``main(run)`` with stage 2 interrupted, so stages 0 and 1 are committed."""
     run_stage = orchestrate.run_stage
 
     def stop_at_stage_2(state, t, seq, config):
@@ -295,11 +294,17 @@ def test_resume_with_repeated_buffer_rows_exits_2(tmp_path, tiny_config_file, ca
             raise RuntimeError("interrupted")
         return run_stage(state, t, seq, config)
 
-    out = tmp_path / "out"
-    run = ["run", "--config", tiny_config_file, "--out", str(out)]
     monkeypatch.setattr(orchestrate, "run_stage", stop_at_stage_2)
     assert main(run) == 1
     monkeypatch.undo()
+
+
+def test_resume_with_repeated_buffer_rows_exits_2(tmp_path, tiny_config_file, capsys,
+                                                  monkeypatch):
+    """Three copies of stage 0's class-0 rows, after a run stopped at stage 2."""
+    out = tmp_path / "out"
+    run = ["run", "--config", tiny_config_file, "--out", str(out)]
+    _run_stopped_at_stage_2(run, monkeypatch)
     state_path = out / "seed7" / "state.json"
     payload = json.loads(state_path.read_text())
     assert payload["next_stage"] == 2
@@ -309,6 +314,23 @@ def test_resume_with_repeated_buffer_rows_exits_2(tmp_path, tiny_config_file, ca
     assert main(run + ["--resume"]) == 2
     errors = _error_lines(capsys.readouterr().err)
     assert len(errors) == 1 and str(state_path) in errors[0] and "quota" in errors[0]
+
+
+@pytest.mark.parametrize("fault", ["ckpt-block-renamed-rehashed",
+                                   "ckpt-blocks-reordered-rehashed", "ckpt-width-rehashed"])
+def test_resume_with_foreign_checkpoint_layout_exits_2(tmp_path, tiny_config_file, capsys,
+                                                       monkeypatch, fault):
+    """A stage-1 checkpoint whose blocks do not fit the model, its sha256
+    rewritten in state.json, after a run stopped at stage 2."""
+    out = tmp_path / "out"
+    run = ["run", "--config", tiny_config_file, "--out", str(out)]
+    _run_stopped_at_stage_2(run, monkeypatch)
+    STATE_FAULTS[fault](out / "seed7")
+    capsys.readouterr()
+    assert main(run + ["--resume"]) == 2
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1 and str(out / "seed7" / "state.json") in errors[0]
+    assert "dg_stage1.ckpt" in errors[0] and "do not match" in errors[0]
 
 
 def test_resume_with_changed_csv_data_exits_2(tmp_path, tiny_config_file, capsys):

@@ -10,7 +10,14 @@ from codag.adapt import AdaptConfig
 from codag.augment import AugmentConfig
 from codag.data import HiddenLabelsError, SequenceConfig
 from codag.generalize import DGConfig, train_dg_source
-from codag.nnmodel import ModelConfig, init_params
+from codag.nnmodel import (
+    HEAD_BLOCKS,
+    ClassifierParams,
+    ModelConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from codag.orchestrate import (
     VARIANTS,
     ExperimentConfig,
@@ -305,6 +312,23 @@ def _flip_last_byte(path):
     path.write_bytes(bytes(blob))
 
 
+def _rehashed_dg_checkpoint(seed_dir, edit):
+    """Rewrite the last DG checkpoint with ``edit(blocks)`` and record its new sha256."""
+    state_path = seed_dir / "state.json"
+    payload = json.loads(state_path.read_text())
+    path = seed_dir / "checkpoints" / f"dg_stage{payload['next_stage'] - 1}.ckpt"
+    save_checkpoint(ClassifierParams(edit(dict(load_checkpoint(path).blocks))), path)
+    payload["sha256"]["dg"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    state_path.write_text(json.dumps(payload))
+
+
+def _one_more_hidden_unit(blocks):
+    """The same function through a zero unit added to the hidden layer."""
+    return {**blocks, "ext0.w": np.pad(blocks["ext0.w"], ((0, 0), (0, 1))),
+            "ext0.b": np.pad(blocks["ext0.b"], (0, 1)),
+            "ext1.w": np.pad(blocks["ext1.w"], ((0, 1), (0, 0)))}
+
+
 # Each fault edits the state of a finished 3-stage codag run on tiny_config.
 STATE_FAULTS = {
     "truncated": lambda d: (d / "state.json").write_text((d / "state.json").read_text()[:300]),
@@ -343,6 +367,12 @@ STATE_FAULTS = {
     "ckpt-payload-byte": lambda d: _flip_last_byte(d / "checkpoints" / "dg_stage2.ckpt"),
     "ckpt-block-name": lambda d: _patch_file(d / "checkpoints" / "da_stage2.ckpt",
                                              b'"ext0.w"', b'"ext0/w"'),
+    # Checkpoints whose blocks do not fit the model, with state.json's sha256 rewritten.
+    "ckpt-block-renamed-rehashed": lambda d: _rehashed_dg_checkpoint(
+        d, lambda b: {"ext0/w" if name == "ext0.w" else name: v for name, v in b.items()}),
+    "ckpt-blocks-reordered-rehashed": lambda d: _rehashed_dg_checkpoint(
+        d, lambda b: {**{name: b[name] for name in HEAD_BLOCKS}, **b}),
+    "ckpt-width-rehashed": lambda d: _rehashed_dg_checkpoint(d, _one_more_hidden_unit),
     "no-curves": lambda d: os.remove(d / "curves.csv"),
     "empty-curves": lambda d: (d / "curves.csv").write_text(""),
 }
