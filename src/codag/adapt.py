@@ -127,7 +127,7 @@ def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
     params = dg_params.copy()
     if config.epochs == 0:
         return params
-    opt = Sgd(params, config.lr, freeze_head=True)
+    opt = Sgd(params, config.lr)
     pl = centroid_pseudo_labels(params, target)
     for epoch in range(config.epochs):
         if epoch > 0 and epoch % config.pl_refresh_interval == 0:

@@ -237,8 +237,8 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
 
     grads = params.grads
     if freeze_head:
-        grads["head.w"].fill(0.0)
-        grads["head.b"].fill(0.0)
+        for name in HEAD_BLOCKS:
+            grads[name].fill(0.0)
     else:
         np.matmul(feats.T, dlogits, out=grads["head.w"])
         np.add.reduce(dlogits, axis=0, out=grads["head.b"])
@@ -260,27 +260,21 @@ class Sgd:
 
     ``step`` updates the weights and their shadow in whole-buffer operations,
     with the same per-element arithmetic as a per-block update, reading
-    ``params.grads`` in place and never writing to it. With ``freeze_head``
-    only the blocks before ``head.w`` and ``head.b``, which must be the last
-    two, are trained; the head is never touched, bit for bit.
+    ``params.grads`` in place and never writing to it. A block whose grads
+    are always exactly zero (the head under ``gradient(..., freeze_head=True)``)
+    keeps a zero velocity, so every step leaves it bit-identical.
     """
 
-    def __init__(self, params: ClassifierParams, lr: float, momentum: float = 0.9,
-                 freeze_head: bool = False):
+    def __init__(self, params: ClassifierParams, lr: float, momentum: float = 0.9):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        n = params._flat.size
-        if freeze_head:
-            if tuple(params.blocks)[-2:] != HEAD_BLOCKS:
-                raise ValueError("freeze_head needs head.w and head.b as the last two blocks")
-            n -= sum(params.blocks[name].size for name in HEAD_BLOCKS)
         self.lr = lr
         self.momentum = momentum
         self._params = params
-        self._w32, self._w64 = params._flat[:n], params._flat64[:n]
-        self._grad = params._flat_grads[:n]
-        self._scratch = np.empty(n)
-        self.velocity = np.zeros(n)
+        self._w32, self._w64 = params._flat, params._flat64
+        self._grad = params._flat_grads
+        self._scratch = np.empty(params._flat.size)
+        self.velocity = np.zeros(params._flat.size)
 
     def step(self, params: ClassifierParams, grads) -> None:
         """One update; raises FloatingPointError when a weight leaves the finite range."""

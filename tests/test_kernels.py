@@ -82,14 +82,15 @@ def test_im_loss_matches_oracle_bytes(seed, n, k, scale, im_weight, beta, fortra
 def test_gradient_matches_oracle_bytes(seed, hidden, rows, freeze_head, loss, owned):
     """Value and every block's gradient, for 1-3 hidden layers, one-row
     batches and a frozen head, with and without an ``Sgd`` stepping on the
-    gradient buffer; then two steps on the buffer equal the per-block update
-    and leave the buffer as it was."""
+    gradient buffer; then two steps on the buffer equal the per-block update,
+    leave a frozen head as it was and leave the buffer as it was."""
     rng = np.random.default_rng(seed)
     d, k = 5, 4
     params = init_params(ModelConfig(hidden=tuple(hidden), feat_dim=6), d, k, seed % 1000)
+    freeze_head = freeze_head or owned == "frozen-sgd"
     if owned != "none":
-        frozen = HEAD_BLOCKS if owned == "frozen-sgd" else ()
-        opt = Sgd(params, 0.05, freeze_head=bool(frozen))
+        frozen = HEAD_BLOCKS if freeze_head else ()
+        opt = Sgd(params, 0.05)
         expected = {name: block.copy() for name, block in params.blocks.items()}
         velocity = {name: np.zeros(block.shape) for name, block in expected.items()
                     if name not in frozen}
