@@ -13,6 +13,7 @@ import hashlib
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,15 +141,53 @@ def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
     hit = _parsed_csv.get(key)
     if hit is not None and hit[:3] == (digest, k, d):
         return Dataset(hit[3], hit[4], k, domain_id=domain_id)
-    x, labels = _parse_csv(blob.decode("utf-8"), path, k, d)
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+    x, labels = _parse_csv(text, path, k, d)
     ds = Dataset(x, labels, k, domain_id=domain_id)
     x.flags.writeable = labels.flags.writeable = False
     _parsed_csv[key] = (digest, k, d, x, labels)
     return ds
 
 
+# A quote lets a csv record span lines, and numpy strips these four ASCII
+# separators as whitespace where float() and int() refuse them.
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+
+
 def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (features, labels) of a domain file's text; errors name ``path`` and the line."""
+    """Validated (features, labels) of a domain file's text; errors name ``path`` and the line.
+
+    A plain file is read by numpy's C reader, which parses floats with the same
+    routine as float(). Anything it refuses or that fails a check goes to the
+    line parser, which gives every error.
+    """
+    # csv ends the first record at a bare CR, but skiprows=1 skips to the first LF.
+    lf = text.find("\n")
+    if not any(c in text for c in _NOT_PLAIN) and text.find("\r", 0, lf) in (-1, lf - 1):
+        # A blank first record reads as a header too, and both parsers skip it.
+        first = next(csv.reader(io.StringIO(text, newline="")), [])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. "input contained no data"
+                table = np.loadtxt(io.StringIO(text), dtype=[("x", "f8", (d,)), ("y", "i8")],
+                                   delimiter=",", comments=None, ndmin=1,
+                                   skiprows=int(_looks_like_header(first)))
+        except Exception:
+            pass
+        else:
+            x, labels = np.ascontiguousarray(table["x"]), np.ascontiguousarray(table["y"])
+            if (len(labels) and np.isfinite(x).all()
+                    and 0 <= labels.min() and labels.max() < k):
+                return x, labels
+    return _parse_lines(text, path, k, d)
+
+
+def _parse_lines(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_parse_csv`` one csv record at a time: the parser that names a bad line."""
     rows: list[list[float]] = []
     labels: list[int] = []
     linenos: list[int] = []

@@ -360,6 +360,8 @@ def load_checkpoint(path, sha256: str | None = None) -> ClassifierParams:
         if not (isinstance(name, str) and type(offset) is int
                 and all(type(dim) is int and dim >= 0 for dim in shape)):
             raise CheckpointError(f"{path}: malformed tensor entry {name!r}")
+        if name in blocks:
+            raise CheckpointError(f"{path}: tensor {name} appears twice")
         if dtype != "f32":
             raise CheckpointError(f"{path}: unsupported dtype {dtype!r} for {name}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import codag
+import codag.data as data
 import codag.orchestrate as orchestrate
 from codag.cli import CliError, build_config, main
 from codag.orchestrate import ExperimentConfig, config_from_dict
@@ -333,12 +335,16 @@ def test_resume_with_foreign_checkpoint_layout_exits_2(tmp_path, tiny_config_fil
     assert "dg_stage1.ckpt" in errors[0] and "do not match" in errors[0]
 
 
-def test_resume_with_changed_csv_data_exits_2(tmp_path, tiny_config_file, capsys):
+def _csv_run(tmp_path, config_file) -> tuple:
+    """gen-data's folder for ``config_file`` and the ``codag run`` arguments that read it."""
     data_dir = tmp_path / "domains"
-    assert main(["gen-data", "--config", tiny_config_file, "--out", str(data_dir)]) == 0
-    out = tmp_path / "out"
-    run = ["run", "--config", tiny_config_file, "--override", "sequence.kind=csv-folder",
-           "--override", f"sequence.path={data_dir}", "--out", str(out)]
+    assert main(["gen-data", "--config", config_file, "--out", str(data_dir)]) == 0
+    return data_dir, ["run", "--config", config_file, "--override", "sequence.kind=csv-folder",
+                      "--override", f"sequence.path={data_dir}", "--out", str(tmp_path / "out")]
+
+
+def test_resume_with_changed_csv_data_exits_2(tmp_path, tiny_config_file, capsys):
+    data_dir, run = _csv_run(tmp_path, tiny_config_file)
     assert main(run) == 0
     assert main(run + ["--resume"]) == 0  # same config, same data
     domain = data_dir / "domain_02.csv"
@@ -349,6 +355,31 @@ def test_resume_with_changed_csv_data_exits_2(tmp_path, tiny_config_file, capsys
     assert main(run + ["--resume"]) == 2
     errors = _error_lines(capsys.readouterr().err)
     assert len(errors) == 1 and "digest" in errors[0]
+
+
+def test_non_utf8_csv_is_one_error_line(tmp_path, tiny_config_file, capsys):
+    data_dir, run = _csv_run(tmp_path, tiny_config_file)
+    domain = data_dir / "domain_02.csv"
+    blob = domain.read_bytes()
+    at = blob.index(b"\r\n", blob.index(b"\r\n") + 2) + 3  # the second byte of line 3
+    domain.write_bytes(blob[:at] + b"\xff" + blob[at:])
+    capsys.readouterr()
+    assert main(run) == 1
+    errors = _error_lines(capsys.readouterr().err)
+    assert errors == [f"error: {domain}: line 3: not UTF-8 text"]
+
+
+@pytest.mark.parametrize("content", [b"", b"f0,f1,f2,f3,label\r\n"], ids=["empty", "header-only"])
+def test_csv_without_rows_is_one_error_line(tmp_path, tiny_config_file, capsys, content):
+    data_dir, run = _csv_run(tmp_path, tiny_config_file)
+    domain = data_dir / "domain_01.csv"
+    domain.write_bytes(content)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(run) == 1
+    assert caught == []  # numpy's "input contained no data" stays inside the parser
+    assert capsys.readouterr().err == f"error: {domain}: no data rows\n"
 
 
 def _run_child(code: str, **env_vars) -> str:
@@ -404,23 +435,29 @@ def test_env_seed_overrides_seed_list(tmp_path, tiny_config_file, monkeypatch):
     assert list(res["per_seed"]) == ["11"]
 
 
-def test_gen_data_roundtrips_through_csv(tmp_path, tiny_config_file):
+def test_gen_data_roundtrips_through_csv(tmp_path, tiny_config_file, monkeypatch):
+    """gen-data's files (a header line, CRLF ends, repr floats) load back byte for byte,
+    through numpy's C reader alone."""
     from codag.data import SequenceConfig
 
+    def line_parser(*args):
+        raise AssertionError("the line parser ran on a gen-data file")
+
+    monkeypatch.setattr(data, "_parse_lines", line_parser)
     data_dir = tmp_path / "domains"
     assert main(["gen-data", "--config", tiny_config_file, "--out", str(data_dir)]) == 0
     files = sorted(os.listdir(data_dir))
     assert files == ["domain_00.csv", "domain_01.csv", "domain_02.csv"]
+    assert (data_dir / files[0]).read_bytes().startswith(b"f0,f1,f2,f3,label\r\n")
 
     synth = config_from_dict(SequenceConfig, TINY["sequence"])
     csv_cfg = SequenceConfig(kind="csv-folder", path=str(data_dir), k=3, d=4,
                              source_fraction=0.8)
-    seq_a = synth.build(split_seed=substream(7, "data"))
-    seq_b = csv_cfg.build(split_seed=substream(7, "data"))
     for t in range(3):
-        np.testing.assert_allclose(seq_b.test_sets[t].x, seq_a.test_sets[t].x, atol=1e-12)
-        np.testing.assert_array_equal(seq_b.test_sets[t].labels, seq_a.test_sets[t].labels)
-    assert seq_b.train_sets[1].labels_hidden
+        a, b = synth.domain(t), csv_cfg.domain(t)
+        for got, want in ((b.x, a.x), (b.labels, a.labels)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert csv_cfg.build(split_seed=substream(7, "data")).train_sets[1].labels_hidden
 
 
 def test_report_aggregates_mean_and_population_std(tmp_path, capsys):

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import codag.data as data
@@ -21,6 +21,7 @@ from codag.data import (
 )
 from codag.orchestrate import config_from_dict, config_to_dict, run_experiment
 
+import csv_oracle
 from conftest import default_sequence
 from test_orchestrate import tiny_config
 
@@ -191,6 +192,87 @@ def test_malformed_csv_row_names_file_and_line(tmp_path, case):
     assert str(info.value).startswith(f"{path}: line {at + 1}: ")
     if fault == "non-finite":
         assert str(info.value) == f"{path}: line {at + 1}: non-finite feature value"
+
+
+FLOAT_CELLS = NUMBERS | st.sampled_from(
+    ["-0.0", "5e-324", "2.5e-310", "1e308", "-1e308", ".5", "1.", "+1E3"])
+# Cells, lines, headers and line ends where numpy's C reader and the line
+# parser could disagree: quotes, '#', underscores, non-ASCII digits and
+# whitespace, the ASCII separators \x1c-\x1f, bare CRs and every fault kind.
+ODD_FEATURES = ['"1.5"', '"1.5', "1_0", "١٢", "1.0#", "#1", " 1.5 ", "\t-2", "1.0\x0c",
+                "\u20031.0", "\xa01", "\x1c1.0", "1.0\x1f", "\x0b1.0", "", "oops", "1e", "0x10",
+                "1.0\x00"]
+ODD_LABELS = ["+{v}", " {v} ", "0{v}", "-0", "{v}.0", "{v}#x", '"{v}"', "0_{v}", "٣", "",
+              "99999999999999999999", "-99999999999999999999", "x", "{v}\x1c", "\x1f{v}"]
+ODD_LINES = ["", "  ", "\t", "\x0c", "# note", "#0.5,1", '"0.5,1"', '"a', "f0,label", "0.5"]
+ODD_HEADERS = ['"f0","label"', "0.5,label", '"x', "label", " "]
+ODD_KINDS = ["feature", "non-finite", "label", "range", "columns", "line", "header", "ending"]
+
+
+@st.composite
+def domain_texts(draw):
+    """(k, d, text): a plain file (LF or CRLF, optional header) with up to two oddities."""
+    k, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    row = st.tuples(st.lists(FLOAT_CELLS, min_size=d, max_size=d), st.integers(0, k - 1))
+    lines = [[*feats, str(label)] for feats, label in draw(st.lists(row, max_size=5))]
+    header = draw(st.sampled_from([None, ",".join([f"f{j}" for j in range(d)] + ["label"])]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    for kind in draw(st.lists(st.sampled_from(ODD_KINDS), max_size=2)):
+        rows = [i for i, cells in enumerate(lines) if len(cells) == d + 1]
+        if kind == "header":
+            header = draw(st.sampled_from(ODD_HEADERS))
+        elif kind == "ending":
+            ending = draw(st.sampled_from(["\r", "mixed"]))
+        elif kind == "line" or not rows:
+            lines.insert(draw(st.integers(0, len(lines))), [draw(st.sampled_from(ODD_LINES))])
+        else:
+            at = draw(st.sampled_from(rows))
+            cells = lines[at] = list(lines[at])
+            if kind == "feature":
+                cells[draw(st.integers(0, d - 1))] = draw(st.sampled_from(ODD_FEATURES))
+            elif kind == "non-finite":
+                cells[draw(st.integers(0, d - 1))] = draw(NON_FINITE)
+            elif kind == "label":
+                cells[d] = draw(st.sampled_from(ODD_LABELS)).format(v=cells[d])
+            elif kind == "range":
+                cells[d] = str(draw(st.sampled_from([-1, k, k + 1, 2**63 - 1])))
+            elif draw(st.booleans()):
+                cells.append(cells[0])
+            else:
+                cells.pop()
+    text_lines = ([header] if header is not None else []) + [",".join(c) for c in lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if ending == "mixed" else ending
+            for _ in text_lines]
+    if text_lines and draw(st.booleans()):
+        ends[-1] = ""
+    return k, d, "".join(line + end for line, end in zip(text_lines, ends))
+
+
+def _outcome(parse, text, k, d):
+    """The array bytes that ``parse`` returns, or the error that it raises."""
+    try:
+        x, labels = parse(text, "domain_00.csv", k, d)
+    except Exception as exc:  # the line parser can raise csv.Error too
+        return type(exc).__name__, str(exc)
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (x, labels)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=domain_texts())
+@example(case=(2, 1, '"x\n0.5,1\n'))  # csv reads one header record to the end of the file
+@example(case=(2, 1, "f0,label\r0.5,1\r\n0.25,0\r\n"))  # numpy's first line holds a row
+@example(case=(2, 1, "\x1c0.5,1\n0.25,0\n"))  # float() refuses \x1c, numpy strips it
+def test_parse_csv_equals_frozen_line_parser(case):
+    k, d, text = case
+    assert _outcome(data._parse_csv, text, k, d) == _outcome(csv_oracle.parse_csv, text, k, d)
+
+
+def test_non_utf8_csv_names_file_and_line(tmp_path):
+    path = tmp_path / "domain_00.csv"
+    path.write_bytes(b"f0,label\r\n0.5,0\r\n0.\xff5,1\r\n")
+    with pytest.raises(ValueError) as info:
+        load_csv_domain(path, k=2, d=1)
+    assert str(info.value) == f"{path}: line 3: not UTF-8 text"
 
 
 def test_hidden_labels_raise():

@@ -410,3 +410,14 @@ def test_malformed_checkpoint_header_raises_checkpoint_error(tmp_path, header):
                      + struct.pack("<I", len(body)) + body + bytes(8))
     with pytest.raises(CheckpointError, match="malformed"):
         load_checkpoint(path)
+
+
+def test_checkpoint_naming_a_tensor_twice_raises(tmp_path):
+    """Two consecutive ``head.b`` entries: every offset fits, but one name would be lost."""
+    body = json.dumps({"tensors": [dict(_ENTRY), dict(_ENTRY, offset=8)]}).encode("utf-8")
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + struct.pack("<I", len(body))
+                     + body + np.array([1, 2, 3, 4], dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: tensor head.b appears twice"
