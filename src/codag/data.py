@@ -156,6 +156,9 @@ def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
 # A quote lets a csv record span lines, and numpy strips these four ASCII
 # separators as whitespace where float() and int() refuse them.
 _NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+# int() refuses more digits than sys.get_int_max_str_digits(), which is never
+# below 640, and csv a cell over csv.field_size_limit(); numpy refuses neither.
+_MAX_CELL = 640
 
 
 def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +170,8 @@ def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]
     """
     # csv ends the first record at a bare CR, but skiprows=1 skips to the first LF.
     lf = text.find("\n")
-    if not any(c in text for c in _NOT_PLAIN) and text.find("\r", 0, lf) in (-1, lf - 1):
+    if (not any(c in text for c in _NOT_PLAIN) and text.find("\r", 0, lf) in (-1, lf - 1)
+            and _longest_cell(text) <= _MAX_CELL):
         # A blank first record reads as a header too, and both parsers skip it.
         first = next(csv.reader(io.StringIO(text, newline="")), [])
         try:
@@ -184,6 +188,13 @@ def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]
                     and 0 <= labels.min() and labels.max() < k):
                 return x, labels
     return _parse_lines(text, path, k, d)
+
+
+def _longest_cell(text: str) -> int:
+    """An upper bound on the length of ``text``'s longest cell (UTF-8 bytes, CR included)."""
+    codes = np.frombuffer(text.encode(), dtype=np.uint8)
+    ends = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    return int(np.diff(ends, prepend=-1, append=codes.size).max())
 
 
 def _parse_lines(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -132,6 +132,12 @@ def test_csv_errors_name_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="line 1.*malformed"):
         load_csv_domain(bad_feat, k=2, d=2)
 
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(b"f0,label\r\n0.5,0\r\n0.\xff5,1\r\n")
+    with pytest.raises(ValueError) as info:
+        load_csv_domain(not_utf8, k=2, d=1)
+    assert str(info.value) == f"{not_utf8}: line 3: not UTF-8 text"
+
     with pytest.raises(FileNotFoundError):
         load_csv_domain(tmp_path / "missing.csv", k=2, d=2)
 
@@ -262,17 +268,11 @@ def _outcome(parse, text, k, d):
 @example(case=(2, 1, '"x\n0.5,1\n'))  # csv reads one header record to the end of the file
 @example(case=(2, 1, "f0,label\r0.5,1\r\n0.25,0\r\n"))  # numpy's first line holds a row
 @example(case=(2, 1, "\x1c0.5,1\n0.25,0\n"))  # float() refuses \x1c, numpy strips it
+@example(case=(2, 1, "0.5," + "0" * 4300 + "1\n"))  # int() refuses over 4,300 digits
+@example(case=(2, 1, "1." + "0" * 131072 + ",1\n"))  # csv refuses a cell this long
 def test_parse_csv_equals_frozen_line_parser(case):
     k, d, text = case
     assert _outcome(data._parse_csv, text, k, d) == _outcome(csv_oracle.parse_csv, text, k, d)
-
-
-def test_non_utf8_csv_names_file_and_line(tmp_path):
-    path = tmp_path / "domain_00.csv"
-    path.write_bytes(b"f0,label\r\n0.5,0\r\n0.\xff5,1\r\n")
-    with pytest.raises(ValueError) as info:
-        load_csv_domain(path, k=2, d=1)
-    assert str(info.value) == f"{path}: line 3: not UTF-8 text"
 
 
 def test_hidden_labels_raise():
