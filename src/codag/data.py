@@ -180,7 +180,7 @@ def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]
                 table = np.loadtxt(io.StringIO(text), dtype=[("x", "f8", (d,)), ("y", "i8")],
                                    delimiter=",", comments=None, ndmin=1,
                                    skiprows=int(_looks_like_header(first)))
-        except Exception:
+        except Exception:  # whatever the C reader refuses, the line parser decides
             pass
         else:
             x, labels = np.ascontiguousarray(table["x"]), np.ascontiguousarray(table["y"])

@@ -438,21 +438,18 @@ def test_env_seed_overrides_seed_list(tmp_path, tiny_config_file, monkeypatch):
 def test_gen_data_roundtrips_through_csv(tmp_path, tiny_config_file, monkeypatch):
     """gen-data's files (a header line, CRLF ends, repr floats) load back byte for byte,
     through numpy's C reader alone."""
-    from codag.data import SequenceConfig
-
     def line_parser(*args):
         raise AssertionError("the line parser ran on a gen-data file")
 
     monkeypatch.setattr(data, "_parse_lines", line_parser)
-    data_dir = tmp_path / "domains"
-    assert main(["gen-data", "--config", tiny_config_file, "--out", str(data_dir)]) == 0
+    data_dir, _ = _csv_run(tmp_path, tiny_config_file)
     files = sorted(os.listdir(data_dir))
     assert files == ["domain_00.csv", "domain_01.csv", "domain_02.csv"]
     assert (data_dir / files[0]).read_bytes().startswith(b"f0,f1,f2,f3,label\r\n")
 
-    synth = config_from_dict(SequenceConfig, TINY["sequence"])
-    csv_cfg = SequenceConfig(kind="csv-folder", path=str(data_dir), k=3, d=4,
-                             source_fraction=0.8)
+    synth = config_from_dict(data.SequenceConfig, TINY["sequence"])
+    csv_cfg = data.SequenceConfig(kind="csv-folder", path=str(data_dir), k=3, d=4,
+                                  source_fraction=0.8)
     for t in range(3):
         a, b = synth.domain(t), csv_cfg.domain(t)
         for got, want in ((b.x, a.x), (b.labels, a.labels)):
