@@ -2,8 +2,9 @@
 
 Starts from the previous generalization model, freezes the classifier head,
 and updates only the feature extractor with an information-maximization
-objective plus cross-entropy against self-supervised centroid pseudo-labels.
-The adapted model then exports argmax pseudo-labels for the DG model.
+objective plus cross-entropy against self-supervised centroid pseudo-labels,
+in ``nnmodel.train_epochs`` (phase ``PHASE_ADAPT``). The adapted model then
+exports argmax pseudo-labels for the DG model.
 """
 
 from dataclasses import dataclass
@@ -13,14 +14,16 @@ import numpy as np
 from .data import Dataset
 from .nnmodel import (
     ClassifierParams,
-    Sgd,
     features,  # noqa: F401  (unused here; perfbench's span wrappers look it up in this module)
     features_and_logits,
     forward,
     gradient,
     log_softmax,
     softmax,
+    train_epochs,
 )
+
+PHASE_ADAPT = "adaptation"
 
 
 @dataclass(frozen=True)
@@ -123,31 +126,21 @@ def _im_pl_logit_loss(pl_labels: np.ndarray, im_weight: float, beta: float):
 def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
                  rng: np.random.Generator, on_epoch=None) -> ClassifierParams:
     """Adapt on unlabeled target data; the head stays bit-identical."""
-    x, n = target.x, len(target)
-    params = dg_params.copy()
-    if config.epochs == 0:
-        return params
-    opt = Sgd(params, config.lr)
-    pl = centroid_pseudo_labels(params, target)
-    for epoch in range(config.epochs):
-        if epoch > 0 and epoch % config.pl_refresh_interval == 0:
+    pl = None
+
+    def epoch_setup(epoch, params, perm):
+        nonlocal pl
+        if epoch % config.pl_refresh_interval == 0:
             pl = centroid_pseudo_labels(params, target)
-        # One shuffle per epoch; the batches are slices of it.
-        perm = rng.permutation(n)
-        xe, ple = x[perm], pl[perm]
-        losses = []
-        try:
-            for start in range(0, n, config.batch_size):
-                rows = slice(start, start + config.batch_size)
-                loss_fn = _im_pl_logit_loss(ple[rows], config.im_weight, config.pl_weight)
-                loss, grads = gradient(loss_fn, params, xe[rows], freeze_head=True)
-                opt.step(params, grads)
-                losses.append(loss)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"adaptation epoch {epoch}: {exc}") from exc
-        if on_epoch is not None:
-            on_epoch(epoch, params, float(np.mean(losses)))
-    return params
+        xe, ple = target.x[perm], pl[perm]
+
+        def batch_grad(rows):
+            loss_fn = _im_pl_logit_loss(ple[rows], config.im_weight, config.pl_weight)
+            return gradient(loss_fn, params, xe[rows], freeze_head=True)
+
+        return PHASE_ADAPT, batch_grad
+
+    return train_epochs(dg_params, len(target), config, rng, epoch_setup, on_epoch)
 
 
 def generate_pseudo_labels(da_params: ClassifierParams, target: Dataset) -> Dataset:

@@ -202,28 +202,32 @@ def _parse_lines(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarra
     rows: list[list[float]] = []
     labels: list[int] = []
     linenos: list[int] = []
-    for lineno, record in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
-        if lineno == 1 and _looks_like_header(record):
-            continue
-        if len(record) != d + 1:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {d + 1} columns, got {len(record)}"
-            )
-        try:
-            feats = [float(cell) for cell in record[:d]]
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-        try:
-            label = int(record[d])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed label") from None
-        if not 0 <= label < k:
-            raise ValueError(f"{path}: line {lineno}: label out of range [0, {k})")
-        rows.append(feats)
-        labels.append(label)
-        linenos.append(lineno)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for lineno, record in enumerate(reader, start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if lineno == 1 and _looks_like_header(record):
+                continue
+            if len(record) != d + 1:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {d + 1} columns, got {len(record)}"
+                )
+            try:
+                feats = [float(cell) for cell in record[:d]]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+            try:
+                label = int(record[d])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: malformed label") from None
+            if not 0 <= label < k:
+                raise ValueError(f"{path}: line {lineno}: label out of range [0, {k})")
+            rows.append(feats)
+            labels.append(label)
+            linenos.append(lineno)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     x = np.array(rows)

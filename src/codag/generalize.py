@@ -1,7 +1,8 @@
 """Generalization-model training.
 
-One SGD loop trains the generalization model on a labeled pool. At the
-source stage the pool is the labeled source domain. Target stages continue
+``nnmodel.train_epochs`` trains the generalization model on a labeled pool
+with each epoch's setup and the batch loss from this module. At the source
+stage the pool is the labeled source domain. Target stages continue
 from the previous parameters on the pseudo-labeled domain plus replay
 entries, add a distillation term against the previous model, and guard the
 pseudo-labeled rows against label noise with a three-phase schedule:
@@ -16,7 +17,7 @@ import numpy as np
 
 from .augment import AugmentConfig, randmix
 from .data import Dataset
-from .nnmodel import ClassifierParams, Sgd, forward, gradient, log_softmax, softmax
+from .nnmodel import ClassifierParams, forward, gradient, log_softmax, softmax, train_epochs
 from .rng import RngStreams
 
 _SKIP, _CE, _NL = 0, 1, 2
@@ -78,25 +79,16 @@ def select_confident(params: ClassifierParams, x, threshold: float) -> np.ndarra
     return softmax(forward(params, x)).max(axis=1) > threshold
 
 
-def kl_divergence(q, p, axis: int = -1) -> np.ndarray:
-    """KL(q || p) with 0 log 0 = 0."""
-    q = np.asarray(q, dtype=np.float64)
-    support = q > 0
-    terms = np.log(np.where(support, q, 1.0)) - np.log(np.asarray(p, dtype=np.float64))
-    terms *= q
-    return np.where(support, terms, 0.0).sum(axis=axis)
-
-
-def _mixed_logit_loss(y, kinds, comp, q, alpha: float, clip_eps: float):
+def _mixed_logit_loss(y, kinds, comp, teacher_q, alpha: float, clip_eps: float):
     """Logit-level loss: per-row CE/NL per ``kinds`` plus alpha * KL(q || p).
 
-    Label losses average over labeled rows; distillation averages over the
-    whole batch. Rows in the clipped region contribute zero gradient. Every
-    element goes through the same operations, in the same order, as the
-    per-row definition: a CE row's gradient is p - onehot(y), an NL row's
-    0.0 - c * p + c * onehot(comp) with c = p_comp / (1 - p_comp), then the
-    label part is divided by the labeled count before distillation adds
-    alpha * (p - q) / n.
+    ``teacher_q`` is None or (q, log(where(q > 0, q, 1))). Label losses average
+    over labeled rows, distillation over the whole batch. Rows in the clipped
+    region contribute zero gradient. Every element goes through the same
+    operations, in the same order, as the per-row definition: a CE row's
+    gradient is p - onehot(y), an NL row's 0.0 - c * p + c * onehot(comp)
+    with c = p_comp / (1 - p_comp), then the label part is divided by the
+    labeled count before distillation adds alpha * (p - q) / n.
     """
     n = kinds.shape[0]
     ce, nl = kinds == _CE, kinds == _NL
@@ -128,12 +120,11 @@ def _mixed_logit_loss(y, kinds, comp, q, alpha: float, clip_eps: float):
         else:
             dl = np.zeros_like(p)
 
-        if q is not None and alpha > 0:
-            total += alpha * (float(np.add.reduce(kl_divergence(q, p))) / n)  # the mean
-            kl_grad = np.subtract(p, q)
-            kl_grad *= alpha
-            kl_grad /= n
-            dl += kl_grad
+        if teacher_q is not None and alpha > 0:
+            q, log_q = teacher_q
+            kl = np.where(q > 0, (log_q - np.log(p)) * q, 0.0).sum(axis=-1)
+            total += alpha * (float(np.add.reduce(kl)) / n)  # the mean
+            dl += (p - q) * alpha / n
         return total, dl
 
     return loss_fn
@@ -162,15 +153,11 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
     augmented view.
     """
     n = x.shape[0]
-    params = params0.copy()
-    if config.epochs == 0:
-        return params
-    opt = Sgd(params, config.lr)
-    k = params.n_classes
+    k = params0.n_classes
     nl_floor = config.nl_conf_floor if config.nl_conf_floor is not None else 1.0 / k
     has_pseudo = bool(is_pseudo.any())
 
-    for epoch in range(config.epochs):
+    def epoch_setup(epoch, params, perm):
         phase = _phase_for_epoch(epoch, config) if has_pseudo else PHASE_CE
         kinds = np.full(n, _CE, dtype=np.int64)
         # SelNL and SelPL score confidence under the current parameters.
@@ -183,13 +170,11 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
             confident = select_confident(params, x[is_pseudo], config.pl_conf_threshold)
             kinds[is_pseudo] = np.where(confident, _CE, _SKIP)
 
-        # One shuffle, one augmentation call and one teacher pass per epoch;
-        # the batches are slices of them.
-        perm = rng.shuffle.permutation(n)
+        # One augmentation call and one teacher pass per epoch; batches slice them.
         xe, ye, ke = x[perm], y[perm], kinds[perm]
         if aug is not None:
             xe = randmix(xe, aug, rng.aug, batch_size=config.batch_size)
-        qe = None
+        teacher_q = None
         if teacher is not None:
             logits = forward(teacher, xe)
             for start in range(0, n, config.batch_size):
@@ -198,29 +183,23 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
                     # the last bit from a block's; such a batch keeps its own pass.
                     logits[start] = forward(teacher, xe[start])
             qe = softmax(logits)
+            teacher_q = qe, np.log(np.where(qe > 0, qe, 1.0))
         # Complementary labels are drawn batch by batch for the NL rows, zero elsewhere.
         nl_e = ke == _NL
         has_nl = bool(nl_e.any())
         comp_e = np.zeros(n, dtype=np.int64)
-        losses = []
-        try:
-            for start in range(0, n, config.batch_size):
-                rows = slice(start, start + config.batch_size)
-                yb, kb, comp = ye[rows], ke[rows], comp_e[rows]
-                if has_nl:
-                    nl_mask = nl_e[rows]
-                    if nl_mask.any():
-                        comp[nl_mask] = draw_complementary_labels(yb[nl_mask], k, rng.nl)
-                q = qe[rows] if qe is not None else None
-                loss_fn = _mixed_logit_loss(yb, kb, comp, q, config.alpha, config.clip_eps)
-                loss, grads = gradient(loss_fn, params, xe[rows])
-                opt.step(params, grads)
-                losses.append(loss)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"DG {phase} phase, epoch {epoch}: {exc}") from exc
-        if on_epoch is not None:
-            on_epoch(epoch, params, float(np.mean(losses)), phase)
-    return params
+
+        def batch_grad(rows):
+            yb, kb, comp = ye[rows], ke[rows], comp_e[rows]
+            if has_nl and (nl_mask := nl_e[rows]).any():
+                comp[nl_mask] = draw_complementary_labels(yb[nl_mask], k, rng.nl)
+            q = None if teacher_q is None else (teacher_q[0][rows], teacher_q[1][rows])
+            loss_fn = _mixed_logit_loss(yb, kb, comp, q, config.alpha, config.clip_eps)
+            return gradient(loss_fn, params, xe[rows])
+
+        return phase, batch_grad
+
+    return train_epochs(params0, n, config, rng.shuffle, epoch_setup, on_epoch)
 
 
 def train_dg_source(params0: ClassifierParams, source: Dataset, config: DGConfig,

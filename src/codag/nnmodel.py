@@ -81,10 +81,6 @@ class ClassifierParams:
         return ClassifierParams(self.blocks)
 
     @property
-    def n_ext_layers(self) -> int:
-        return (len(self.blocks) - 2) // 2
-
-    @property
     def input_dim(self) -> int:
         return self.blocks["ext0.w"].shape[0]
 
@@ -291,6 +287,33 @@ class Sgd:
             self._w64[...] = self._w32
         if not np.isfinite(self._w64).all():
             raise FloatingPointError("non-finite weights after an SGD step")
+
+
+def train_epochs(params0: ClassifierParams, n: int, config, shuffle: np.random.Generator,
+                 epoch_setup, on_epoch=None) -> ClassifierParams:
+    """``config.epochs`` epochs of ``Sgd`` over ``n`` rows on a copy of ``params0``.
+
+    Per epoch: one permutation from ``shuffle``; ``epoch_setup(epoch, params,
+    perm)`` returns the phase and ``batch_grad(rows)``, the (loss, grads) of a
+    slice of the permuted rows; one step per slice; then ``on_epoch(epoch,
+    params, mean_loss, phase)``. A ``FloatingPointError`` gains phase and epoch.
+    """
+    params = params0.copy()
+    opt = Sgd(params, config.lr)
+    for epoch in range(config.epochs):
+        perm = shuffle.permutation(n)
+        phase, batch_grad = epoch_setup(epoch, params, perm)
+        losses = []
+        try:
+            for start in range(0, n, config.batch_size):
+                loss, grads = batch_grad(slice(start, start + config.batch_size))
+                opt.step(params, grads)
+                losses.append(loss)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{phase} phase, epoch {epoch}: {exc}") from exc
+        if on_epoch is not None:
+            on_epoch(epoch, params, float(np.mean(losses)), phase)
+    return params
 
 
 def atomic_write(path, data: bytes) -> None:

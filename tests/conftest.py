@@ -37,6 +37,11 @@ def default_sequence(seed: int = 7, split_seed=2022):
     return SequenceConfig(seed=seed).build(split_seed)
 
 
+def teacher_q(q):
+    """``_mixed_logit_loss``'s teacher input for probabilities ``q`` (or None)."""
+    return None if q is None else (q, np.log(np.where(q > 0, q, 1.0)))
+
+
 def with_label_noise(data, rate: float, rng: np.random.Generator):
     """Copy with each label flipped to a random other class w.p. ``rate``."""
     if not 0.0 <= rate <= 1.0:

@@ -64,7 +64,7 @@ def gradient(loss_fn, params, x, freeze_head: bool = False):
         grads["head.b"] = dlogits.sum(axis=0)
     da = dlogits @ w["head.w"].T
 
-    n_layers = params.n_ext_layers
+    n_layers = (len(params.blocks) - 2) // 2
     for i in reversed(range(n_layers)):
         a_in, z = cache[i]
         dz = da if i == n_layers - 1 else da * (z > 0.0)

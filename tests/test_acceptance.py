@@ -16,7 +16,7 @@ from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
 from codag.nnmodel import save_checkpoint
 from codag.rng import substream
 
-from conftest import run_variant, source_model
+from conftest import run_variant, source_model, teacher_q
 from test_nnmodel import assert_fd_match, small_params
 from test_replay import brute_force_herding
 
@@ -130,7 +130,8 @@ def test_criterion_3_gradient_correctness():
         # adaptation objective: information maximization + pseudo cross-entropy
         assert_fd_match(_im_pl_logit_loss(y, 1.0, 0.3), params, x)
         # distillation KL
-        assert_fd_match(_mixed_logit_loss(y, kinds_skip, None, q, 1.0, 1e-7), params, x)
+        assert_fd_match(_mixed_logit_loss(y, kinds_skip, None, teacher_q(q), 1.0, 1e-7),
+                        params, x)
         # negative learning
         assert_fd_match(_mixed_logit_loss(y, kinds_nl, comp, None, 0.0, 1e-7), params, x)
     except AssertionError:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from codag.adapt import (
+    PHASE_ADAPT,
     AdaptConfig,
     _cosine_distances,
     adapt_domain,
@@ -189,11 +190,12 @@ def test_adapt_head_frozen_and_loss_decreases():
     losses = []
     adapted = adapt_domain(
         dg, seq.train_sets[1], AdaptConfig(), substream(2022, "shuffle", 1),
-        on_epoch=lambda e, p, loss: losses.append(loss),
+        on_epoch=lambda e, p, loss, phase: losses.append((loss, phase)),
     )
     assert adapted.blocks["head.w"].tobytes() == dg.blocks["head.w"].tobytes()
     assert adapted.blocks["head.b"].tobytes() == dg.blocks["head.b"].tobytes()
-    assert losses[-1] <= losses[0]
+    assert {phase for _, phase in losses} == {PHASE_ADAPT}
+    assert losses[-1][0] <= losses[0][0]
     assert not np.array_equal(adapted.blocks["ext0.w"], dg.blocks["ext0.w"])
 
 

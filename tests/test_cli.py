@@ -217,18 +217,25 @@ def test_bad_domain_order_fails_before_writing(tmp_path, tiny_config_file, capsy
     assert not out.exists()
 
 
-# 1e300 overflows the float32 weights instead of the loss.
-@pytest.mark.parametrize("jobs, lr", [("1", "1000"), ("2", "1000"), ("1", "1e300"), ("2", "1e300")],
-                         ids=["1", "2", "1-lr1e300", "2-lr1e300"])
+# 1e300 overflows the float32 weights instead of the loss. Both models'
+# lines name the phase and the epoch.
+@pytest.mark.parametrize("jobs, lr", [("1", "dg.lr=1000"), ("2", "dg.lr=1000"),
+                                      ("1", "dg.lr=1e300"), ("2", "dg.lr=1e300"),
+                                      ("1", "adapt.lr=1000"), ("2", "adapt.lr=1000"),
+                                      ("1", "adapt.lr=1e300")],
+                         ids=["1", "2", "1-lr1e300", "2-lr1e300", "1-adapt", "2-adapt",
+                              "1-adapt-lr1e300"])
 def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, recwarn, jobs, lr):
-    code = main(["run", "--config", tiny_config_file, "--override", f"dg.lr={lr}",
+    code = main(["run", "--config", tiny_config_file, "--override", lr,
                  "--override", "seeds=[7, 8]", "--jobs", jobs,
                  "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    assert "seed 7, stage" in errors[0] and "diverged" in errors[0] and "epoch" in errors[0]
+    phase = "adaptation" if lr.startswith("adapt.") else "(adaptation|ce|nl|selnl|selpl)"
+    assert re.match(rf"error: seed 7, stage \d: training diverged: {phase} phase, epoch \d+: ",
+                    errors[0]), errors[0]
     assert "Traceback" not in err
     if jobs == "1":  # pool workers warn on their own stderr, out of recwarn's reach
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -367,6 +374,19 @@ def test_non_utf8_csv_is_one_error_line(tmp_path, tiny_config_file, capsys):
     assert main(run) == 1
     errors = _error_lines(capsys.readouterr().err)
     assert errors == [f"error: {domain}: line 3: not UTF-8 text"]
+
+
+def test_csv_cell_over_field_limit_is_one_error_line(tmp_path, tiny_config_file, capsys):
+    """A cell longer than csv.field_size_limit() names its file and line."""
+    data_dir, run = _csv_run(tmp_path, tiny_config_file)
+    domain = data_dir / "domain_02.csv"
+    lines = domain.read_bytes().split(b"\r\n")[:-1]
+    lines[-1] = lines[-1].rsplit(b",", 1)[0] + b"," + b"1" * 140_001  # the last row's label
+    domain.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    capsys.readouterr()
+    assert main(run) == 1
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1 and errors[0].startswith(f"error: {domain}: line {len(lines)}: ")
 
 
 @pytest.mark.parametrize("content", [b"", b"f0,f1,f2,f3,label\r\n"], ids=["empty", "header-only"])

@@ -16,7 +16,6 @@ from codag.generalize import (
     _mixed_logit_loss,
     _phase_for_epoch,
     draw_complementary_labels,
-    kl_divergence,
     select_confident,
     train_dg_source,
     train_dg_target,
@@ -34,7 +33,8 @@ from codag.nnmodel import (
 from codag.replay import ReplayBuffer, update_buffer
 from codag.rng import RngStreams, substream
 
-from conftest import default_sequence, source_model, with_label_noise
+from conftest import default_sequence, source_model, teacher_q, with_label_noise
+from kernel_oracles import kl_divergence
 
 
 # Scalar reference losses: the oracles the vectorized training loss is checked against.
@@ -347,7 +347,7 @@ def test_mixed_logit_loss_matches_row_list_reference_bitwise():
         q = softmax(rng.standard_normal((n, k))) if trial % 2 else None
         alpha = float(rng.choice([0.0, 1.0, 0.5]))
         with np.errstate(divide="ignore"):  # log(0) of an underflowed p in the KL value
-            got_loss, got = _mixed_logit_loss(y, kinds, comp, q, alpha, 1e-7)(logits)
+            got_loss, got = _mixed_logit_loss(y, kinds, comp, teacher_q(q), alpha, 1e-7)(logits)
             ref_loss, ref = row_list_loss(y, kinds, comp, q, alpha, 1e-7)(logits)
         assert got.tobytes() == ref.tobytes(), f"trial {trial}"  # signs of zero too
         assert got_loss == ref_loss
@@ -405,12 +405,16 @@ def _same_params(a, b):
 @pytest.mark.parametrize("n_pool, batch_size", [(96, 32), (97, 32), (113, 32), (21, 1)])
 def test_epoch_level_dg_loop_matches_per_batch_loop(n_pool, batch_size, monkeypatch):
     """Same weights, and the same loss inputs in every batch (labels, kinds,
-    complementary labels, teacher probabilities), bit for bit."""
+    complementary labels, teacher probabilities and their log), bit for bit."""
     batches = []
 
-    def recording_loss(y, kinds, comp, q, alpha, clip_eps):
+    def recording_loss(y, kinds, comp, q_log_q, alpha, clip_eps):
+        q = None
+        if q_log_q is not None:
+            q, log_q = q_log_q
+            assert log_q.tobytes() == teacher_q(q)[1].tobytes()
         batches.append(_loss_inputs(y, kinds, comp, q))
-        return _mixed_logit_loss(y, kinds, comp, q, alpha, clip_eps)
+        return _mixed_logit_loss(y, kinds, comp, q_log_q, alpha, clip_eps)
 
     monkeypatch.setattr(generalize, "_mixed_logit_loss", recording_loss)
     seq = default_sequence(split_seed=substream(3, "data"))

@@ -14,6 +14,7 @@ from codag.adapt import _im_pl_logit_loss
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
 from codag.nnmodel import HEAD_BLOCKS, ModelConfig, Sgd, gradient, init_params, softmax
 from codag.replay import herding_select
+from conftest import teacher_q
 from test_replay import list_loop_herding
 
 PROPERTY = settings(max_examples=300, derandomize=True, deadline=None)
@@ -58,7 +59,9 @@ def test_dg_loss_matches_oracle_bytes(case, fortran):
     # give the row-major result; the oracle sees row-major logits.
     given_logits = np.asfortranarray(logits) if fortran else logits
     with np.errstate(divide="ignore", invalid="ignore"):  # KL terms of an underflowed p
-        _same(_mixed_logit_loss(*args)(given_logits), oracle.mixed_logit_loss(*args)(logits))
+        y, kinds, comp, q, alpha, clip_eps = args
+        got = _mixed_logit_loss(y, kinds, comp, teacher_q(q), alpha, clip_eps)(given_logits)
+        _same(got, oracle.mixed_logit_loss(*args)(logits))
 
 
 @PROPERTY
@@ -101,7 +104,7 @@ def test_gradient_matches_oracle_bytes(seed, hidden, rows, freeze_head, loss, ow
             kinds = rng.choice([_CE, _NL, _SKIP], size=rows)
             comp = (y + rng.integers(1, k, rows)) % k
             q = softmax(rng.standard_normal((rows, k)))
-            loss_fn = _mixed_logit_loss(y, kinds, comp, q, 0.5, 1e-7)
+            loss_fn = _mixed_logit_loss(y, kinds, comp, teacher_q(q), 0.5, 1e-7)
         else:
             loss_fn = _im_pl_logit_loss(y, 1.0, 0.3)
         got_loss, got = gradient(loss_fn, params, x, freeze_head=freeze_head)

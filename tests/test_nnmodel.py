@@ -24,6 +24,8 @@ from codag.nnmodel import (
     softmax,
 )
 
+from conftest import teacher_q
+
 
 def small_params(seed=1, d=4, k=3, hidden=(6,), feat_dim=5, float64=False):
     params = init_params(ModelConfig(hidden=hidden, feat_dim=feat_dim), d, k, seed)
@@ -106,7 +108,7 @@ def test_features_compose_with_head():
 def _single_pass(params, x):
     """(feats, logits) from every row at once, each block widened on use."""
     w = {name: block.astype(np.float64) for name, block in params.blocks.items()}
-    n_layers = params.n_ext_layers
+    n_layers = (len(params.blocks) - 2) // 2
     a = np.asarray(x, dtype=np.float64)
     for i in range(n_layers):
         z = a @ w[f"ext{i}.w"] + w[f"ext{i}.b"]
@@ -206,7 +208,7 @@ def test_gradient_matches_fd_distillation(fd_setup):
     params, x, y, rng = fd_setup
     q = softmax(rng.standard_normal((7, 3)))
     kinds = np.full(7, _SKIP)
-    assert_fd_match(_mixed_logit_loss(y, kinds, None, q, 1.0, 1e-7), params, x)
+    assert_fd_match(_mixed_logit_loss(y, kinds, None, teacher_q(q), 1.0, 1e-7), params, x)
 
 
 def test_gradient_matches_fd_mixed_batch(fd_setup):
@@ -214,7 +216,7 @@ def test_gradient_matches_fd_mixed_batch(fd_setup):
     q = softmax(rng.standard_normal((7, 3)))
     kinds = np.array([_CE, _NL, _SKIP, _CE, _NL, _CE, _SKIP])
     comp = (y + 1) % 3
-    assert_fd_match(_mixed_logit_loss(y, kinds, comp, q, 0.7, 1e-7), params, x)
+    assert_fd_match(_mixed_logit_loss(y, kinds, comp, teacher_q(q), 0.7, 1e-7), params, x)
 
 
 def test_gradient_matches_fd_im_plus_pseudo_ce(fd_setup):
