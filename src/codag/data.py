@@ -204,10 +204,11 @@ def _parse_lines(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarra
     linenos: list[int] = []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        for lineno, record in enumerate(reader, start=1):
+        for i, record in enumerate(reader):
+            lineno = reader.line_num  # a quoted cell can span lines; this is the record's last
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
-            if lineno == 1 and _looks_like_header(record):
+            if i == 0 and _looks_like_header(record):
                 continue
             if len(record) != d + 1:
                 raise ValueError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .nnmodel import ClassifierParams, atomic_write, forward
+from .nnmodel import ClassifierParams, forward
 
 
 def accuracy(params: ClassifierParams, test: Dataset) -> float:
@@ -96,22 +96,22 @@ class CurveLog:
         for domain, acc in enumerate(np.asarray(accuracies, dtype=np.float64)):
             self.records.append((stage, epoch, domain, float(acc)))
 
-    def save_csv(self, path) -> None:
+    def to_csv(self) -> bytes:
         text = io.StringIO()
         writer = csv.writer(text)
         writer.writerow(["stage", "epoch", "domain", "accuracy"])
         writer.writerows(self.records)
-        atomic_write(path, text.getvalue().encode("utf-8"))
+        return text.getvalue().encode("utf-8")
 
     @classmethod
-    def load_csv(cls, path) -> "CurveLog":
+    def from_csv(cls, blob: bytes) -> "CurveLog":
+        """Inverse of ``to_csv``."""
         log = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != ["stage", "epoch", "domain", "accuracy"]:
-                raise ValueError(f"{path}: missing the curves header")
-            for stage, epoch, domain, acc in reader:
-                log.records.append((int(stage), int(epoch), int(domain), float(acc)))
+        reader = csv.reader(io.StringIO(blob.decode("utf-8"), newline=""))
+        if next(reader, None) != ["stage", "epoch", "domain", "accuracy"]:
+            raise ValueError("missing the curves header")
+        for stage, epoch, domain, acc in reader:
+            log.records.append((int(stage), int(epoch), int(domain), float(acc)))
         return log
 
 

@@ -319,14 +319,24 @@ def train_epochs(params0: ClassifierParams, n: int, config, shuffle: np.random.G
 def atomic_write(path, data: bytes) -> None:
     """Replace ``path`` with ``data`` so that a reader sees the old file or the new one.
 
-    The bytes go to a temporary file in the same directory, which is closed
-    (flushed) and then renamed over ``path``; a kill leaves at most that
-    temporary file, which the next write of ``path`` replaces.
+    The bytes go to a temporary file in the same directory, which is flushed
+    to disk (``fsync``) and then renamed over ``path``; the directory is
+    synced after the rename, so the new entry outlasts a crash too (a rename
+    alone is not durable on common file systems: Pillai et al., OSDI 2014).
+    A kill leaves at most the temporary file, which the next write of
+    ``path`` replaces.
     """
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def save_checkpoint(params: ClassifierParams, path) -> None:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .adapt import AdaptConfig, adapt_domain, generate_pseudo_labels
 from .augment import AugmentConfig
-from .data import DomainSequence, SequenceConfig, check_domain_order
-from .evaluate import CurveLog, MetricsReport, accuracy, accuracy_rows
+from .data import Dataset, DomainSequence, SequenceConfig, check_domain_order
+from .evaluate import CurveLog, MetricsReport, accuracy
 from .generalize import DGConfig, train_dg_source, train_dg_target
 from .nnmodel import (
     CheckpointError,
@@ -64,7 +64,7 @@ RECIPES = {
 
 VARIANTS = tuple(RECIPES)
 
-STATE_VERSION = 3
+STATE_VERSION = 4
 
 
 class StageOrderError(RuntimeError):
@@ -197,6 +197,7 @@ class RunState:
     curves: CurveLog
     dg_params: ClassifierParams | None = None
     da_params: ClassifierParams | None = None
+    sha256: dict[str, str] = field(default_factory=dict)  # committed checkpoints, by path
 
 
 def new_run_state(seed: int, seq: DomainSequence, buffer_capacity: int,
@@ -217,12 +218,42 @@ def _eval_row(params: ClassifierParams, seq: DomainSequence) -> list[float]:
     return [accuracy(params, test) for test in seq.test_sets]
 
 
+def _labeled(state: RunState, t: int, seq: DomainSequence, config: ExperimentConfig,
+             da: ClassifierParams | None) -> Dataset | None:
+    """Stage t's training and herding set: the source's labels, else pseudo-labels
+    of the adaptation model (or of the previous generalization model)."""
+    train = seq.train_sets[t]
+    if t == 0:
+        return train
+    if not RECIPES[config.variant].dg_trains:
+        return None
+    return generate_pseudo_labels(state.dg_params if da is None else da, train)
+
+
+def _finish_stage(state: RunState, t: int, seq: DomainSequence, config: ExperimentConfig,
+                  labeled: Dataset | None, dg: ClassifierParams,
+                  da: ClassifierParams | None) -> None:
+    """Stage t's tail, which resuming replays from the stage's checkpoints:
+    refresh the buffer, record one row of each accuracy matrix, advance."""
+    if labeled is not None and config.buffer_capacity > 0:
+        state.buffer = update_buffer(state.buffer, labeled, dg)
+    dg_row = _eval_row(dg, seq)
+    # Without a separate adaptation model, one model fills both matrix roles.
+    da_row = dg_row if da is None or da is dg else _eval_row(da, seq)
+    state.dg_matrix[t] = dg_row
+    state.da_matrix[t] = da_row
+    state.dg_params = dg
+    if da is not None:
+        state.da_params = da
+    state.next_stage = t + 1
+
+
 def run_stage(state: RunState, t: int, seq: DomainSequence,
               config: ExperimentConfig) -> RunState:
     """Execute stage t in place; records one row of each accuracy matrix.
 
     Steps: adapt (target stages with an adaptation model), label, train the
-    generalization model, refresh the buffer, evaluate.
+    generalization model, then ``_finish_stage``: refresh the buffer, evaluate.
     """
     if t != state.next_stage:
         raise StageOrderError(f"expected stage {state.next_stage}, got {t}")
@@ -244,31 +275,18 @@ def run_stage(state: RunState, t: int, seq: DomainSequence,
             da_init = state.da_params
         da = adapt_domain(da_init, train, config.adapt, streams.shuffle)
 
-    labeled = None
+    labeled = _labeled(state, t, seq, config, da)
     if t == 0:
-        labeled = train
         params0 = init_params(config.model, seq.d, seq.k, substream(state.seed, "init"))
         aug = config.aug if recipe.dg_trains else None
         dg = train_dg_source(params0, labeled, config.dg, aug, streams, on_epoch)
     elif recipe.dg_trains:
-        labeled = generate_pseudo_labels(state.dg_params if da is None else da, train)
         dg = train_dg_target(state.dg_params, labeled, state.buffer, config.dg, config.aug,
                              streams, on_epoch)
     else:
         dg = da  # the adaptation model stands in for the generalization model
 
-    if labeled is not None and config.buffer_capacity > 0:
-        state.buffer = update_buffer(state.buffer, labeled, dg)
-
-    dg_row = _eval_row(dg, seq)
-    # Without a separate adaptation model, one model fills both matrix roles.
-    da_row = dg_row if da is None or da is dg else _eval_row(da, seq)
-    state.dg_matrix[t] = dg_row
-    state.da_matrix[t] = da_row
-    state.dg_params = dg
-    if da is not None:
-        state.da_params = da
-    state.next_stage = t + 1
+    _finish_stage(state, t, seq, config, labeled, dg, da)
     return state
 
 
@@ -276,36 +294,44 @@ def _ckpt_name(role: str, stage: int) -> str:
     return f"checkpoints/{role}_stage{stage}.ckpt"
 
 
+def _roles(config: ExperimentConfig, stage: int) -> list[str]:
+    """The checkpoints stage ``stage`` commits: the generalization model, and
+    the adaptation model at target stages of variants that have one."""
+    return ["da", "dg"] if stage > 0 and RECIPES[config.variant].da_from else ["dg"]
+
+
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
 def save_run_state(state: RunState, seed_dir) -> None:
     """Commit a stage: its checkpoints, curves.csv, then state.json, each atomically.
 
-    state.json holds only what the run cannot recompute from its config, seed
-    and data: the committed accuracy rows, the buffer's row indices and the
-    sha256 of each checkpoint.
+    state.json holds only what the run cannot recompute from its config, seed,
+    data and checkpoints: the stage to run next, the length of curves.csv, and
+    the sha256 of every committed checkpoint and of curves.csv.
     """
     os.makedirs(os.path.join(seed_dir, "checkpoints"), exist_ok=True)
-    sha256 = {}
     for role, params in (("da", state.da_params), ("dg", state.dg_params)):
         if params is not None:
-            path = os.path.join(seed_dir, _ckpt_name(role, state.next_stage - 1))
-            save_checkpoint(params, path)
-            with open(path, "rb") as fh:
-                sha256[role] = hashlib.sha256(fh.read()).hexdigest()
-    state.curves.save_csv(os.path.join(seed_dir, "curves.csv"))
+            name = _ckpt_name(role, state.next_stage - 1)
+            save_checkpoint(params, os.path.join(seed_dir, name))
+            with open(os.path.join(seed_dir, name), "rb") as fh:
+                state.sha256[name] = _sha256(fh.read())
+    curves = state.curves.to_csv()
+    atomic_write(os.path.join(seed_dir, "curves.csv"), curves)
     payload = {
         "version": STATE_VERSION,
         "digest": state.digest,
         "next_stage": state.next_stage,
-        "dg_rows": state.dg_matrix[:state.next_stage].tolist(),
-        "da_rows": state.da_matrix[:state.next_stage].tolist(),
-        "buffer": state.buffer.to_dict(),
-        "sha256": sha256,
+        "curves_bytes": len(curves),
+        "sha256": {**state.sha256, "curves.csv": _sha256(curves)},
     }
     atomic_write(os.path.join(seed_dir, "state.json"), json.dumps(payload).encode("utf-8"))
 
 
-_STATE_FIELDS = {"version": int, "digest": str, "next_stage": int, "dg_rows": list,
-                 "da_rows": list, "buffer": list, "sha256": dict}
+_STATE_FIELDS = {"version": int, "digest": str, "next_stage": int, "curves_bytes": int,
+                 "sha256": dict}
 
 
 def _layout(params: ClassifierParams) -> str:
@@ -317,11 +343,11 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
                       config: ExperimentConfig) -> None:
     """Advance the fresh ``state`` to the last stage committed under ``seed_dir``.
 
-    Everything but the file's accuracy rows, buffer rows and checkpoint
-    hashes comes from ``state``, ``seq`` and ``config``; each checkpoint's
-    block names, order and shapes must be those of ``config.model``. Raises
-    ``RunStateError``, naming the state file, for anything malformed, and
-    naming both digests when the state belongs to another config or data.
+    The first ``curves_bytes`` bytes of curves.csv and each stage's checkpoints
+    must match their sha256, and the checkpoints' block names, order and shapes
+    those of ``config.model``; each stage's tail is then replayed from them.
+    Raises ``RunStateError``, naming the state file, for anything malformed,
+    and naming both digests when the state belongs to another config or data.
     """
     path = os.path.join(seed_dir, "state.json")
     try:
@@ -339,36 +365,35 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
                 raise ValueError(f"key {key!r} must be of type {kind.__name__}")
         if payload["digest"] != state.digest:
             raise RunStateError(
-                f"{seed_dir}: state digest {payload['digest']} does not match this run's "
+                f"{path}: state digest {payload['digest']} does not match this run's "
                 f"{state.digest}; the config or the data changed since it was written")
-        n, next_stage = seq.n_domains, payload["next_stage"]
+        n, next_stage, sha256 = seq.n_domains, payload["next_stage"], payload["sha256"]
         if not 0 < next_stage <= n:
             raise ValueError(f"next_stage {next_stage} does not fit a {n}-domain sequence")
-        for key, matrix in (("dg_rows", state.dg_matrix), ("da_rows", state.da_matrix)):
-            rows = accuracy_rows(payload[key])
-            if rows.shape != (next_stage, n):
-                raise ValueError(f"{key} must be {next_stage} rows of {n} accuracies")
-            matrix[:next_stage] = rows
-        stages = next_stage if config.buffer_capacity > 0 else 0
-        if len(payload["buffer"]) != stages:
-            raise ValueError(f"buffer must hold {stages} stages")
-        state.buffer = ReplayBuffer.from_dict(payload["buffer"], seq, config.buffer_capacity)
-        roles = ["dg"]
-        if RECIPES[config.variant].da_from is not None and next_stage > 1:
-            roles.append("da")
-        if set(payload["sha256"]) != set(roles):
-            raise ValueError(f"sha256 must name the checkpoints {roles}")
+        names = [_ckpt_name(role, t) for t in range(next_stage) for role in _roles(config, t)]
+        # A null hash would make load_checkpoint skip its check.
+        if sha256.keys() != {*names, "curves.csv"} or None in sha256.values():
+            raise ValueError(f"sha256 must hash curves.csv and the checkpoints {names}")
+        curves_path = os.path.join(seed_dir, "curves.csv")
+        with open(curves_path, "rb") as fh:
+            curves = fh.read(max(payload["curves_bytes"], 0))
+        if len(curves) != payload["curves_bytes"] or _sha256(curves) != sha256["curves.csv"]:
+            raise ValueError(f"{curves_path}: the first {payload['curves_bytes']} bytes differ "
+                             "from the ones committed")
+        state.curves = CurveLog.from_csv(curves)
         layout = _layout(init_params(config.model, seq.d, seq.k, 0))
-        for role in roles:
-            ckpt = os.path.join(seed_dir, _ckpt_name(role, next_stage - 1))
-            params = load_checkpoint(ckpt, payload["sha256"][role])
-            if _layout(params) != layout:
-                raise ValueError(f"{ckpt}: blocks {_layout(params)} do not match the "
-                                 f"model's {layout}")
-            setattr(state, f"{role}_params", params)
-        state.curves = CurveLog([rec for rec in CurveLog.load_csv(
-            os.path.join(seed_dir, "curves.csv")).records if rec[0] < next_stage])
-        state.next_stage = next_stage
+        for t in range(next_stage):
+            params = {}
+            for role in _roles(config, t):
+                ckpt = os.path.join(seed_dir, _ckpt_name(role, t))
+                params[role] = load_checkpoint(ckpt, sha256[_ckpt_name(role, t)])
+                if _layout(params[role]) != layout:
+                    raise ValueError(f"{ckpt}: blocks {_layout(params[role])} do not match "
+                                     f"the model's {layout}")
+            da = params.get("da")
+            _finish_stage(state, t, seq, config, _labeled(state, t, seq, config, da),
+                          params["dg"], da)
+        state.sha256 = {name: sha256[name] for name in names}
     except (OSError, ValueError, TypeError, CheckpointError) as exc:
         raise RunStateError(f"{path}: malformed run state: {exc}") from None
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, DomainSequence
+from .data import Dataset
 from .nnmodel import ClassifierParams, features
 
 
@@ -155,46 +155,6 @@ class ReplayBuffer:
                     np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
         return (np.concatenate(xs), np.concatenate(ys),
                 np.concatenate(ds), np.concatenate(ps))
-
-    def to_dict(self) -> list[list[list[int]]]:
-        """The kept row indices as JSON data: ``[stage][class]``, oldest stage first."""
-        return [[store.per_class[c].tolist() for c in range(self.k)] for store in self._domains]
-
-    @classmethod
-    def from_dict(cls, raw: list, seq: DomainSequence, capacity: int) -> "ReplayBuffer":
-        """Inverse of ``to_dict``: stage ``i``'s rows index ``seq.train_sets[i]``,
-        whose labels are pseudo-labels for every stage after the source.
-
-        Raises ``ValueError`` unless each class list holds distinct in-range
-        row indices, no row repeats within a stage, no list is longer than
-        its class quota after ``len(raw)`` stages at ``capacity``, and every
-        row of the source stage carries its list's class. Target stages'
-        rows are not checked against a class: their pseudo-labels are not
-        stored.
-        """
-        buf = cls(capacity, seq.k)
-        quotas = _quotas(capacity, len(raw)) if raw else []
-        for i, classes in enumerate(raw):
-            train = seq.train_sets[i]
-            if not (isinstance(classes, list) and len(classes) == buf.k):
-                raise ValueError(f"buffer stage {i} must hold {buf.k} class lists")
-            store = _DomainStore(train.domain_id, i > 0, train.x)
-            for c, (rows, quota) in enumerate(zip(classes, _quotas(quotas[i], buf.k))):
-                rows = np.array(rows)
-                if not (rows.ndim == 1 and (rows.size == 0 or rows.dtype.kind == "i"
-                                            and 0 <= rows.min() <= rows.max() < len(train))):
-                    raise ValueError(f"malformed buffer rows: stage {i}, class {c}")
-                if rows.size > quota:
-                    raise ValueError(f"buffer stage {i}, class {c} holds {rows.size} rows, "
-                                     f"over its quota of {quota}")
-                if i == 0 and np.any(train.labels[rows] != c):
-                    raise ValueError(f"buffer stage 0, class {c} holds rows of another class")
-                store.per_class[c] = rows.astype(np.int64)
-            kept = np.concatenate(list(store.per_class.values()))
-            if np.unique(kept).size != kept.size:
-                raise ValueError(f"buffer stage {i} repeats a row")
-            buf._domains.append(store)
-        return buf
 
 
 def _quotas(total: int, parts: int) -> list[int]:

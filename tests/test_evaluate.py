@@ -182,7 +182,7 @@ def test_accuracy_matrix_guards():
             metrics_from_grids([[0.5, 0.5]] * 2, grid)
 
 
-def test_curve_log_ordering_and_roundtrip(tmp_path):
+def test_curve_log_ordering_and_roundtrip():
     log = CurveLog()
     log.append(0, 0, [0.1, 0.2])
     log.append(0, 1, [0.3, 0.4])
@@ -191,9 +191,9 @@ def test_curve_log_ordering_and_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         log.append(0, 5, [0.0, 0.0])  # stage went backwards
 
-    path = tmp_path / "curves.csv"
-    log.save_csv(path)
-    again = CurveLog.load_csv(path)
+    blob = log.to_csv()
+    assert blob.startswith(b"stage,epoch,domain,accuracy\r\n0,0,0,0.1\r\n")
+    again = CurveLog.from_csv(blob)
     assert again.records == log.records
     series = [(s, e, a) for s, e, d, a in again.records if d == 1]
     assert series == [(0, 0, 0.2), (0, 1, 0.4), (1, 0, 0.6)]

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -15,6 +17,7 @@ from codag.nnmodel import (
     ClassifierParams,
     ModelConfig,
     Sgd,
+    atomic_write,
     features,
     forward,
     gradient,
@@ -423,3 +426,27 @@ def test_checkpoint_naming_a_tensor_twice_raises(tmp_path):
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"{path}: tensor head.b appears twice"
+
+
+def test_atomic_write_syncs_the_file_before_the_rename_and_the_directory_after(
+        tmp_path, monkeypatch):
+    """A power loss cannot be staged here, so the order of the calls is what is checked."""
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("fsync", "dir" if stat.S_ISDIR(info.st_mode) else info.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.basename(src), os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    atomic_write(tmp_path / "out.bin", b"x" * 30_000)
+    # the file's bytes are flushed before its fsync, which comes before the rename
+    assert calls == [("fsync", 30_000), ("replace", "out.bin.tmp", "out.bin"), ("fsync", "dir")]
+    assert (tmp_path / "out.bin").read_bytes() == b"x" * 30_000
+    assert os.listdir(tmp_path) == ["out.bin"]

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import codag.orchestrate as orchestrate
 from codag.adapt import AdaptConfig
@@ -170,13 +173,13 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     os.makedirs(seed_dir)
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
     state = new_run_state(7, seq, cfg.buffer_capacity, run_digest(cfg, seq))
-    for t in range(2):  # stop midway
+    for t in range(2):  # stop midway, committing every stage
         run_stage(state, t, seq, cfg)
-    orchestrate.save_run_state(state, str(seed_dir))
+        orchestrate.save_run_state(state, str(seed_dir))
 
     resumed, _ = run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
-    np.testing.assert_allclose(resumed.dg_matrix, full.dg_matrix, atol=1e-12)
-    np.testing.assert_allclose(resumed.da_matrix, full.da_matrix, atol=1e-12)
+    np.testing.assert_array_equal(resumed.dg_matrix, full.dg_matrix)
+    np.testing.assert_array_equal(resumed.da_matrix, full.da_matrix)
 
 
 def _tree(root) -> dict[str, bytes]:
@@ -274,23 +277,20 @@ def test_killed_write_resumes_to_uninterrupted_bytes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("variant", ["codag", "da-only", "dg-only"])
 def test_state_file_holds_only_what_a_run_cannot_recompute(tmp_path, variant):
     cfg = tiny_config(variant=variant)
-    state, _ = run_seed(cfg, 7, seed_dir=str(tmp_path))
+    run_seed(cfg, 7, seed_dir=str(tmp_path))
     payload = json.loads((tmp_path / "state.json").read_text())
-    assert list(payload) == ["version", "digest", "next_stage", "dg_rows", "da_rows",
-                             "buffer", "sha256"]
-    assert payload["version"] == 3 and payload["next_stage"] == 3
-    assert payload["dg_rows"] == state.dg_matrix.tolist()
-    assert payload["da_rows"] == state.da_matrix.tolist()
-    if cfg.buffer_capacity == 0:
-        assert payload["buffer"] == []
-    else:
-        assert [len(classes) for classes in payload["buffer"]] == [3, 3, 3]
-        assert sum(len(rows) for rows in payload["buffer"][-1]) <= 10  # 30 over 3 domains
-    roles = ["da", "dg"] if variant != "dg-only" else ["dg"]
-    assert sorted(payload["sha256"]) == roles
-    for role in roles:
-        blob = (tmp_path / "checkpoints" / f"{role}_stage2.ckpt").read_bytes()
-        assert payload["sha256"][role] == hashlib.sha256(blob).hexdigest()
+    assert list(payload) == ["version", "digest", "next_stage", "curves_bytes", "sha256"]
+    assert payload["version"] == 4 and payload["next_stage"] == 3
+    curves = (tmp_path / "curves.csv").read_bytes()
+    assert payload["curves_bytes"] == len(curves)
+    # every stage's checkpoints, the adaptation model's at target stages of variants with one
+    names = [f"checkpoints/{role}_stage{t}.ckpt" for t in range(3)
+             for role in (["da", "dg"] if t > 0 and variant != "dg-only" else ["dg"])]
+    assert list(payload["sha256"]) == names + ["curves.csv"]
+    assert sorted(os.listdir(tmp_path / "checkpoints")) == sorted(map(os.path.basename, names))
+    for name in names + ["curves.csv"]:
+        blob = (tmp_path / name).read_bytes()
+        assert payload["sha256"][name] == hashlib.sha256(blob).hexdigest()
 
 
 def _edit_state(seed_dir, edit):
@@ -316,9 +316,10 @@ def _rehashed_dg_checkpoint(seed_dir, edit):
     """Rewrite the last DG checkpoint with ``edit(blocks)`` and record its new sha256."""
     state_path = seed_dir / "state.json"
     payload = json.loads(state_path.read_text())
-    path = seed_dir / "checkpoints" / f"dg_stage{payload['next_stage'] - 1}.ckpt"
-    save_checkpoint(ClassifierParams(edit(dict(load_checkpoint(path).blocks))), path)
-    payload["sha256"]["dg"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    name = f"checkpoints/dg_stage{payload['next_stage'] - 1}.ckpt"
+    save_checkpoint(ClassifierParams(edit(dict(load_checkpoint(seed_dir / name).blocks))),
+                    seed_dir / name)
+    payload["sha256"][name] = hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
     state_path.write_text(json.dumps(payload))
 
 
@@ -335,36 +336,24 @@ STATE_FAULTS = {
     "not-an-object": lambda d: (d / "state.json").write_text("[1, 2]"),
     "version-1": lambda d: _edit_state(d, lambda p: p.update(version=1)),
     "version-2": lambda d: _edit_state(d, lambda p: p.update(version=2)),
-    "version-as-float": lambda d: _edit_state(d, lambda p: p.update(version=3.0)),
-    "no-buffer": lambda d: _edit_state(d, lambda p: p.pop("buffer")),
+    "version-3": lambda d: _edit_state(d, lambda p: p.update(version=3)),
+    "version-as-float": lambda d: _edit_state(d, lambda p: p.update(version=4.0)),
     "extra-seed": lambda d: _edit_state(d, lambda p: p.update(seed=7)),
+    "no-curves-bytes": lambda d: _edit_state(d, lambda p: p.pop("curves_bytes")),
     "stage-as-string": lambda d: _edit_state(d, lambda p: p.update(next_stage="2")),
     "stage-as-bool": lambda d: _edit_state(d, lambda p: p.update(next_stage=True)),
     "stage-too-far": lambda d: _edit_state(d, lambda p: p.update(next_stage=4)),
-    "bad-matrix": lambda d: _edit_state(d, lambda p: p.update(dg_rows={"values": p["dg_rows"]})),
-    "nan-accuracy": lambda d: _edit_state(
-        d, lambda p: p["dg_rows"][0].__setitem__(0, float("nan"))),
-    "accuracy-above-one": lambda d: _edit_state(d, lambda p: p["da_rows"][1].__setitem__(2, 1.5)),
-    "short-row": lambda d: _edit_state(d, lambda p: p["da_rows"][1].pop()),
-    "rows-not-next-stage": lambda d: _edit_state(d, lambda p: p["dg_rows"].pop()),
-    "buffer-stages": lambda d: _edit_state(d, lambda p: p["buffer"].append(p["buffer"][-1])),
-    "buffer-classes": lambda d: _edit_state(d, lambda p: p["buffer"][0].append([])),
-    "row-out-of-range": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(10 ** 6)),
-    "row-as-float": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(1.5)),
-    "row-repeated": lambda d: _edit_state(
-        d, lambda p: p["buffer"][0][0].__setitem__(1, p["buffer"][0][0][0])),
-    "row-in-two-classes": lambda d: _edit_state(
-        d, lambda p: p["buffer"][0][1].__setitem__(0, p["buffer"][0][0][0])),
-    # A source row not yet kept (the source trains on 48 rows), one over class 0's quota.
-    "class-over-quota": lambda d: _edit_state(d, lambda p: p["buffer"][0][0].append(
-        min(set(range(48)) - {r for rows in p["buffer"][0] for r in rows}))),
-    "bool-accuracy": lambda d: _edit_state(d, lambda p: p["dg_rows"][1].__setitem__(0, True)),
-    # Classes 1 and 2 share a quota, so only the source labels tell the swap.
-    "class-lists-swapped": lambda d: _edit_state(
-        d, lambda p: p["buffer"][0].insert(1, p["buffer"][0].pop())),
-    "hash-missing": lambda d: _edit_state(d, lambda p: p["sha256"].pop("da")),
+    "stage-behind": lambda d: _edit_state(d, lambda p: p.update(next_stage=2)),
+    "hash-missing": lambda d: _edit_state(
+        d, lambda p: p["sha256"].pop("checkpoints/dg_stage0.ckpt")),
+    "extra-hash": lambda d: _edit_state(d, lambda p: p["sha256"].update(
+        {"checkpoints/da_stage0.ckpt": p["sha256"]["checkpoints/dg_stage0.ckpt"]})),
+    # load_checkpoint skips the hash check when given None.
+    "hash-as-null": lambda d: _edit_state(
+        d, lambda p: p["sha256"].update({"checkpoints/dg_stage0.ckpt": None})),
     "ckpt-missing": lambda d: os.remove(d / "checkpoints" / "dg_stage2.ckpt"),
     "ckpt-payload-byte": lambda d: _flip_last_byte(d / "checkpoints" / "dg_stage2.ckpt"),
+    "stage0-ckpt-byte": lambda d: _flip_last_byte(d / "checkpoints" / "dg_stage0.ckpt"),
     "ckpt-block-name": lambda d: _patch_file(d / "checkpoints" / "da_stage2.ckpt",
                                              b'"ext0.w"', b'"ext0/w"'),
     # Checkpoints whose blocks do not fit the model, with state.json's sha256 rewritten.
@@ -375,6 +364,9 @@ STATE_FAULTS = {
     "ckpt-width-rehashed": lambda d: _rehashed_dg_checkpoint(d, _one_more_hidden_unit),
     "no-curves": lambda d: os.remove(d / "curves.csv"),
     "empty-curves": lambda d: (d / "curves.csv").write_text(""),
+    "curves-byte": lambda d: _flip_last_byte(d / "curves.csv"),
+    "curves-truncated": lambda d: (d / "curves.csv").write_bytes(
+        (d / "curves.csv").read_bytes()[:-1]),
 }
 
 
@@ -386,6 +378,50 @@ def test_malformed_state_raises_run_state_error(tmp_path, fault):
     STATE_FAULTS[fault](seed_dir)
     with pytest.raises(RunStateError, match=r"seed7.state\.json: malformed run state"):
         run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
+
+
+@pytest.fixture(scope="module")
+def stopped_run(tmp_path_factory):
+    """A curve-logging tiny run stopped before stage 2: its files, and the
+    files of the same run left uninterrupted."""
+    cfg = tiny_config(log_curves=True)
+    root = tmp_path_factory.mktemp("stopped")
+    run_seed(cfg, 7, seed_dir=str(root / "full"))
+    seq = cfg.sequence.build(split_seed=substream(7, "data"))
+    state = new_run_state(7, seq, cfg.buffer_capacity, run_digest(cfg, seq))
+    for t in range(2):
+        run_stage(state, t, seq, cfg)
+        orchestrate.save_run_state(state, str(root / "part"))
+    return cfg, _tree(root / "part"), _tree(root / "full")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_corrupted_commit_resumes_exactly_or_is_refused(stopped_run, data):
+    """One changed byte, or a truncation, of state.json, a checkpoint or
+    curves.csv: the resume writes the uninterrupted run's files or raises
+    ``RunStateError`` naming state.json."""
+    cfg, part, full = stopped_run
+    name = data.draw(st.sampled_from(sorted(part)), label="file")
+    blob = bytearray(part[name])
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="keep"):]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        blob[at] = data.draw(st.integers(0, 255).filter(lambda b: b != part[name][at]),
+                             label="byte")
+    with tempfile.TemporaryDirectory() as seed_dir:
+        for rel, content in {**part, name: bytes(blob)}.items():
+            os.makedirs(os.path.dirname(os.path.join(seed_dir, rel)), exist_ok=True)
+            with open(os.path.join(seed_dir, rel), "wb") as fh:
+                fh.write(content)
+        try:
+            run_seed(cfg, 7, seed_dir=seed_dir, resume=True)
+        except RunStateError as exc:
+            assert str(exc).startswith(os.path.join(seed_dir, "state.json") + ": ")
+        else:
+            assert _tree(seed_dir) == full
 
 
 def test_parallel_jobs_match_sequential(tmp_path):
