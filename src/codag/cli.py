@@ -65,7 +65,7 @@ def apply_override(config: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
-def build_config(config_path: str, overrides, out_dir=None) -> ExperimentConfig:
+def build_config(config_path: str, overrides) -> ExperimentConfig:
     raw = _load_config_file(config_path)
     for assignment in overrides or ():
         apply_override(raw, assignment)
@@ -76,20 +76,17 @@ def build_config(config_path: str, overrides, out_dir=None) -> ExperimentConfig:
         except ValueError:
             raise CliError(f"CODAG_SEED must be an integer, got {env_seed!r}") from None
     try:
-        config = ExperimentConfig.from_dict(raw)
+        return ExperimentConfig.from_dict(raw)
     except ValueError as exc:
         raise CliError(f"{config_path}: invalid config: {exc}") from None
-    if out_dir is not None:
-        config.out_dir = out_dir
-    return config
 
 
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    config = build_config(args.config, args.override, out_dir=args.out)
+    config = build_config(args.config, args.override)
     try:
-        results = run_experiment(config, resume=args.resume, jobs=args.jobs)
+        results = run_experiment(config, args.out, resume=args.resume, jobs=args.jobs)
     except RunStateError as exc:
         raise CliError(str(exc)) from None
     agg = results["aggregate"]
@@ -100,8 +97,7 @@ def cmd_run(args) -> int:
             print(f"  {name.upper():>4}: n/a")
         else:
             print(f"  {name.upper():>4}: {100 * entry['mean']:6.2f} ± {100 * entry['std']:.2f}")
-    if config.out_dir:
-        print(f"results written to {os.path.join(config.out_dir, 'results.json')}")
+    print(f"results written to {os.path.join(args.out, 'results.json')}")
     return 0
 
 
@@ -123,40 +119,49 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _collect_results(runs_dir: str) -> list[dict]:
-    found = []
-    for root, _dirs, files in os.walk(runs_dir):
-        if "results.json" in files:
-            with open(os.path.join(root, "results.json"), encoding="utf-8") as fh:
-                found.append(json.load(fh))
-    return found
+_REPORTED = (("tda", "tda_mean"), ("tdg", "tdg_mean"), ("fa", "fa_mean"), ("all", "all"))
+
+
+def _read_results(path: str) -> tuple[str, dict[str, list[float]]]:
+    """One results.json: its variant and, by metric, the seeds' non-null values."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            res = json.load(fh)
+        metrics = [entry["metrics"] for entry in res["per_seed"].values()]
+        values = {short: [m[key] for m in metrics if m[key] is not None]
+                  for short, key in _REPORTED}
+        if not isinstance(res["variant"], str) or not all(
+                type(v) in (int, float) for vs in values.values() for v in vs):
+            raise TypeError("the variant must be a string, and each metric a number or null")
+        return res["variant"], values
+    except KeyError as exc:
+        raise CliError(f"{path}: not a results file: missing key {exc}", code=1) from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise CliError(f"{path}: not a results file: {exc}", code=1) from None
 
 
 def cmd_report(args) -> int:
     if not os.path.isdir(args.runs):
         raise CliError(f"runs directory not found: {args.runs}")
-    results = _collect_results(args.runs)
-    if not results:
+    paths = [os.path.join(root, "results.json")
+             for root, _dirs, files in os.walk(args.runs) if "results.json" in files]
+    if not paths:
         raise CliError(f"no results.json files under {args.runs}", code=1)
 
     by_variant: dict[str, dict[str, list[float]]] = {}
-    for res in results:
-        bucket = by_variant.setdefault(res["variant"],
-                                       {"tda": [], "tdg": [], "fa": [], "all": []})
-        for entry in res["per_seed"].values():
-            m = entry["metrics"]
-            for short, key in (("tda", "tda_mean"), ("tdg", "tdg_mean"),
-                               ("fa", "fa_mean"), ("all", "all")):
-                if m[key] is not None:
-                    bucket[short].append(m[key])
+    for path in paths:
+        variant, values = _read_results(path)
+        bucket = by_variant.setdefault(variant, {short: [] for short, _ in _REPORTED})
+        for short, _ in _REPORTED:
+            bucket[short].extend(values[short])
 
-    header = f"{'variant':<20}" + "".join(f"{name.upper():>16}" for name in ("tda", "tdg", "fa", "all"))
+    header = f"{'variant':<20}" + "".join(f"{name.upper():>16}" for name, _ in _REPORTED)
     lines = [header, "-" * len(header)]
     table = {}
     for variant in sorted(by_variant):
         cells = []
         table[variant] = {}
-        for name in ("tda", "tdg", "fa", "all"):
+        for name, _ in _REPORTED:
             values = by_variant[variant][name]
             if not values:
                 cells.append(f"{'n/a':>16}")

@@ -339,8 +339,9 @@ def atomic_write(path, data: bytes) -> None:
         os.close(fd)
 
 
-def save_checkpoint(params: ClassifierParams, path) -> None:
-    """Magic + version byte + length-prefixed JSON header + float32 payload."""
+def save_checkpoint(params: ClassifierParams, path) -> str:
+    """Magic + version byte + length-prefixed JSON header + float32 payload;
+    returns the sha256 of the bytes written."""
     tensors = []
     payload = bytearray()
     for name, block in params.blocks.items():
@@ -350,8 +351,10 @@ def save_checkpoint(params: ClassifierParams, path) -> None:
         )
         payload.extend(raw)
     header = json.dumps({"tensors": tensors}).encode("utf-8")
-    atomic_write(path, b"".join([CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]),
-                                 struct.pack("<I", len(header)), header, payload]))
+    blob = b"".join([CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]),
+                     struct.pack("<I", len(header)), header, payload])
+    atomic_write(path, blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def load_checkpoint(path, sha256: str | None = None) -> ClassifierParams:

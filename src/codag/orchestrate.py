@@ -78,8 +78,7 @@ class RunStateError(RuntimeError):
 @dataclass
 class ExperimentConfig:
     """One experiment; construction folds the variant's recipe into
-    ``buffer_capacity`` and ``dg.selnlpl``. ``out_dir``, where
-    ``run_experiment`` writes, is a plain attribute outside the config."""
+    ``buffer_capacity`` and ``dg.selnlpl``."""
 
     sequence: SequenceConfig = field(default_factory=SequenceConfig)
     domain_order: tuple[int, ...] | None = None  # visit order of targets; None = natural
@@ -91,7 +90,6 @@ class ExperimentConfig:
     aug: AugmentConfig = field(default_factory=AugmentConfig)
     buffer_capacity: int = 200
     log_curves: bool = True
-    out_dir = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -195,8 +193,7 @@ class RunState:
     da_matrix: np.ndarray  # (n, n) accuracies; stage t writes row t
     dg_matrix: np.ndarray
     curves: CurveLog
-    dg_params: ClassifierParams | None = None
-    da_params: ClassifierParams | None = None
+    models: dict[str, ClassifierParams] = field(default_factory=dict)  # last stage's, by role
     sha256: dict[str, str] = field(default_factory=dict)  # committed checkpoints, by path
 
 
@@ -227,24 +224,21 @@ def _labeled(state: RunState, t: int, seq: DomainSequence, config: ExperimentCon
         return train
     if not RECIPES[config.variant].dg_trains:
         return None
-    return generate_pseudo_labels(state.dg_params if da is None else da, train)
+    return generate_pseudo_labels(state.models["dg"] if da is None else da, train)
 
 
 def _finish_stage(state: RunState, t: int, seq: DomainSequence, config: ExperimentConfig,
-                  labeled: Dataset | None, dg: ClassifierParams,
-                  da: ClassifierParams | None) -> None:
-    """Stage t's tail, which resuming replays from the stage's checkpoints:
-    refresh the buffer, record one row of each accuracy matrix, advance."""
+                  labeled: Dataset | None, models: dict[str, ClassifierParams | None]) -> None:
+    """Stage t's tail, which resuming replays from the stage's checkpoints: keep
+    the models of ``_roles``, refresh the buffer, record one row of each
+    accuracy matrix, advance."""
+    state.models = {role: models[role] for role in _roles(config, t)}
     if labeled is not None and config.buffer_capacity > 0:
-        state.buffer = update_buffer(state.buffer, labeled, dg)
-    dg_row = _eval_row(dg, seq)
-    # Without a separate adaptation model, one model fills both matrix roles.
-    da_row = dg_row if da is None or da is dg else _eval_row(da, seq)
-    state.dg_matrix[t] = dg_row
-    state.da_matrix[t] = da_row
-    state.dg_params = dg
-    if da is not None:
-        state.da_params = da
+        state.buffer = update_buffer(state.buffer, labeled, state.models["dg"])
+    rows = {role: _eval_row(params, seq) for role, params in state.models.items()}
+    state.dg_matrix[t] = rows["dg"]
+    # Without a separate adaptation model, the generalization model fills both matrices.
+    state.da_matrix[t] = rows.get("da", rows["dg"])
     state.next_stage = t + 1
 
 
@@ -270,9 +264,7 @@ def run_stage(state: RunState, t: int, seq: DomainSequence,
 
     da = None
     if t > 0 and recipe.da_from is not None:
-        da_init = state.dg_params
-        if recipe.da_from == "da" and state.da_params is not None:
-            da_init = state.da_params
+        da_init = state.models.get(recipe.da_from, state.models["dg"])
         da = adapt_domain(da_init, train, config.adapt, streams.shuffle)
 
     labeled = _labeled(state, t, seq, config, da)
@@ -281,12 +273,12 @@ def run_stage(state: RunState, t: int, seq: DomainSequence,
         aug = config.aug if recipe.dg_trains else None
         dg = train_dg_source(params0, labeled, config.dg, aug, streams, on_epoch)
     elif recipe.dg_trains:
-        dg = train_dg_target(state.dg_params, labeled, state.buffer, config.dg, config.aug,
+        dg = train_dg_target(state.models["dg"], labeled, state.buffer, config.dg, config.aug,
                              streams, on_epoch)
     else:
         dg = da  # the adaptation model stands in for the generalization model
 
-    _finish_stage(state, t, seq, config, labeled, dg, da)
+    _finish_stage(state, t, seq, config, labeled, {"da": da, "dg": dg})
     return state
 
 
@@ -295,9 +287,10 @@ def _ckpt_name(role: str, stage: int) -> str:
 
 
 def _roles(config: ExperimentConfig, stage: int) -> list[str]:
-    """The checkpoints stage ``stage`` commits: the generalization model, and
-    the adaptation model at target stages of variants that have one."""
-    return ["da", "dg"] if stage > 0 and RECIPES[config.variant].da_from else ["dg"]
+    """The models stage ``stage`` keeps and commits: the generalization model,
+    and at target stages the adaptation model of variants that train both."""
+    recipe = RECIPES[config.variant]
+    return ["da", "dg"] if stage > 0 and recipe.da_from and recipe.dg_trains else ["dg"]
 
 
 def _sha256(blob: bytes) -> str:
@@ -312,12 +305,9 @@ def save_run_state(state: RunState, seed_dir) -> None:
     the sha256 of every committed checkpoint and of curves.csv.
     """
     os.makedirs(os.path.join(seed_dir, "checkpoints"), exist_ok=True)
-    for role, params in (("da", state.da_params), ("dg", state.dg_params)):
-        if params is not None:
-            name = _ckpt_name(role, state.next_stage - 1)
-            save_checkpoint(params, os.path.join(seed_dir, name))
-            with open(os.path.join(seed_dir, name), "rb") as fh:
-                state.sha256[name] = _sha256(fh.read())
+    for role, params in state.models.items():
+        name = _ckpt_name(role, state.next_stage - 1)
+        state.sha256[name] = save_checkpoint(params, os.path.join(seed_dir, name))
     curves = state.curves.to_csv()
     atomic_write(os.path.join(seed_dir, "curves.csv"), curves)
     payload = {
@@ -383,16 +373,15 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
         state.curves = CurveLog.from_csv(curves)
         layout = _layout(init_params(config.model, seq.d, seq.k, 0))
         for t in range(next_stage):
-            params = {}
+            models = {}
             for role in _roles(config, t):
                 ckpt = os.path.join(seed_dir, _ckpt_name(role, t))
-                params[role] = load_checkpoint(ckpt, sha256[_ckpt_name(role, t)])
-                if _layout(params[role]) != layout:
-                    raise ValueError(f"{ckpt}: blocks {_layout(params[role])} do not match "
+                models[role] = load_checkpoint(ckpt, sha256[_ckpt_name(role, t)])
+                if _layout(models[role]) != layout:
+                    raise ValueError(f"{ckpt}: blocks {_layout(models[role])} do not match "
                                      f"the model's {layout}")
-            da = params.get("da")
-            _finish_stage(state, t, seq, config, _labeled(state, t, seq, config, da),
-                          params["dg"], da)
+            labeled = _labeled(state, t, seq, config, models.get("da"))
+            _finish_stage(state, t, seq, config, labeled, models)
         state.sha256 = {name: sha256[name] for name in names}
     except (OSError, ValueError, TypeError, CheckpointError) as exc:
         raise RunStateError(f"{path}: malformed run state: {exc}") from None
@@ -442,13 +431,15 @@ def _aggregate(per_seed: dict) -> dict:
     return out
 
 
-def run_experiment(config: ExperimentConfig, resume: bool = False, jobs: int = 1) -> dict:
-    """Run every seed, write artifacts under ``config.out_dir`` when set.
+def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
+                   jobs: int = 1) -> dict:
+    """Run every seed, write artifacts under ``out_dir`` when given.
 
     Returns the results document: per-seed accuracy matrices and metrics plus
-    mean/std aggregates across seeds.
+    mean/std aggregates across seeds. An ``out_dir`` attribute set on
+    ``config`` stands in for a missing ``out_dir`` (perfbench's self-tests).
     """
-    out_dir = config.out_dir
+    out_dir = getattr(config, "out_dir", None) if out_dir is None else out_dir
     per_seed: dict[str, dict] = {}
     seed_dirs = {}
     if out_dir is not None:

@@ -52,11 +52,8 @@ def state_digest(state, seed_dir) -> str:
     written under ``seed_dir``."""
     last = state.next_stage - 1
     os.makedirs(os.path.join(seed_dir, "checkpoints"))
-    save_checkpoint(state.dg_params, os.path.join(seed_dir, "checkpoints",
-                                                  f"dg_stage{last}.ckpt"))
-    if state.da_params is not None:
-        save_checkpoint(state.da_params, os.path.join(seed_dir, "checkpoints",
-                                                      f"da_stage{last}.ckpt"))
+    for role, params in state.models.items():
+        save_checkpoint(params, os.path.join(seed_dir, "checkpoints", f"{role}_stage{last}.ckpt"))
     entry = {"da_matrix": state.da_matrix.tolist(), "dg_matrix": state.dg_matrix.tolist()}
     return checks.seed_run_digest(entry, str(seed_dir))
 
@@ -67,8 +64,7 @@ def tiny_file_hashes(variant: str, out_dir) -> dict[str, str]:
 
     config = ExperimentConfig.from_dict(
         dict(TINY, variant=variant, log_curves=True, domain_order=TINY_ORDER))
-    config.out_dir = str(out_dir)
-    run_experiment(config)
+    run_experiment(config, str(out_dir))
     hashes = {}
     for root, _, names in os.walk(out_dir):
         for name in names:

@@ -4,7 +4,6 @@ The heavyweight comparisons (four variants x five seeds at full fidelity)
 come from session fixtures in conftest so the suite runs them once.
 """
 
-import importlib.util
 import json
 import os
 
@@ -13,10 +12,10 @@ import numpy as np
 from codag import adapt_domain, composite_all, fa, herding_select, softmax, tdg
 from codag.adapt import AdaptConfig, _im_pl_logit_loss
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
-from codag.nnmodel import save_checkpoint
 from codag.rng import substream
 
 from conftest import run_variant, source_model, teacher_q
+from golden_table import state_digest
 from test_nnmodel import assert_fd_match, small_params
 from test_replay import brute_force_herding
 
@@ -203,9 +202,6 @@ def test_criterion_8_sanity_floor(variant_runs):
 
 
 _BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-_spec = importlib.util.spec_from_file_location("checks", os.path.join(_BENCH, "checks.py"))
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
 
 
 def test_default_runs_match_golden_digests(variant_runs, codag_curve_state, tmp_path):
@@ -216,12 +212,5 @@ def test_default_runs_match_golden_digests(variant_runs, codag_curve_state, tmp_
             "dg-only/2022": variant_runs["dg-only"][2022][0],
             "codag/2022 with curves": codag_curve_state[0]}
     for name, state in runs.items():
-        seed_dir = tmp_path / name.replace("/", "-").replace(" ", "-")
-        last = state.next_stage - 1
-        os.makedirs(seed_dir / "checkpoints")
-        save_checkpoint(state.dg_params, seed_dir / "checkpoints" / f"dg_stage{last}.ckpt")
-        if state.da_params is not None:
-            save_checkpoint(state.da_params, seed_dir / "checkpoints" / f"da_stage{last}.ckpt")
-        entry = {"da_matrix": state.da_matrix.tolist(), "dg_matrix": state.dg_matrix.tolist()}
-        digest = checks.seed_run_digest(entry, str(seed_dir))
+        digest = state_digest(state, tmp_path / name.replace("/", "-").replace(" ", "-"))
         assert digest == golden[name.split()[0]], f"{name}: digest {digest} is not the golden one"

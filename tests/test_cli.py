@@ -512,6 +512,31 @@ def test_report_empty_dir_fails(tmp_path, capsys):
     assert "no results" in capsys.readouterr().err
 
 
+_RESULTS = {"config_digest": "x", "variant": "codag", "domain_order": None,
+            "per_seed": {"1": {"metrics": {"tda_mean": 0.7, "tdg_mean": 0.7,
+                                           "fa_mean": 0.7, "all": 0.7}}}}
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(json.dumps({k: v for k, v in _RESULTS.items() if k != "variant"}),
+                 id="no-variant"),
+    pytest.param(json.dumps(_RESULTS).replace('"tdg_mean": 0.7, ', ""), id="no-tdg-mean"),
+    pytest.param(json.dumps(_RESULTS).replace('"tdg_mean": 0.7', '"tdg_mean": "0.7"'),
+                 id="tdg-mean-as-string"),
+    pytest.param("{not json", id="not-json"),
+])
+def test_report_on_a_bad_results_file_is_one_error_line(tmp_path, capsys, content):
+    runs = tmp_path / "runs"
+    os.makedirs(runs / "good")
+    (runs / "good" / "results.json").write_text(json.dumps(_RESULTS))
+    os.makedirs(runs / "bad")
+    (runs / "bad" / "results.json").write_text(content)
+    assert main(["report", "--runs", str(runs)]) == 1
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert str(runs / "bad" / "results.json") in line
+    assert not (runs / "report.json").exists()
+
+
 def test_eval_matrix_worked_example(tmp_path, capsys):
     grid = {"dg": [[0.9, 0.5, 0.4], [0.8, 0.85, 0.6], [0.75, 0.8, 0.9]]}
     path = tmp_path / "matrix.json"

@@ -477,15 +477,13 @@ def _checkpoint_hashes(seed_dir) -> dict:
 
 def test_two_seed_csv_run_equals_single_seed_runs(tmp_path, count_parses, monkeypatch):
     sequence = _write_csv_folder(tmp_path / "domains")
-    cfg = tiny_config(sequence=sequence, seeds=(7, 8))
-    cfg.out_dir = str(tmp_path / "both")
-    both = run_experiment(cfg)["per_seed"]
+    both = run_experiment(tiny_config(sequence=sequence, seeds=(7, 8)),
+                          str(tmp_path / "both"))["per_seed"]
     assert len(count_parses) == 3
     for seed in (7, 8):
         monkeypatch.setattr(data, "_parsed_csv", {})
         alone = tiny_config(sequence=sequence, seeds=(seed,))
-        alone.out_dir = str(tmp_path / f"alone{seed}")
-        single = run_experiment(alone)["per_seed"][str(seed)]
+        single = run_experiment(alone, str(tmp_path / f"alone{seed}"))["per_seed"][str(seed)]
         for key in ("dg_matrix", "da_matrix"):
             assert single[key] == both[str(seed)][key]
         assert (_checkpoint_hashes(tmp_path / f"alone{seed}" / f"seed{seed}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -356,7 +357,7 @@ def test_every_params_object_owns_its_storage(tmp_path):
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     params = small_params(seed=11)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
+    assert save_checkpoint(params, path) == hashlib.sha256(path.read_bytes()).hexdigest()
     loaded = load_checkpoint(path)
     assert loaded.blocks.keys() == params.blocks.keys()
     assert_owns_exact_shadow(loaded)

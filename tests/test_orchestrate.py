@@ -88,6 +88,7 @@ def test_single_model_variants_mirror_matrices():
         cfg = tiny_config(variant=variant)
         state, _ = run_seed(cfg, 7)
         np.testing.assert_array_equal(state.da_matrix, state.dg_matrix)
+        assert list(state.models) == ["dg"]
 
 
 def test_da_init_variant_continues_from_previous_da(monkeypatch):
@@ -142,9 +143,7 @@ def test_no_buffer_variant_forces_zero_capacity():
 
 
 def test_run_experiment_artifacts(tmp_path):
-    cfg = tiny_config(seeds=(7, 8))
-    cfg.out_dir = str(tmp_path / "run")
-    results = run_experiment(cfg)
+    results = run_experiment(tiny_config(seeds=(7, 8)), str(tmp_path / "run"))
     assert set(results["per_seed"]) == {"7", "8"}
     for entry in results["per_seed"].values():
         assert len(entry["dg_matrix"]) == 3
@@ -203,7 +202,7 @@ def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, 
 
     def counting_save(params, path):
         writes.append(os.fspath(path))
-        real_save(params, path)
+        return real_save(params, path)
 
     monkeypatch.setattr(orchestrate, "save_checkpoint", counting_save)
 
@@ -283,9 +282,9 @@ def test_state_file_holds_only_what_a_run_cannot_recompute(tmp_path, variant):
     assert payload["version"] == 4 and payload["next_stage"] == 3
     curves = (tmp_path / "curves.csv").read_bytes()
     assert payload["curves_bytes"] == len(curves)
-    # every stage's checkpoints, the adaptation model's at target stages of variants with one
+    # every stage's checkpoints, the adaptation model's at target stages of codag
     names = [f"checkpoints/{role}_stage{t}.ckpt" for t in range(3)
-             for role in (["da", "dg"] if t > 0 and variant != "dg-only" else ["dg"])]
+             for role in (["da", "dg"] if t > 0 and variant == "codag" else ["dg"])]
     assert list(payload["sha256"]) == names + ["curves.csv"]
     assert sorted(os.listdir(tmp_path / "checkpoints")) == sorted(map(os.path.basename, names))
     for name in names + ["curves.csv"]:
@@ -323,6 +322,18 @@ def _rehashed_dg_checkpoint(seed_dir, edit):
     state_path.write_text(json.dumps(payload))
 
 
+def _da_only_with_da_checkpoints(seed_dir):
+    """The layout da-only runs wrote before they kept one model: a byte-identical
+    ``da_stage{t}.ckpt`` beside each target stage's ``dg_stage{t}.ckpt``, hashed."""
+    state_path = seed_dir / "state.json"
+    payload = json.loads(state_path.read_text())
+    for t in (1, 2):
+        blob = (seed_dir / "checkpoints" / f"dg_stage{t}.ckpt").read_bytes()
+        (seed_dir / "checkpoints" / f"da_stage{t}.ckpt").write_bytes(blob)
+        payload["sha256"][f"checkpoints/da_stage{t}.ckpt"] = hashlib.sha256(blob).hexdigest()
+    state_path.write_text(json.dumps(payload))
+
+
 def _one_more_hidden_unit(blocks):
     """The same function through a zero unit added to the hidden layer."""
     return {**blocks, "ext0.w": np.pad(blocks["ext0.w"], ((0, 0), (0, 1))),
@@ -330,7 +341,8 @@ def _one_more_hidden_unit(blocks):
             "ext1.w": np.pad(blocks["ext1.w"], ((0, 1), (0, 0)))}
 
 
-# Each fault edits the state of a finished 3-stage codag run on tiny_config.
+# Each fault edits the state of a finished 3-stage run on tiny_config, of codag
+# unless FAULT_VARIANTS names another variant.
 STATE_FAULTS = {
     "truncated": lambda d: (d / "state.json").write_text((d / "state.json").read_text()[:300]),
     "not-an-object": lambda d: (d / "state.json").write_text("[1, 2]"),
@@ -367,12 +379,14 @@ STATE_FAULTS = {
     "curves-byte": lambda d: _flip_last_byte(d / "curves.csv"),
     "curves-truncated": lambda d: (d / "curves.csv").write_bytes(
         (d / "curves.csv").read_bytes()[:-1]),
+    "da-only-da-checkpoints": _da_only_with_da_checkpoints,
 }
+FAULT_VARIANTS = {"da-only-da-checkpoints": "da-only"}
 
 
 @pytest.mark.parametrize("fault", STATE_FAULTS)
 def test_malformed_state_raises_run_state_error(tmp_path, fault):
-    cfg = tiny_config()
+    cfg = tiny_config(variant=FAULT_VARIANTS.get(fault, "codag"))
     seed_dir = tmp_path / "seed7"
     run_seed(cfg, 7, seed_dir=str(seed_dir))
     STATE_FAULTS[fault](seed_dir)
@@ -458,13 +472,12 @@ def test_pool_starts_no_more_workers_than_seeds(monkeypatch):
 
 def test_config_dict_roundtrip_and_digest():
     cfg = tiny_config(variant="codag-no-selnlpl", domain_order=[2, 1])
-    cfg.out_dir = "somewhere"
     assert cfg.dg.selnlpl is False  # the variant is folded in at construction
     assert tiny_config(variant="codag-no-buffer").buffer_capacity == 0
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert config_digest(again) == config_digest(cfg)
-    assert "out_dir" not in cfg.to_dict() and again.out_dir is None
+    assert "out_dir" not in cfg.to_dict()
 
 
 def test_experiment_config_validation():
@@ -489,8 +502,7 @@ def test_matrices_match_checkpoint_reevaluation(tmp_path):
 
     cfg = tiny_config(
         sequence=SequenceConfig(n_per_domain=60, k=3, d=4, angles_deg=(0.0, 90.0), seed=3))
-    cfg.out_dir = str(tmp_path / "run")
-    results = run_experiment(cfg)
+    results = run_experiment(cfg, str(tmp_path / "run"))
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
     seed_dir = tmp_path / "run" / "seed7"
     dg_mat = np.array(results["per_seed"]["7"]["dg_matrix"])
