@@ -15,7 +15,6 @@ class AugmentConfig:
     n_transforms: int = 4
     mix_concentration: float = 1.0
     noise_sigma: float = 0.1
-    identity_slot: bool = True
 
     def __post_init__(self):
         if self.n_transforms < 1:
@@ -35,8 +34,8 @@ def randmix(
 ) -> np.ndarray:
     """Augmented batch: sum_i w_i * T_i(x) + noise, same shape as the input.
 
-    Slot 0 is the identity when ``config.identity_slot``; the remaining slots
-    are random affine maps (entries ~ N(0, 1/d), zero bias) followed by tanh.
+    Slot 0 is the identity; the remaining slots are random affine maps
+    (entries ~ N(0, 1/d), zero bias) followed by tanh.
     With ``batch_size``, every consecutive ``batch_size``-row slice gets its
     own weights, maps and noise, drawn in the order and with the values of
     one call per slice; the elementwise work then runs once over all rows.
@@ -46,25 +45,25 @@ def randmix(
         raise ValueError("batch must be a nonempty (n, d) array")
     n, d = x.shape
     m = config.n_transforms
-    first = int(config.identity_slot)  # 1: slot 0 is the identity
     step = n if batch_size is None else batch_size
 
     w = np.empty((m, n, 1))  # slot i's weight on every row
-    views = np.empty((m - first, n, d))  # views[i - first] is slot i's view of every row
+    views = np.empty((m - 1, n, d))  # views[i - 1] is slot i's view of every row
     noise = np.empty_like(x) if config.noise_sigma > 0 else None
     for start in range(0, n, step):
         rows = slice(start, start + step)
         xb = x[rows]
         w[:, rows, 0] = rng.dirichlet(np.full(m, config.mix_concentration))[:, None]
-        for i in range(first, m):
-            np.matmul(xb, rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)), out=views[i - first, rows])
+        for i in range(1, m):
+            np.matmul(xb, rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)), out=views[i - 1, rows])
         if noise is not None:
             noise[rows] = rng.normal(0.0, config.noise_sigma, xb.shape)
     np.tanh(views, out=views)
 
-    out = np.zeros_like(x)
-    for i in range(m):
-        out += w[i] * (views[i - first] if i >= first else x)
+    out = np.zeros_like(x)  # from +0.0, so a -0.0 term still sums to +0.0
+    out += w[0] * x
+    for i in range(1, m):
+        out += w[i] * views[i - 1]
     if noise is not None:
         out += noise
     return out

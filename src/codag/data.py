@@ -2,9 +2,9 @@
 
 A sequence is one labeled source domain followed by label-free target
 domains. Synthetic domains are Gaussian clusters around fixed class means,
-shifted per domain by an in-plane rotation, a scale, a translation, and
-fresh noise. Target-domain training views hide their labels so the
-unsupervised contract is enforced mechanically.
+and domains differ by an in-plane rotation and fresh noise. Target-domain
+training views hide their labels so the unsupervised contract is enforced
+mechanically.
 """
 
 import csv
@@ -27,7 +27,7 @@ _NOISE_STREAM = 2
 
 
 class HiddenLabelsError(RuntimeError):
-    """Training code touched labels of a domain that provides none."""
+    """Training code touched the hidden labels of a target domain."""
 
 
 class Dataset:
@@ -47,12 +47,11 @@ class Dataset:
             raise ValueError("dataset features must be finite")
         if k <= 0:
             raise ValueError("class count must be positive")
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
-            if labels.shape != (x.shape[0],):
-                raise ValueError("labels must align with features")
-            if labels.size and (labels.min() < 0 or labels.max() >= k):
-                raise ValueError(f"labels must lie in [0, {k})")
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (x.shape[0],):
+            raise ValueError("labels must align with features")
+        if labels.min() < 0 or labels.max() >= k:
+            raise ValueError(f"labels must lie in [0, {k})")
         self.x = x
         self.k = k
         self.domain_id = domain_id
@@ -66,8 +65,6 @@ class Dataset:
             raise HiddenLabelsError(
                 f"labels of domain {self.domain_id} are hidden during training"
             )
-        if self._labels is None:
-            raise HiddenLabelsError(f"domain {self.domain_id} carries no labels")
         return self._labels
 
     @property
@@ -90,9 +87,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        labels = None if self._labels is None else self._labels[indices]
-        return Dataset(self.x[indices], labels, self.k, self.domain_id, self.labels_hidden,
-                       self.pseudo)
+        return Dataset(self.x[indices], self._labels[indices], self.k, self.domain_id,
+                       self.labels_hidden, self.pseudo)
 
 
 def class_means(k: int, d: int, seed: int) -> np.ndarray:
@@ -106,7 +102,7 @@ def class_means(k: int, d: int, seed: int) -> np.ndarray:
 
 def split_source(dataset: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Disjoint train/test partition; |train| = round(fraction * n)."""
-    dataset.labels  # raises if the dataset is unlabeled
+    dataset.labels  # raises if the labels are hidden
     n_train = _n_train(fraction, len(dataset))
     perm = np.random.default_rng(seed).permutation(len(dataset))
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
@@ -302,8 +298,6 @@ class SequenceConfig:
     d: int = 16
     angles_deg: tuple[float, ...] = (0.0, 30.0, 60.0, 90.0, 120.0)
     noise_sigma: float = 0.15
-    scale: float = 1.0
-    shift: tuple[float, ...] | None = None
     seed: int = 7
     source_fraction: float = 0.8
     path: str | None = None  # csv-folder: directory of domain_*.csv files
@@ -331,14 +325,9 @@ class SequenceConfig:
             raise ValueError("angles_deg must name at least one domain")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.shift is not None and len(self.shift) != self.d:
-            raise ValueError(f"shift must have d={self.d} entries, got {len(self.shift)}")
         # |mean entry| <= 1 and |standard normal draw| < 64, so this bounds |feature|.
-        reach = self.scale + max(map(abs, self.shift or (0,))) + 64 * self.noise_sigma
-        if not math.isfinite(reach):
-            raise ValueError("scale, shift and noise_sigma are too large: features would overflow")
+        if not math.isfinite(1.0 + 64 * self.noise_sigma):
+            raise ValueError("noise_sigma is too large: features would overflow")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         _n_train(self.source_fraction, self.n_per_domain)
@@ -358,8 +347,8 @@ class SequenceConfig:
 
         A synthetic domain is balanced Gaussian clusters: the clean point of
         a sample is its class mean rotated by ``angles_deg[i]`` in
-        coordinates (0, 1), then scaled and shifted; ``noise_sigma`` adds
-        isotropic noise. ``csv_files`` saves globbing the folder again.
+        coordinates (0, 1); ``noise_sigma`` adds isotropic noise. ``csv_files``
+        saves globbing the folder again.
         """
         if self.kind == "csv-folder":
             path = (csv_files or self._csv_files())[i]
@@ -368,9 +357,6 @@ class SequenceConfig:
         angle = math.radians(self.angles_deg[i])
         c, s = math.cos(angle), math.sin(angle)
         transformed[:, :2] = transformed[:, :2] @ np.array([[c, s], [-s, c]])
-        transformed *= self.scale
-        if self.shift is not None:
-            transformed += np.asarray(self.shift, dtype=np.float64)
 
         n, k = self.n_per_domain, self.k
         counts = np.full(k, n // k, dtype=np.int64)

@@ -27,6 +27,9 @@ PHASE_SELNL = "selnl"
 PHASE_SELPL = "selpl"
 PHASE_CE = "ce"
 
+# Probabilities are clipped to at least this before a log in the label losses.
+_CLIP_EPS = 1e-7
+
 
 @dataclass(frozen=True)
 class DGConfig:
@@ -35,11 +38,8 @@ class DGConfig:
     batch_size: int = 64
     alpha: float = 1.0  # distillation weight
     selnlpl: bool = True
-    nl_epoch_fraction: float = 0.25
-    selnl_epoch_fraction: float | None = None  # None: same length as the NL phase
+    nl_epoch_fraction: float = 0.25  # SelNL then runs as many epochs as NL
     pl_conf_threshold: float = 0.5
-    nl_conf_floor: float | None = None  # None: 1/K
-    clip_eps: float = 1e-7
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -50,21 +50,11 @@ class DGConfig:
             raise ValueError("batch_size must be at least 1")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        for name in ("nl_epoch_fraction", "selnl_epoch_fraction", "pl_conf_threshold",
-                     "nl_conf_floor"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.nl_epoch_fraction + self.selnl_fraction > 1.0:
-            raise ValueError("nl_epoch_fraction plus selnl_epoch_fraction must not exceed 1, "
-                             "or the SelPL phase never runs")
-
-    @property
-    def selnl_fraction(self) -> float:
-        """Effective length of the SelNL phase, as a fraction of the epochs."""
-        if self.selnl_epoch_fraction is None:
-            return self.nl_epoch_fraction
-        return self.selnl_epoch_fraction
+        if not 0.0 <= self.pl_conf_threshold <= 1.0:
+            raise ValueError("pl_conf_threshold must lie in [0, 1]")
+        if not 0.0 <= self.nl_epoch_fraction <= 0.5:
+            raise ValueError("nl_epoch_fraction must lie in [0, 0.5]: SelNL runs as long as "
+                             "NL, so a larger one leaves no epoch for the SelPL phase")
 
 
 def draw_complementary_labels(labels, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,10 +124,9 @@ def _phase_for_epoch(epoch: int, config: DGConfig) -> str:
     if not config.selnlpl:
         return PHASE_CE
     nl_end = round(config.nl_epoch_fraction * config.epochs)
-    selnl_end = nl_end + round(config.selnl_fraction * config.epochs)
     if epoch < nl_end:
         return PHASE_NL
-    if epoch < selnl_end:
+    if epoch < 2 * nl_end:
         return PHASE_SELNL
     return PHASE_SELPL
 
@@ -154,7 +143,6 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
     """
     n = x.shape[0]
     k = params0.n_classes
-    nl_floor = config.nl_conf_floor if config.nl_conf_floor is not None else 1.0 / k
     has_pseudo = bool(is_pseudo.any())
 
     def epoch_setup(epoch, params, perm):
@@ -164,7 +152,7 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
         if phase == PHASE_NL:
             kinds[is_pseudo] = _NL
         elif phase == PHASE_SELNL:
-            confident = select_confident(params, x[is_pseudo], nl_floor)
+            confident = select_confident(params, x[is_pseudo], 1.0 / k)
             kinds[is_pseudo] = np.where(confident, _NL, _SKIP)
         elif phase == PHASE_SELPL:
             confident = select_confident(params, x[is_pseudo], config.pl_conf_threshold)
@@ -194,7 +182,7 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
             if has_nl and (nl_mask := nl_e[rows]).any():
                 comp[nl_mask] = draw_complementary_labels(yb[nl_mask], k, rng.nl)
             q = None if teacher_q is None else (teacher_q[0][rows], teacher_q[1][rows])
-            loss_fn = _mixed_logit_loss(yb, kb, comp, q, config.alpha, config.clip_eps)
+            loss_fn = _mixed_logit_loss(yb, kb, comp, q, config.alpha, _CLIP_EPS)
             return gradient(loss_fn, params, xe[rows])
 
         return phase, batch_grad

@@ -5,9 +5,9 @@ Regenerate it, from the repository root, with
     PYTHONPATH=src python tests/golden_table.py
 
 which rewrites ``tests/golden_table.json`` from the code as it stands (about
-15 s on two cores). A change that moves a golden value on purpose runs
-it and says why in CHANGES.md. The table pins what ``perfbench/golden.json``
-does not:
+15 s on two cores) and prints every entry that moved, appeared or vanished.
+A change that moves a golden value on purpose runs it and says why in
+CHANGES.md. The table pins what ``perfbench/golden.json`` does not:
 
 - ``seed_runs``: the ``perfbench/checks.seed_run_digest`` of
   ``codag-da-init`` and ``codag-no-buffer`` on the default config at the
@@ -75,6 +75,28 @@ def tiny_file_hashes(variant: str, out_dir) -> dict[str, str]:
     return dict(sorted(hashes.items()))
 
 
+def _leaves(node, prefix="") -> dict[str, str]:
+    """The table's entries by slash-joined path, e.g. ``tiny/codag/results.json``."""
+    if not isinstance(node, dict):
+        return {prefix: node}
+    return {path: value for key, child in node.items()
+            for path, value in _leaves(child, f"{prefix}/{key}" if prefix else key).items()}
+
+
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per entry that moved, appeared or vanished from ``old`` to ``new``."""
+    before, after = _leaves(old), _leaves(new)
+    lines = []
+    for path in sorted(before.keys() | after.keys()):
+        if path not in after:
+            lines.append(f"vanished {path}: {before[path]}")
+        elif path not in before:
+            lines.append(f"appeared {path}: {after[path]}")
+        elif before[path] != after[path]:
+            lines.append(f"moved {path}: {before[path]} -> {after[path]}")
+    return lines
+
+
 def main() -> None:
     import tempfile
 
@@ -89,10 +111,16 @@ def main() -> None:
         tiny = {variant: tiny_file_hashes(variant, os.path.join(tmp, variant))
                 for variant in VARIANTS}
     table = {"build": build(), "seed_runs": seed_runs, "tiny": tiny}
+    old = {}
+    if os.path.exists(TABLE):
+        with open(TABLE, encoding="utf-8") as fh:
+            old = json.load(fh)
     with open(TABLE, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(table, indent=1) + "\n")
     print(f"wrote {TABLE}: {len(seed_runs)} seed-run digests, "
           f"{sum(map(len, tiny.values()))} tiny-run files")
+    for line in changes(old, table):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -86,6 +86,11 @@ def test_im_loss_rejects_invalid_rows():
         im_loss(np.empty((0, 3)))
 
 
+def target_view(x, k: int, domain_id: int = 0) -> Dataset:
+    """A training view with hidden labels, as the pipeline hands a target domain to adaptation."""
+    return Dataset(x, np.zeros(len(x), dtype=int), k, domain_id).without_labels()
+
+
 def _two_round_centroid_oracle(feats, probs):
     """Independent implementation of the two-round cosine assignment."""
 
@@ -118,7 +123,7 @@ def test_centroid_labels_match_independent_oracle():
     params = init_params(ModelConfig(hidden=(8,), feat_dim=4), 6, 3, 3)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((20, 6))
-    ds = Dataset(x, None, 3, domain_id=1, labels_hidden=False)
+    ds = target_view(x, 3, domain_id=1)
     got = centroid_pseudo_labels(params, ds)
     expected = _two_round_centroid_oracle(features(params, x), softmax(forward(params, x)))
     np.testing.assert_array_equal(got, expected)
@@ -144,7 +149,7 @@ def test_centroid_labels_equal_two_pass_result(n):
     feats, logits = features_and_logits(params, x)
     assert feats.tobytes() == features(params, x).tobytes()
     assert logits.tobytes() == forward(params, x).tobytes()
-    np.testing.assert_array_equal(centroid_pseudo_labels(params, Dataset(x, None, 5)),
+    np.testing.assert_array_equal(centroid_pseudo_labels(params, target_view(x, 5)),
                                   two_pass_centroid_labels(params, x))
 
 
@@ -162,7 +167,7 @@ def test_centroid_labels_separated_clusters():
         "head.w": centers.T.astype(np.float32),
         "head.b": np.zeros(2, dtype=np.float32),
     })
-    ds = Dataset(x, None, 2, domain_id=1)
+    ds = target_view(x, 2, domain_id=1)
     labels = centroid_pseudo_labels(params, ds)
     nearest_true = np.argmin(
         np.linalg.norm(x[:, None, :] - centers[None, :, :], axis=2), axis=1
@@ -174,7 +179,7 @@ def test_centroid_labels_separated_clusters():
 def test_centroid_labels_degenerate_identical_samples():
     params = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 0)
     x = np.tile(np.array([0.3, -0.7, 1.1]), (9, 1))
-    labels = centroid_pseudo_labels(params, Dataset(x, None, 4))
+    labels = centroid_pseudo_labels(params, target_view(x, 4))
     assert len(set(labels.tolist())) == 1
 
 
@@ -209,7 +214,7 @@ def test_generate_pseudo_labels_dominant_and_tied():
             "head.b": np.asarray(bias, dtype=np.float32),
         })
 
-    ds = Dataset(np.zeros((4, 2)), None, 3, domain_id=2)
+    ds = target_view(np.zeros((4, 2)), 3, domain_id=2)
     dominant = generate_pseudo_labels(with_bias([10.0, 0.0, 0.0]), ds)
     assert set(dominant.labels.tolist()) == {0}
     assert dominant.domain_id == 2 and dominant.pseudo
@@ -221,7 +226,7 @@ def test_generate_pseudo_labels_dominant_and_tied():
 def test_generate_pseudo_labels_matches_argmax_oracle():
     params = init_params(ModelConfig(hidden=(6,), feat_dim=4), 5, 4, 8)
     x = np.random.default_rng(3).standard_normal((50, 5))
-    ds = Dataset(x, None, 4, domain_id=1)
+    ds = target_view(x, 4, domain_id=1)
     pl = generate_pseudo_labels(params, ds)
     probs = softmax(forward(params, x))
     np.testing.assert_array_equal(pl.labels, probs.argmax(axis=1))
@@ -230,7 +235,7 @@ def test_generate_pseudo_labels_matches_argmax_oracle():
 def test_pseudo_labels_invariant_under_monotone_logit_transform():
     params = init_params(ModelConfig(hidden=(6,), feat_dim=4), 5, 4, 8)
     x = np.random.default_rng(4).standard_normal((30, 5))
-    ds = Dataset(x, None, 4, domain_id=1)
+    ds = target_view(x, 4, domain_id=1)
     base = generate_pseudo_labels(params, ds).labels
     scaled = ClassifierParams({name: block * np.float32(2.0) if name.startswith("head") else block
                                for name, block in params.blocks.items()})

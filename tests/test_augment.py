@@ -6,7 +6,7 @@ from codag.augment import AugmentConfig, randmix
 
 def test_identity_weights_reproduce_input():
     # One slot, the identity: its Dirichlet weight is 1, so the input comes back.
-    cfg = AugmentConfig(n_transforms=1, noise_sigma=0.0, identity_slot=True)
+    cfg = AugmentConfig(n_transforms=1, noise_sigma=0.0)
     x = np.random.default_rng(1).standard_normal((8, 5))
     np.testing.assert_array_equal(randmix(x, cfg, np.random.default_rng(0)), x)
 
@@ -21,15 +21,14 @@ def test_determinism_under_fixed_stream():
 
 @pytest.mark.parametrize("cfg", [
     AugmentConfig(n_transforms=3),
-    AugmentConfig(n_transforms=2, identity_slot=False, mix_concentration=0.5),
     AugmentConfig(n_transforms=4, noise_sigma=0.0),
-], ids=["default", "no-identity", "no-noise"])
+], ids=["default", "no-noise"])
 def test_mixing_formula_matches_twin_generator_oracle(cfg):
     """sum_i w_i * T_i(x) + noise, with w, T and noise drawn in order from a twin stream."""
     x = np.random.default_rng(3).standard_normal((6, 4))
     twin = np.random.default_rng(12)
     w = twin.dirichlet(np.full(cfg.n_transforms, cfg.mix_concentration))
-    views = [x] if cfg.identity_slot else []
+    views = [x]
     while len(views) < cfg.n_transforms:
         views.append(np.tanh(x @ twin.normal(0.0, 0.5, (4, 4))))  # N(0, 1/d) entries, d = 4
     expected = sum(wi * view for wi, view in zip(w, views))
@@ -75,10 +74,9 @@ def test_config_validation():
 
 @pytest.mark.parametrize("cfg", [
     AugmentConfig(),
-    AugmentConfig(identity_slot=False),
     AugmentConfig(noise_sigma=0.0),
     AugmentConfig(n_transforms=1),
-], ids=["default", "no-identity", "no-noise", "one-transform"])
+], ids=["default", "no-noise", "one-transform"])
 @pytest.mark.parametrize("n", [1, 16, 17, 65])  # 1, b, b + 1, 3b + 17 for b = 16
 def test_batch_size_equals_one_call_per_batch(cfg, n):
     b = 16

@@ -78,8 +78,11 @@ def _error_lines(err: str) -> list[str]:
 @pytest.mark.parametrize("removed", [
     "adapt.distance=cosine", "aug.resample=per-batch", "model.d=99", "model.k=3",
     "log_curves=no", "adapt.epochs=2.5", "buffer_capacity=1.5", "seeds=[7,7]",
-    "dg.bogus=1", "sequence=5",
-    pytest.param(f"sequence.scale={10**400}", id="sequence.scale=10**400"),  # no float holds it
+    "dg.bogus=1", "sequence=5", "sequence.scale=0", "sequence.shift=[1.0]",
+    "dg.selnl_epoch_fraction=0.25", "dg.nl_conf_floor=0.2", "dg.clip_eps=1e-7",
+    "aug.identity_slot=true",
+    # No float holds 10**400.
+    pytest.param(f"sequence.noise_sigma={10**400}", id="sequence.noise_sigma=10**400"),
 ])
 def test_removed_config_keys_are_invalid(tmp_path, tiny_config_file, capsys, removed):
     out = tmp_path / "out"
@@ -92,12 +95,25 @@ def test_removed_config_keys_are_invalid(tmp_path, tiny_config_file, capsys, rem
     assert not out.exists()
 
 
+def test_readme_config_table_names_every_field():
+    """README's "Config schema" table names exactly the config's fields, section by section."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        after = fh.read().split("## Config schema\n", 1)[1]
+    rows = re.findall(r"^\| (.+?) \| (.+?) \|$", after.split("\n\n", 2)[1], flags=re.M)
+    documented = {section.strip("`"): re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", fields))
+                  for section, fields in rows[2:]}  # past the header and the rule
+    leaves = ExperimentConfig().to_dict()
+    expected = {name: list(value) for name, value in leaves.items() if isinstance(value, dict)}
+    expected["top level"] = [name for name, value in leaves.items() if not isinstance(value, dict)]
+    assert documented == expected
+
+
 # On TINY (k=3, d=4, 60 rows per domain) each value fails a sequence range check.
 @pytest.mark.parametrize("override", [
     "sequence.source_fraction=0", "sequence.source_fraction=1.0",
-    "sequence.source_fraction=0.999", "sequence.shift=[1.0]", "sequence.n_per_domain=2",
-    "sequence.scale=0", "sequence.noise_sigma=-1", "sequence.d=1", "sequence.kind=csv-folder",
-    "sequence.k=1",
+    "sequence.source_fraction=0.999", "sequence.n_per_domain=2", "sequence.noise_sigma=-1",
+    "sequence.d=1", "sequence.kind=csv-folder", "sequence.k=1",
 ])
 def test_out_of_range_sequence_is_invalid_config(tmp_path, tiny_config_file, capsys, override):
     out = tmp_path / "out"
@@ -202,8 +218,7 @@ def test_any_override_builds_or_is_invalid_config(tiny_config_file, monkeypatch,
     # A config that constructs lies in the README's sequence ranges, and builds.
     assert seq.k >= 2 and seq.d >= 1 and 0 < seq.source_fraction < 1
     if seq.kind == "synthetic-rotated":
-        assert seq.scale > 0 and seq.noise_sigma >= 0 and seq.seed >= 0
-        assert seq.shift is None or len(seq.shift) == seq.d
+        assert seq.noise_sigma >= 0 and seq.seed >= 0
         if seq.n_per_domain * seq.d * len(seq.angles_deg) <= 10**6:
             seq.build(split_seed=substream(7, "data"))
 
@@ -247,7 +262,8 @@ def test_overflowing_features_are_one_error_line(tmp_path, tiny_config_file):
     src = os.path.dirname(os.path.dirname(os.path.abspath(codag.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run([sys.executable, "-m", "codag.cli", "run", "--config", tiny_config_file,
-                           "--override", "sequence.scale=1e300", "--out", str(tmp_path / "out")],
+                           "--override", "sequence.noise_sigma=1e300",
+                           "--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
     lines = done.stderr.splitlines()

@@ -57,15 +57,14 @@ def test_class_balance_within_one():
         assert counts.sum() == n
 
 
-def test_scale_and_shift_applied_after_rotation():
-    shift = (0.5, -1.0, 2.0)
+def test_rotation_acts_on_plane_only():
     cfg = SequenceConfig(n_per_domain=2, k=2, d=3, angles_deg=(90.0,), noise_sigma=0.0,
-                         scale=2.0, shift=shift, seed=0, source_fraction=0.5)
+                         seed=0, source_fraction=0.5)
     ds = cfg.domain(0)
     means = class_means(2, 3, 0)
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # angle pi/2 in the (0,1) plane
     for c in range(2):
-        expected = np.array([*(means[c, :2] @ rot), means[c, 2]]) * 2.0 + np.array(shift)
+        expected = np.array([*(means[c, :2] @ rot), means[c, 2]])
         np.testing.assert_allclose(ds.x[ds.labels == c][0], expected, atol=1e-12)
 
 
@@ -74,7 +73,6 @@ def test_invalid_cluster_arguments():
         ({"n_per_domain": 3, "k": 5}, "n_per_domain"),  # n < k: a class with no sample
         ({"d": 1}, "d must be at least 2"),
         ({"noise_sigma": -0.1}, "noise_sigma"),
-        ({"scale": 0.0}, "scale"),
     ]:
         with pytest.raises(ValueError, match=match):
             SequenceConfig(**bad)
@@ -349,7 +347,6 @@ def test_sequence_config_validation():
         ({"d": 0}, "d must be at least 1"),
         ({"n_per_domain": 0}, "n_per_domain"),
         ({"angles_deg": ()}, "angles_deg"),
-        ({"shift": (1.0, 2.0)}, "shift"),
         ({"noise_sigma": 1e307}, "overflow"),
         ({"seed": -1}, "seed"),
         ({"source_fraction": 0.0}, "source_fraction"),
@@ -361,7 +358,7 @@ def test_sequence_config_validation():
             SequenceConfig(**bad)
     # A CSV folder's content sets the row count, so the generator's ranges do not apply.
     SequenceConfig(kind="csv-folder", path="data", d=1, n_per_domain=0, angles_deg=(),
-                   noise_sigma=-1.0, scale=0.0)
+                   noise_sigma=-1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         SequenceConfig().k = 1
 
@@ -384,7 +381,7 @@ def test_csv_folder_domains_and_missing_files(tmp_path):
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((0, 2)), None, 2)
+        Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
     with pytest.raises(ValueError):
         Dataset([[np.inf, 0.0]], [0], 2)
     with pytest.raises(ValueError):

@@ -286,11 +286,8 @@ def test_dg_config_validation():
     for batch_size in (0, -5):
         with pytest.raises(ValueError, match="batch_size"):
             DGConfig(batch_size=batch_size)
-    # 0.6 + 0.6 of 10 epochs: 6 NL and 4 SelNL epochs, so SelPL would never run.
     with pytest.raises(ValueError, match="SelPL"):
-        DGConfig(epochs=10, nl_epoch_fraction=0.6, selnl_epoch_fraction=0.6)
-    with pytest.raises(ValueError, match="SelPL"):
-        DGConfig(nl_epoch_fraction=0.6)  # SelNL defaults to the NL length
+        DGConfig(nl_epoch_fraction=0.6)  # SelNL runs as long as NL
     DGConfig(nl_epoch_fraction=0.5)
 
 
@@ -366,14 +363,13 @@ def per_batch_train_dg(params0, x, y, is_pseudo, teacher, config, aug, rng):
     batches = []
     opt = Sgd(params, config.lr)
     k = params.n_classes
-    nl_floor = config.nl_conf_floor if config.nl_conf_floor is not None else 1.0 / k
     for epoch in range(config.epochs):
         phase = _phase_for_epoch(epoch, config) if is_pseudo.any() else PHASE_CE
         kinds = np.full(len(x), _CE, dtype=np.int64)
         if phase == PHASE_NL:
             kinds[is_pseudo] = _NL
         elif phase == PHASE_SELNL:
-            confident = select_confident(params, x[is_pseudo], nl_floor)
+            confident = select_confident(params, x[is_pseudo], 1.0 / k)
             kinds[is_pseudo] = np.where(confident, _NL, _SKIP)
         elif phase == PHASE_SELPL:
             confident = select_confident(params, x[is_pseudo], config.pl_conf_threshold)
@@ -391,7 +387,7 @@ def per_batch_train_dg(params0, x, y, is_pseudo, teacher, config, aug, rng):
                 comp[nl_mask] = draw_complementary_labels(y[idx][nl_mask], k, rng.nl)
             q = softmax(forward(teacher, xb)) if teacher is not None else None
             batches.append(_loss_inputs(y[idx], kb, comp, q))
-            loss_fn = row_list_loss(y[idx], kb, comp, q, config.alpha, config.clip_eps)
+            loss_fn = row_list_loss(y[idx], kb, comp, q, config.alpha, 1e-7)
             _, grads = gradient(loss_fn, params, xb)
             opt.step(params, grads)
     return params, batches

@@ -10,7 +10,7 @@ import pytest
 from codag.orchestrate import VARIANTS
 
 from conftest import SEEDS5
-from golden_table import SEED_VARIANTS, TABLE, build, state_digest, tiny_file_hashes
+from golden_table import SEED_VARIANTS, TABLE, build, changes, state_digest, tiny_file_hashes
 
 with open(TABLE, encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
@@ -35,3 +35,11 @@ def test_tiny_run_files_match_golden_table(variant, tmp_path):
     assert list(got) == list(expected), _moved(f"tiny {variant}: files {list(got)}")
     for name, digest in got.items():
         assert digest == expected[name], _moved(f"tiny {variant}: {name}: sha256 {digest[:16]}")
+
+
+def test_rewrite_names_every_entry_that_changed():
+    old = {"build": {"numpy": "2.4"}, "tiny": {"codag": {"a": "1", "b": "2", "c": "3"}}}
+    new = {"build": {"numpy": "2.4"}, "tiny": {"codag": {"a": "1", "b": "9", "d": "4"}}}
+    assert changes(old, new) == ["moved tiny/codag/b: 2 -> 9", "vanished tiny/codag/c: 3",
+                                 "appeared tiny/codag/d: 4"]
+    assert changes(GOLDEN, GOLDEN) == []
