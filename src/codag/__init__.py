@@ -5,7 +5,7 @@ target domains: one adapts to the current domain and exports pseudo-labels,
 the other accumulates cross-domain generalization from those labels with
 distillation and a replay buffer. Includes the evaluation protocol
 (adaptation / generalization / forgetting accuracies and their composite),
-naive single-model baselines, and ablation variants.
+naive single-model baselines, and ablations as plain config values.
 """
 
 import os

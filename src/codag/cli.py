@@ -11,7 +11,6 @@ The config file is JSON with sections sequence/model/adapt/dg/aug plus
 domain_order, seeds, variant, buffer_capacity and log_curves (see README).
 Overrides use dotted paths (``dg.alpha=0``); values parse as JSON with
 plain-string fallback. An unknown key or mistyped value exits 2.
-CODAG_SEED in the environment replaces the seed list.
 """
 
 import argparse
@@ -69,12 +68,6 @@ def build_config(config_path: str, overrides) -> ExperimentConfig:
     raw = _load_config_file(config_path)
     for assignment in overrides or ():
         apply_override(raw, assignment)
-    env_seed = os.environ.get("CODAG_SEED")
-    if env_seed is not None:
-        try:
-            raw["seeds"] = [int(env_seed)]
-        except ValueError:
-            raise CliError(f"CODAG_SEED must be an integer, got {env_seed!r}") from None
     try:
         return ExperimentConfig.from_dict(raw)
     except ValueError as exc:
@@ -122,22 +115,43 @@ def cmd_gen_data(args) -> int:
 _REPORTED = (("tda", "tda_mean"), ("tdg", "tdg_mean"), ("fa", "fa_mean"), ("all", "all"))
 
 
-def _read_results(path: str) -> tuple[str, dict[str, list[float]]]:
-    """One results.json: its variant and, by metric, the seeds' non-null values."""
+def _read_results(path: str) -> tuple[str, dict, dict[str, list[float]]]:
+    """One results.json: its variant, its config without the seed list and, by
+    metric, the seeds' non-null values."""
     try:
         with open(path, encoding="utf-8") as fh:
             res = json.load(fh)
         metrics = [entry["metrics"] for entry in res["per_seed"].values()]
         values = {short: [m[key] for m in metrics if m[key] is not None]
                   for short, key in _REPORTED}
-        if not isinstance(res["variant"], str) or not all(
+        variant, config = res["variant"], res["config"]
+        if not isinstance(variant, str) or not isinstance(config, dict) or not all(
                 type(v) in (int, float) for vs in values.values() for v in vs):
-            raise TypeError("the variant must be a string, and each metric a number or null")
-        return res["variant"], values
+            raise TypeError("the variant must be a string, the config an object, "
+                            "and each metric a number or null")
+        return variant, {key: v for key, v in config.items() if key != "seeds"}, values
     except KeyError as exc:
         raise CliError(f"{path}: not a results file: missing key {exc}", code=1) from None
     except (ValueError, TypeError, AttributeError) as exc:
         raise CliError(f"{path}: not a results file: {exc}", code=1) from None
+
+
+def _leaves(node, prefix: str = "") -> dict[str, str]:
+    """A config's values as compact JSON, by dotted key."""
+    if not isinstance(node, dict) or not node:
+        return {prefix: json.dumps(node, separators=(",", ":"))}
+    return {path: value for key, child in node.items()
+            for path, value in _leaves(child, f"{prefix}.{key}" if prefix else key).items()}
+
+
+def _row_labels(rows: list[tuple[str, dict]]) -> list[str]:
+    """A label per (variant, config) row: the variant, then, if it has several
+    configs, the values in which they differ (``codag dg.alpha=0``)."""
+    leaves = [_leaves(config) for _, config in rows]
+    peers = {v: [other for (w, _), other in zip(rows, leaves) if w == v] for v, _ in rows}
+    return [" ".join([v, *(f"{k}={mine[k]}" for k in sorted(mine)
+                           if len({p.get(k) for p in peers[v]}) > 1)])
+            for (v, _), mine in zip(rows, leaves)]
 
 
 def cmd_report(args) -> int:
@@ -148,32 +162,26 @@ def cmd_report(args) -> int:
     if not paths:
         raise CliError(f"no results.json files under {args.runs}", code=1)
 
-    by_variant: dict[str, dict[str, list[float]]] = {}
-    for path in paths:
-        variant, values = _read_results(path)
-        bucket = by_variant.setdefault(variant, {short: [] for short, _ in _REPORTED})
-        for short, _ in _REPORTED:
-            bucket[short].extend(values[short])
+    # One row per config minus its seeds, so seed shards pool and ablations do not.
+    groups: dict[str, list[dict[str, list[float]]]] = {}
+    for path in sorted(paths):
+        variant, config, values = _read_results(path)
+        groups.setdefault(json.dumps([variant, config], sort_keys=True), []).append(values)
+    rows = dict(zip(_row_labels([json.loads(key) for key in groups]), groups.values()))
 
-    header = f"{'variant':<20}" + "".join(f"{name.upper():>16}" for name, _ in _REPORTED)
-    lines = [header, "-" * len(header)]
+    width = max(20, *(len(label) + 2 for label in rows))
+    lines = [f"{'variant':<{width}}" + "".join(f"{name.upper():>16}" for name, _ in _REPORTED)]
+    lines.append("-" * len(lines[0]))
     table = {}
-    for variant in sorted(by_variant):
-        cells = []
-        table[variant] = {}
-        for name, _ in _REPORTED:
-            values = by_variant[variant][name]
-            if not values:
-                cells.append(f"{'n/a':>16}")
-                table[variant][name] = None
-                continue
-            arr = np.asarray(values)
-            mean, std = float(arr.mean()), float(arr.std())
-            table[variant][name] = {"mean": mean, "std": std, "n": len(values)}
-            cells.append(f"{100 * mean:>9.2f} ±{100 * std:5.2f}")
-        lines.append(f"{variant:<20}" + "".join(cells))
-    text = "\n".join(lines)
-    print(text)
+    for label in sorted(rows):
+        pooled = {short: [v for values in rows[label] for v in values[short]]
+                  for short, _ in _REPORTED}
+        table[label] = {name: {"mean": float(np.mean(v)), "std": float(np.std(v)), "n": len(v)}
+                        if v else None for name, v in pooled.items()}
+        lines.append(f"{label:<{width}}" + "".join(
+            f"{'n/a':>16}" if c is None else f"{100 * c['mean']:>9.2f} ±{100 * c['std']:5.2f}"
+            for c in table[label].values()))
+    print("\n".join(lines))
     report_path = os.path.join(args.runs, "report.json")
     atomic_write(report_path, json.dumps(table, indent=2).encode("utf-8"))
     print(f"report written to {report_path}")

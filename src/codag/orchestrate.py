@@ -3,8 +3,8 @@
 Stage 0 trains the generalization model on the labeled source. Every later
 stage adapts a copy of the previous generalization model to the new target,
 exports pseudo-labels, continues the generalization model on them plus the
-replay buffer, then refreshes the buffer. Baselines and ablations rewire
-single steps of that loop; ``RECIPES`` is the table of variants.
+replay buffer, then refreshes the buffer. Baselines rewire single steps of
+that loop (``RECIPES``); ablations are config values such as ``dg.alpha=0``.
 """
 
 import hashlib
@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -44,21 +44,17 @@ class Recipe:
     adaptation model. Pseudo-labels come from the adaptation model when there
     is one, else from the generalization model. Without ``dg_trains`` the
     adaptation model stands in for the generalization model and the source
-    stage trains without augmentation.
+    stage trains without augmentation and no replay buffer is kept.
     """
 
     da_from: str | None
     dg_trains: bool
-    buffer: bool = True  # False: replay capacity forced to zero
-    selnlpl: bool = True  # False: noisy-label schedule disabled
 
 
 RECIPES = {
     "codag": Recipe(da_from="dg", dg_trains=True),
-    "da-only": Recipe(da_from="dg", dg_trains=False, buffer=False),
+    "da-only": Recipe(da_from="dg", dg_trains=False),
     "dg-only": Recipe(da_from=None, dg_trains=True),
-    "codag-no-buffer": Recipe(da_from="dg", dg_trains=True, buffer=False),
-    "codag-no-selnlpl": Recipe(da_from="dg", dg_trains=True, selnlpl=False),
     "codag-da-init": Recipe(da_from="da", dg_trains=True),
 }
 
@@ -77,8 +73,7 @@ class RunStateError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    """One experiment; construction folds the variant's recipe into
-    ``buffer_capacity`` and ``dg.selnlpl``."""
+    """One experiment, exactly as given: construction only validates."""
 
     sequence: SequenceConfig = field(default_factory=SequenceConfig)
     domain_order: tuple[int, ...] | None = None  # visit order of targets; None = natural
@@ -102,11 +97,6 @@ class ExperimentConfig:
             raise ValueError("buffer_capacity must be nonnegative")
         if self.domain_order is not None:
             check_domain_order(self.domain_order, self.sequence.n_domains)
-        recipe = RECIPES[self.variant]
-        if not recipe.buffer:
-            self.buffer_capacity = 0
-        if not recipe.selnlpl:
-            self.dg = replace(self.dg, selnlpl=False)
 
     def to_dict(self) -> dict:
         return config_to_dict(self)
@@ -233,7 +223,7 @@ def _finish_stage(state: RunState, t: int, seq: DomainSequence, config: Experime
     the models of ``_roles``, refresh the buffer, record one row of each
     accuracy matrix, advance."""
     state.models = {role: models[role] for role in _roles(config, t)}
-    if labeled is not None and config.buffer_capacity > 0:
+    if RECIPES[config.variant].dg_trains and config.buffer_capacity > 0:
         state.buffer = update_buffer(state.buffer, labeled, state.models["dg"])
     rows = {role: _eval_row(params, seq) for role, params in state.models.items()}
     state.dg_matrix[t] = rows["dg"]

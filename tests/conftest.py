@@ -26,6 +26,7 @@ from codag import (
     train_dg_source,
     train_dg_target,
 )
+from codag.cli import apply_override
 from codag.orchestrate import ExperimentConfig, run_seed
 from codag.rng import RngStreams, substream
 
@@ -53,9 +54,18 @@ def with_label_noise(data, rate: float, rng: np.random.Generator):
     return Dataset(data.x, labels, data.k, data.domain_id, pseudo=data.pseudo)
 
 
-def run_variant(variant: str, seed: int, log_curves: bool = False):
-    cfg = ExperimentConfig(seeds=(seed,), variant=variant, log_curves=log_curves)
-    return run_seed(cfg, seed)
+def spec_name(spec: tuple[str, ...]) -> str:
+    """A run spec, a variant followed by ``--override`` assignments, as one
+    name: ``codag+buffer_capacity=0``."""
+    return "+".join(spec)
+
+
+def run_variant(variant: str, seed: int, log_curves: bool = False, overrides=()):
+    """One seed of the default config with ``variant`` and the given overrides."""
+    raw = {"seeds": [seed], "variant": variant, "log_curves": log_curves}
+    for assignment in overrides:
+        apply_override(raw, assignment)
+    return run_seed(ExperimentConfig.from_dict(raw), seed)
 
 
 def source_model(seed: int, seq=None):
@@ -101,12 +111,12 @@ def run_in_pool(fn, arg_tuples) -> list:
 
 @pytest.fixture(scope="session")
 def variant_runs():
-    """(RunState, MetricsReport) per (variant, seed) for the directional checks."""
-    variants = ("codag", "codag-da-init", "codag-no-buffer", "dg-only")
-    runs = [(variant, seed) for variant in variants for seed in SEEDS5]
+    """(RunState, MetricsReport) by run spec name and seed, for the directional checks."""
+    specs = [("codag",), ("codag-da-init",), ("codag", "buffer_capacity=0"), ("dg-only",)]
+    runs = [(spec[0], seed, False, spec[1:]) for spec in specs for seed in SEEDS5]
     out = {}
-    for (variant, seed), result in zip(runs, run_in_pool(run_variant, runs)):
-        out.setdefault(variant, {})[seed] = result
+    for (variant, seed, _, overrides), result in zip(runs, run_in_pool(run_variant, runs)):
+        out.setdefault(spec_name((variant, *overrides)), {})[seed] = result
     return out
 
 

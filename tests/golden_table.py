@@ -10,16 +10,21 @@ A change that moves a golden value on purpose runs it and says why in
 CHANGES.md. The table pins what ``perfbench/golden.json`` does not:
 
 - ``seed_runs``: the ``perfbench/checks.seed_run_digest`` of
-  ``codag-da-init`` and ``codag-no-buffer`` on the default config at the
-  five ``SEEDS5`` seeds, which the acceptance fixtures run anyway;
-- ``tiny``: the sha256 of every file that each variant writes on the tiny
-  CLI config (``test_cli.TINY``, one hidden layer) with curves on and
-  domain order ``[2, 1]``: results, state, curves and every checkpoint.
+  ``codag-da-init`` and ``codag+buffer_capacity=0`` on the default config at
+  the five ``SEEDS5`` seeds, which the acceptance fixtures run anyway;
+- ``tiny``: the sha256 of every file that each run spec of ``TINY_SPECS``
+  writes on the tiny CLI config (``test_cli.TINY``, one hidden layer) with
+  curves on and domain order ``[2, 1]``: results, state, curves and every
+  checkpoint.
+
+Entries are keyed by run spec: a variant followed by ``--override``
+assignments, joined with ``+`` (``conftest.spec_name``).
 
 It also records the numpy and BLAS it was taken with. Another build may
 round differently; the table is then re-pinned openly, not skipped.
 """
 
+import copy
 import hashlib
 import importlib.util
 import json
@@ -27,12 +32,17 @@ import os
 
 import codag  # noqa: F401  (pins BLAS to one thread before numpy loads it)
 import numpy as np
+from codag.cli import apply_override
 from codag.nnmodel import save_checkpoint
 from codag.orchestrate import VARIANTS, ExperimentConfig, run_experiment
 
+from conftest import SEEDS5, run_in_pool, run_variant, spec_name
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 TABLE = os.path.join(HERE, "golden_table.json")
-SEED_VARIANTS = ("codag-da-init", "codag-no-buffer")
+SEED_SPECS = (("codag-da-init",), ("codag", "buffer_capacity=0"))
+TINY_SPECS = (*((variant,) for variant in VARIANTS),
+              ("codag", "buffer_capacity=0"), ("codag", "dg.selnlpl=false"))
 TINY_ORDER = [2, 1]
 
 _spec = importlib.util.spec_from_file_location(
@@ -58,13 +68,14 @@ def state_digest(state, seed_dir) -> str:
     return checks.seed_run_digest(entry, str(seed_dir))
 
 
-def tiny_file_hashes(variant: str, out_dir) -> dict[str, str]:
-    """sha256 of every file one tiny run of ``variant`` writes, by relative path."""
+def tiny_file_hashes(spec: tuple[str, ...], out_dir) -> dict[str, str]:
+    """sha256 of every file one tiny run of ``spec`` writes, by relative path."""
     from test_cli import TINY
 
-    config = ExperimentConfig.from_dict(
-        dict(TINY, variant=variant, log_curves=True, domain_order=TINY_ORDER))
-    run_experiment(config, str(out_dir))
+    raw = copy.deepcopy(dict(TINY, variant=spec[0], log_curves=True, domain_order=TINY_ORDER))
+    for assignment in spec[1:]:
+        apply_override(raw, assignment)
+    run_experiment(ExperimentConfig.from_dict(raw), str(out_dir))
     hashes = {}
     for root, _, names in os.walk(out_dir):
         for name in names:
@@ -100,16 +111,14 @@ def changes(old: dict, new: dict) -> list[str]:
 def main() -> None:
     import tempfile
 
-    from conftest import SEEDS5, run_in_pool, run_variant
-
-    runs = [(variant, seed) for variant in SEED_VARIANTS for seed in SEEDS5]
+    runs = [(spec[0], seed, False, spec[1:]) for spec in SEED_SPECS for seed in SEEDS5]
     with tempfile.TemporaryDirectory() as tmp:
-        seed_runs = {
-            f"{variant}/{seed}": state_digest(state, os.path.join(tmp, f"{variant}-{seed}"))
-            for (variant, seed), (state, _) in zip(runs, run_in_pool(run_variant, runs))
-        }
-        tiny = {variant: tiny_file_hashes(variant, os.path.join(tmp, variant))
-                for variant in VARIANTS}
+        seed_runs = {}
+        for (variant, seed, _, overrides), (state, _) in zip(runs, run_in_pool(run_variant, runs)):
+            key = f"{spec_name((variant, *overrides))}/{seed}"
+            seed_runs[key] = state_digest(state, os.path.join(tmp, key.replace("/", "-")))
+        tiny = {spec_name(spec): tiny_file_hashes(spec, os.path.join(tmp, spec_name(spec)))
+                for spec in TINY_SPECS}
     table = {"build": build(), "seed_runs": seed_runs, "tiny": tiny}
     old = {}
     if os.path.exists(TABLE):

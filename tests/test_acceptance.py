@@ -163,7 +163,7 @@ def test_criterion_5_buffer_removal_hits_fa_hardest(variant_runs):
             np.mean([m.fa_mean for m in ms]),
         ])
 
-    drop = means("codag") - means("codag-no-buffer")
+    drop = means("codag") - means("codag+buffer_capacity=0")
     _criterion(5, "removing the buffer degrades FA more than TDA or TDG",
                drop[2] > drop[0] and drop[2] > drop[1],
                f"degradation tda {drop[0]:+.4f} tdg {drop[1]:+.4f} fa {drop[2]:+.4f}")

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import codag
+import codag.cli as cli
 import codag.data as data
 import codag.orchestrate as orchestrate
 from codag.cli import CliError, build_config, main
@@ -198,8 +199,7 @@ KEYS = st.sampled_from(SEQUENCE_KEYS) | st.sampled_from(REAL_KEYS) | st.lists(
 @settings(max_examples=250, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(key=KEYS, data=st.data())
-def test_any_override_builds_or_is_invalid_config(tiny_config_file, monkeypatch, key, data):
-    monkeypatch.delenv("CODAG_SEED", raising=False)
+def test_any_override_builds_or_is_invalid_config(tiny_config_file, key, data):
     if key in SEQUENCE_KEYS and data.draw(st.integers(0, 3)) > 0:  # three in four
         value = data.draw(_boundary_values(DEFAULTS[key]))
     else:
@@ -434,12 +434,24 @@ def test_override_equals_infile_setting(tmp_path, tiny_config_file):
     assert res_a["config"]["dg"]["alpha"] == 0
 
 
-def test_env_seed_overrides_seed_list(tmp_path, tiny_config_file, monkeypatch):
+def test_env_seed_leaves_the_seeds_alone(tmp_path, tiny_config_file, monkeypatch):
     monkeypatch.setenv("CODAG_SEED", "11")
     out = tmp_path / "env"
     assert main(["run", "--config", tiny_config_file, "--out", str(out)]) == 0
     res = json.loads((out / "results.json").read_text())
-    assert list(res["per_seed"]) == ["11"]
+    assert list(res["per_seed"]) == ["7"] and res["config"]["seeds"] == [7]
+
+
+@pytest.mark.parametrize("removed", ["codag-no-buffer", "codag-no-selnlpl"])
+def test_removed_variant_is_invalid_config(tmp_path, tiny_config_file, capsys, removed):
+    out = tmp_path / "out"
+    code = main(["run", "--config", tiny_config_file, "--override", f"variant={removed}",
+                 "--out", str(out)])
+    assert code == 2 and not out.exists()
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "invalid config" in line and removed in line
+    assert all(repr(variant) in line
+               for variant in ("codag", "da-only", "dg-only", "codag-da-init"))
 
 
 def test_gen_data_roundtrips_through_csv(tmp_path, tiny_config_file, monkeypatch):
@@ -470,7 +482,8 @@ def test_report_aggregates_mean_and_population_std(tmp_path, capsys):
         d = runs / f"run{i}"
         os.makedirs(d)
         doc = {
-            "config_digest": "x", "variant": "codag", "domain_order": None,
+            "config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
+            "variant": "codag", "domain_order": None,
             "per_seed": {"1": {"da_matrix": [[value]], "dg_matrix": [[value]],
                                "metrics": {"tda_mean": value, "tdg_mean": value,
                                            "fa_mean": value, "all": value}}},
@@ -491,7 +504,8 @@ def test_report_two_identical_runs_mean_is_that_value(tmp_path, capsys):
         d = runs / f"run{i}"
         os.makedirs(d)
         doc = {
-            "config_digest": "x", "variant": "codag", "domain_order": None,
+            "config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
+            "variant": "codag", "domain_order": None,
             "per_seed": {"1": {"da_matrix": [[0.75]], "dg_matrix": [[0.75]],
                                "metrics": {"tda_mean": 0.75, "tdg_mean": 0.75,
                                            "fa_mean": 0.75, "all": 0.75}}},
@@ -508,7 +522,8 @@ def test_report_single_run_zero_std(tmp_path, capsys):
     runs = tmp_path / "runs"
     os.makedirs(runs)
     doc = {
-        "config_digest": "x", "variant": "codag", "domain_order": None,
+        "config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
+        "variant": "codag", "domain_order": None,
         "per_seed": {"1": {"da_matrix": [[0.7]], "dg_matrix": [[0.7]],
                            "metrics": {"tda_mean": 0.7, "tdg_mean": None,
                                        "fa_mean": None, "all": None}}},
@@ -528,7 +543,8 @@ def test_report_empty_dir_fails(tmp_path, capsys):
     assert "no results" in capsys.readouterr().err
 
 
-_RESULTS = {"config_digest": "x", "variant": "codag", "domain_order": None,
+_RESULTS = {"config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
+            "variant": "codag", "domain_order": None,
             "per_seed": {"1": {"metrics": {"tda_mean": 0.7, "tdg_mean": 0.7,
                                            "fa_mean": 0.7, "all": 0.7}}}}
 
@@ -536,6 +552,9 @@ _RESULTS = {"config_digest": "x", "variant": "codag", "domain_order": None,
 @pytest.mark.parametrize("content", [
     pytest.param(json.dumps({k: v for k, v in _RESULTS.items() if k != "variant"}),
                  id="no-variant"),
+    pytest.param(json.dumps({k: v for k, v in _RESULTS.items() if k != "config"}),
+                 id="no-config"),
+    pytest.param(json.dumps(dict(_RESULTS, config=[1])), id="config-as-list"),
     pytest.param(json.dumps(_RESULTS).replace('"tdg_mean": 0.7, ', ""), id="no-tdg-mean"),
     pytest.param(json.dumps(_RESULTS).replace('"tdg_mean": 0.7', '"tdg_mean": "0.7"'),
                  id="tdg-mean-as-string"),
@@ -551,6 +570,50 @@ def test_report_on_a_bad_results_file_is_one_error_line(tmp_path, capsys, conten
     (line,) = _error_lines(capsys.readouterr().err)
     assert str(runs / "bad" / "results.json") in line
     assert not (runs / "report.json").exists()
+
+
+def _report(runs) -> dict:
+    assert main(["report", "--runs", str(runs)]) == 0
+    return json.loads((runs / "report.json").read_text())
+
+
+def test_report_gives_each_config_its_own_row(tmp_path, tiny_config_file, capsys):
+    runs = tmp_path / "runs"
+    for name, overrides in (("demo", []), ("nodistill", ["--override", "dg.alpha=0"])):
+        assert main(["run", "--config", tiny_config_file, *overrides,
+                     "--out", str(runs / name)]) == 0
+    table = _report(runs)
+    assert sorted(table) == ["codag dg.alpha=0", "codag dg.alpha=1.0"]
+    for label, name in (("codag dg.alpha=1.0", "demo"), ("codag dg.alpha=0", "nodistill")):
+        res = json.loads((runs / name / "results.json").read_text())
+        assert table[label]["all"]["n"] == 1
+        assert table[label]["all"]["mean"] == res["per_seed"]["7"]["metrics"]["all"]
+    assert "codag dg.alpha=0" in capsys.readouterr().out
+
+
+def test_report_pools_the_seed_shards_of_one_config(tmp_path, tiny_config_file):
+    runs = tmp_path / "runs"
+    alls = []
+    for seed in (7, 8):
+        out = runs / f"seed{seed}"
+        assert main(["run", "--config", tiny_config_file, "--override", f"seeds=[{seed}]",
+                     "--out", str(out)]) == 0
+        alls.append(json.loads((out / "results.json").read_text())
+                    ["per_seed"][str(seed)]["metrics"]["all"])
+    table = _report(runs)
+    assert list(table) == ["codag"]
+    assert table["codag"]["all"] == {"mean": float(np.mean(alls)), "std": float(np.std(alls)),
+                                     "n": 2}
+
+
+def test_report_labels_are_distinct_and_fixed():
+    rows = [("codag", {"dg": {"alpha": 0}, "buffer_capacity": 30}),
+            ("da-only", {"dg": {"alpha": 0}}),
+            ("codag", {"dg": {"alpha": 1.0}, "buffer_capacity": 30}),
+            ("codag", {"dg": {"alpha": 1.0}, "buffer_capacity": 0})]
+    assert cli._row_labels(rows) == [
+        "codag buffer_capacity=30 dg.alpha=0", "da-only",
+        "codag buffer_capacity=30 dg.alpha=1.0", "codag buffer_capacity=0 dg.alpha=1.0"]
 
 
 def test_eval_matrix_worked_example(tmp_path, capsys):

@@ -7,10 +7,10 @@ table with the command in ``golden_table.py`` and say why in CHANGES.md.
 import json
 
 import pytest
-from codag.orchestrate import VARIANTS
 
-from conftest import SEEDS5
-from golden_table import SEED_VARIANTS, TABLE, build, changes, state_digest, tiny_file_hashes
+from conftest import SEEDS5, spec_name
+from golden_table import (SEED_SPECS, TABLE, TINY_SPECS, build, changes, state_digest,
+                          tiny_file_hashes)
 
 with open(TABLE, encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
@@ -22,19 +22,20 @@ def _moved(what: str) -> str:
 
 
 def test_seed_runs_match_golden_table(variant_runs, tmp_path):
-    for variant in SEED_VARIANTS:
+    for name in map(spec_name, SEED_SPECS):
         for seed in SEEDS5:
-            key = f"{variant}/{seed}"
-            digest = state_digest(variant_runs[variant][seed][0], tmp_path / f"{variant}-{seed}")
+            key = f"{name}/{seed}"
+            digest = state_digest(variant_runs[name][seed][0], tmp_path / f"{name}-{seed}")
             assert digest == GOLDEN["seed_runs"][key], _moved(f"{key}: digest {digest[:16]}")
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_tiny_run_files_match_golden_table(variant, tmp_path):
-    got, expected = tiny_file_hashes(variant, tmp_path), GOLDEN["tiny"][variant]
-    assert list(got) == list(expected), _moved(f"tiny {variant}: files {list(got)}")
-    for name, digest in got.items():
-        assert digest == expected[name], _moved(f"tiny {variant}: {name}: sha256 {digest[:16]}")
+@pytest.mark.parametrize("spec", [pytest.param(spec, id=spec_name(spec)) for spec in TINY_SPECS])
+def test_tiny_run_files_match_golden_table(spec, tmp_path):
+    name = spec_name(spec)
+    got, expected = tiny_file_hashes(spec, tmp_path), GOLDEN["tiny"][name]
+    assert list(got) == list(expected), _moved(f"tiny {name}: files {list(got)}")
+    for file, digest in got.items():
+        assert digest == expected[file], _moved(f"tiny {name}: {file}: sha256 {digest[:16]}")
 
 
 def test_rewrite_names_every_entry_that_changed():

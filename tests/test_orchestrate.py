@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import codag.orchestrate as orchestrate
+import codag.replay as replay
 from codag.adapt import AdaptConfig
 from codag.augment import AugmentConfig
 from codag.data import HiddenLabelsError, SequenceConfig
@@ -135,11 +136,32 @@ def test_domain_order_permutes_columns():
     assert state.dg_matrix[0][2] == pytest.approx(natural.dg_matrix[0][1])
 
 
-def test_no_buffer_variant_forces_zero_capacity():
-    cfg = tiny_config(variant="codag-no-buffer")
-    assert cfg.buffer_capacity == 0
-    state, _ = run_seed(cfg, 7)
-    assert state.buffer.n_entries == 0
+def _count_herding(monkeypatch) -> list:
+    calls = []
+    real = replay.herding_select
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(replay, "herding_select", counting)
+    return calls
+
+
+def test_zero_buffer_capacity_keeps_the_buffer_empty(monkeypatch):
+    calls = _count_herding(monkeypatch)
+    state, _ = run_seed(tiny_config(buffer_capacity=0), 7)
+    assert state.buffer.n_entries == 0 and calls == []
+
+
+def test_da_only_keeps_its_buffer_capacity_and_herds_nothing(tmp_path, monkeypatch):
+    cfg = tiny_config(variant="da-only", buffer_capacity=200)
+    assert cfg.buffer_capacity == 200 and cfg.to_dict()["buffer_capacity"] == 200
+    calls = _count_herding(monkeypatch)
+    results = run_experiment(cfg, str(tmp_path))
+    assert calls == []
+    on_disk = json.loads((tmp_path / "results.json").read_text())
+    assert results["config"]["buffer_capacity"] == on_disk["config"]["buffer_capacity"] == 200
 
 
 def test_run_experiment_artifacts(tmp_path):
@@ -192,11 +214,17 @@ def _tree(root) -> dict[str, bytes]:
     return out
 
 
-# Interrupted after stage 1 (ids: the variant) and after stage 0 ("-after0").
-@pytest.mark.parametrize("variant, stop", [pytest.param(v, 2, id=v) for v in VARIANTS]
-                         + [pytest.param(v, 1, id=f"{v}-after0") for v in VARIANTS])
-def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, variant, stop):
-    cfg = tiny_config(variant=variant, log_curves=True)
+# tiny_config arguments by run spec: every variant, and the ablations of codag.
+RESUME_RUNS = {**{variant: {"variant": variant} for variant in VARIANTS},
+               "codag+buffer_capacity=0": {"buffer_capacity": 0},
+               "codag+dg.selnlpl=false": {"dg": DGConfig(epochs=4, batch_size=16, selnlpl=False)}}
+
+
+# Interrupted after stage 1 (ids: the run spec) and after stage 0 ("-after0").
+@pytest.mark.parametrize("spec, stop", [pytest.param(s, 2, id=s) for s in RESUME_RUNS]
+                         + [pytest.param(s, 1, id=f"{s}-after0") for s in RESUME_RUNS])
+def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, spec, stop):
+    cfg = tiny_config(**RESUME_RUNS[spec], log_curves=True)
     writes = []
     real_save = orchestrate.save_checkpoint
 
@@ -471,9 +499,9 @@ def test_pool_starts_no_more_workers_than_seeds(monkeypatch):
 
 
 def test_config_dict_roundtrip_and_digest():
-    cfg = tiny_config(variant="codag-no-selnlpl", domain_order=[2, 1])
-    assert cfg.dg.selnlpl is False  # the variant is folded in at construction
-    assert tiny_config(variant="codag-no-buffer").buffer_capacity == 0
+    cfg = tiny_config(dg=DGConfig(epochs=4, batch_size=16, selnlpl=False), buffer_capacity=0,
+                      domain_order=[2, 1])
+    assert cfg.dg.selnlpl is False and cfg.buffer_capacity == 0  # kept as given
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert config_digest(again) == config_digest(cfg)
@@ -481,8 +509,9 @@ def test_config_dict_roundtrip_and_digest():
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(variant="nope")
+    for removed in ("nope", "codag-no-buffer", "codag-no-selnlpl"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            ExperimentConfig(variant=removed)
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError, match="distinct"):
