@@ -214,17 +214,18 @@ def _tree(root) -> dict[str, bytes]:
     return out
 
 
-# tiny_config arguments by run spec: every variant, and the ablations of codag.
+# tiny_config arguments by test id: every variant, and codag without its replay
+# buffer or without its noisy-label schedule.
 RESUME_RUNS = {**{variant: {"variant": variant} for variant in VARIANTS},
-               "codag+buffer_capacity=0": {"buffer_capacity": 0},
-               "codag+dg.selnlpl=false": {"dg": DGConfig(epochs=4, batch_size=16, selnlpl=False)}}
+               "codag-no-buffer": {"buffer_capacity": 0},
+               "codag-no-selnlpl": {"dg": DGConfig(epochs=4, batch_size=16, selnlpl=False)}}
 
 
-# Interrupted after stage 1 (ids: the run spec) and after stage 0 ("-after0").
-@pytest.mark.parametrize("spec, stop", [pytest.param(s, 2, id=s) for s in RESUME_RUNS]
-                         + [pytest.param(s, 1, id=f"{s}-after0") for s in RESUME_RUNS])
-def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, spec, stop):
-    cfg = tiny_config(**RESUME_RUNS[spec], log_curves=True)
+# Interrupted after stage 1 (id: the RESUME_RUNS key) and after stage 0 ("-after0").
+@pytest.mark.parametrize("run, stop", [pytest.param(r, 2, id=r) for r in RESUME_RUNS]
+                         + [pytest.param(r, 1, id=f"{r}-after0") for r in RESUME_RUNS])
+def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, run, stop):
+    cfg = tiny_config(**RESUME_RUNS[run], log_curves=True)
     writes = []
     real_save = orchestrate.save_checkpoint
 
