@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .evaluate import metrics_from_grids
 from .nnmodel import atomic_write
-from .orchestrate import ExperimentConfig, RunStateError, run_experiment
+from .orchestrate import ExperimentConfig, RunStateError, config_digest, run_experiment
 
 
 class CliError(Exception):
@@ -83,7 +83,7 @@ def cmd_run(args) -> int:
     except RunStateError as exc:
         raise CliError(str(exc)) from None
     agg = results["aggregate"]
-    print(f"variant={results['variant']} digest={results['config_digest'][:12]}")
+    print(f"variant={config.variant} digest={results['config_digest'][:12]}")
     for name in ("tda", "tdg", "fa", "all"):
         entry = agg[name]
         if entry is None:
@@ -116,20 +116,20 @@ _REPORTED = (("tda", "tda_mean"), ("tdg", "tdg_mean"), ("fa", "fa_mean"), ("all"
 
 
 def _read_results(path: str) -> tuple[str, dict, dict[str, list[float]]]:
-    """One results.json: its variant, its config without the seed list and, by
-    metric, the seeds' non-null values."""
+    """One results.json: its config's digest, its config without the seed list
+    and, by metric, the seeds' non-null values."""
     try:
         with open(path, encoding="utf-8") as fh:
             res = json.load(fh)
         metrics = [entry["metrics"] for entry in res["per_seed"].values()]
         values = {short: [m[key] for m in metrics if m[key] is not None]
                   for short, key in _REPORTED}
-        variant, config = res["variant"], res["config"]
-        if not isinstance(variant, str) or not isinstance(config, dict) or not all(
+        config = res["config"]
+        if not isinstance(config, dict) or not isinstance(config["variant"], str) or not all(
                 type(v) in (int, float) for vs in values.values() for v in vs):
-            raise TypeError("the variant must be a string, the config an object, "
+            raise TypeError("the config must be an object with a string variant, "
                             "and each metric a number or null")
-        return variant, {key: v for key, v in config.items() if key != "seeds"}, values
+        return config_digest(config), {k: v for k, v in config.items() if k != "seeds"}, values
     except KeyError as exc:
         raise CliError(f"{path}: not a results file: missing key {exc}", code=1) from None
     except (ValueError, TypeError, AttributeError) as exc:
@@ -144,14 +144,14 @@ def _leaves(node, prefix: str = "") -> dict[str, str]:
             for path, value in _leaves(child, f"{prefix}.{key}" if prefix else key).items()}
 
 
-def _row_labels(rows: list[tuple[str, dict]]) -> list[str]:
-    """A label per (variant, config) row: the variant, then, if it has several
-    configs, the values in which they differ (``codag dg.alpha=0``)."""
-    leaves = [_leaves(config) for _, config in rows]
-    peers = {v: [other for (w, _), other in zip(rows, leaves) if w == v] for v, _ in rows}
+def _row_labels(configs: list[dict]) -> list[str]:
+    """A label per config row: its variant, then, if that variant has several
+    configs, the values in which they differ (``codag dg.alpha=0.0``)."""
+    leaves = [_leaves(config) for config in configs]
+    variants = [config["variant"] for config in configs]
     return [" ".join([v, *(f"{k}={mine[k]}" for k in sorted(mine)
-                           if len({p.get(k) for p in peers[v]}) > 1)])
-            for (v, _), mine in zip(rows, leaves)]
+                           if len({p.get(k) for w, p in zip(variants, leaves) if w == v}) > 1)])
+            for v, mine in zip(variants, leaves)]
 
 
 def cmd_report(args) -> int:
@@ -162,12 +162,13 @@ def cmd_report(args) -> int:
     if not paths:
         raise CliError(f"no results.json files under {args.runs}", code=1)
 
-    # One row per config minus its seeds, so seed shards pool and ablations do not.
-    groups: dict[str, list[dict[str, list[float]]]] = {}
+    # One row per config digest, so seed shards pool and ablations do not.
+    groups: dict[str, tuple[dict, list[dict[str, list[float]]]]] = {}
     for path in sorted(paths):
-        variant, config, values = _read_results(path)
-        groups.setdefault(json.dumps([variant, config], sort_keys=True), []).append(values)
-    rows = dict(zip(_row_labels([json.loads(key) for key in groups]), groups.values()))
+        digest, config, values = _read_results(path)
+        groups.setdefault(digest, (config, []))[1].append(values)
+    configs, shards = zip(*groups.values())
+    rows = dict(zip(_row_labels(configs), shards))
 
     width = max(20, *(len(label) + 2 for label in rows))
     lines = [f"{'variant':<{width}}" + "".join(f"{name.upper():>16}" for name, _ in _REPORTED)]
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

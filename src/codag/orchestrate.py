@@ -119,9 +119,6 @@ def config_to_dict(obj) -> dict:
     return out
 
 
-_JSON_TYPES = {float: (int, float)}  # an int stays an int, so the dict form round-trips
-
-
 def _read_value(tp, value, where: str):
     if is_dataclass(tp):
         return config_from_dict(tp, value, where)
@@ -132,11 +129,12 @@ def _read_value(tp, value, where: str):
         if not isinstance(value, list):
             raise ValueError(f"{where} must be a list, got {value!r}")
         return tuple(_read_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES.get(tp, tp)):
+    if isinstance(value, bool) != (tp is bool) or not isinstance(
+            value, (int, float) if tp is float else tp):
         raise ValueError(f"{where} must be {tp.__name__}, got {value!r}")
     if tp is float and not abs(value) <= sys.float_info.max:  # NaN, infinities, huge ints
         raise ValueError(f"{where} must be finite, got {value!r}")
-    return value
+    return float(value) if tp is float else value  # one form per number: 0 reads as 0.0
 
 
 def config_from_dict(cls, raw, where: str = ""):
@@ -158,17 +156,19 @@ def config_from_dict(cls, raw, where: str = ""):
         raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
 
 
-def config_digest(config: ExperimentConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+def config_digest(config: dict) -> str:
+    """A run's identity: sha256 of a config's dict form without ``seeds``, as JSON
+    with sorted keys and no whitespace, so runs that differ only in seeds are one."""
+    return _sha256(json.dumps({key: v for key, v in config.items() if key != "seeds"},
+                              sort_keys=True, separators=(",", ":"), allow_nan=False).encode())
 
 
-def run_digest(config: ExperimentConfig, seq: DomainSequence) -> str:
-    """sha256 over the config digest and every domain's training features.
+def run_digest(config: ExperimentConfig, seed: int, seq: DomainSequence) -> str:
+    """sha256 over the config digest, the seed and every domain's training features.
 
     The features cover CSV data, which the config names only by path.
     """
-    h = hashlib.sha256(config_digest(config).encode("ascii"))
+    h = hashlib.sha256(f"{config_digest(config.to_dict())}:{seed}:".encode("ascii"))
     for train in seq.train_sets:
         h.update(train.x.tobytes())
     return h.hexdigest()
@@ -177,7 +177,7 @@ def run_digest(config: ExperimentConfig, seq: DomainSequence) -> str:
 @dataclass
 class RunState:
     seed: int
-    digest: str  # run_digest of the config and data this state belongs to
+    digest: str  # run_digest of the config, seed and data this state belongs to
     next_stage: int
     buffer: ReplayBuffer
     da_matrix: np.ndarray  # (n, n) accuracies; stage t writes row t
@@ -187,14 +187,13 @@ class RunState:
     sha256: dict[str, str] = field(default_factory=dict)  # committed checkpoints, by path
 
 
-def new_run_state(seed: int, seq: DomainSequence, buffer_capacity: int,
-                  digest: str) -> RunState:
+def new_run_state(seed: int, seq: DomainSequence, config: ExperimentConfig) -> RunState:
     n = seq.n_domains
     return RunState(
         seed=seed,
-        digest=digest,
+        digest=run_digest(config, seed, seq),
         next_stage=0,
-        buffer=ReplayBuffer(buffer_capacity, seq.k),
+        buffer=ReplayBuffer(config.buffer_capacity, seq.k),
         da_matrix=np.full((n, n), np.nan),
         dg_matrix=np.full((n, n), np.nan),
         curves=CurveLog(),
@@ -383,7 +382,7 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
     seq = config.sequence.build(split_seed=substream(seed, "data"))
     if config.domain_order:
         seq = seq.reordered(list(config.domain_order))
-    state = new_run_state(seed, seq, config.buffer_capacity, run_digest(config, seq))
+    state = new_run_state(seed, seq, config)
     if resume and seed_dir is not None and os.path.exists(os.path.join(seed_dir, "state.json")):
         restore_run_state(state, seed_dir, seq, config)
     for t in range(state.next_stage, seq.n_domains):
@@ -452,11 +451,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
         for seed in config.seeds:
             per_seed[str(seed)] = _seed_worker(config, seed, seed_dirs.get(seed), resume)
 
+    as_dict = config.to_dict()
     results = {
-        "config_digest": config_digest(config),
-        "config": config.to_dict(),
-        "variant": config.variant,
-        "domain_order": list(config.domain_order) if config.domain_order else None,
+        "config_digest": config_digest(as_dict),
+        "config": as_dict,
         "per_seed": per_seed,
         "aggregate": _aggregate(per_seed),
     }

@@ -17,10 +17,10 @@ import codag.cli as cli
 import codag.data as data
 import codag.orchestrate as orchestrate
 from codag.cli import CliError, build_config, main
-from codag.orchestrate import ExperimentConfig, config_from_dict
+from codag.orchestrate import ExperimentConfig, config_digest, config_from_dict
 from codag.rng import substream
 
-from test_orchestrate import STATE_FAULTS
+from test_orchestrate import STATE_FAULTS, _tree
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -135,16 +135,19 @@ def _dotted_items(node: dict, prefix: str = ""):
             yield from _dotted_items(value, prefix + key + ".")
 
 
-def _typed(tp, value) -> bool:
-    """Whether ``value`` is of the declared field type ``tp`` (an int passes as a float)."""
+def _typed(tp, value, int_as_float: bool = True) -> bool:
+    """Whether ``value`` is of the declared field type ``tp`` (an int passes as a
+    float unless ``int_as_float`` is false)."""
     if dataclasses.is_dataclass(tp):
-        return all(_typed(f.type, getattr(value, f.name)) for f in dataclasses.fields(tp))
+        return all(_typed(f.type, getattr(value, f.name), int_as_float)
+                   for f in dataclasses.fields(tp))
     args = typing.get_args(tp)
     if type(None) in args:
-        return value is None or any(_typed(a, value) for a in args if a is not type(None))
+        return value is None or any(_typed(a, value, int_as_float)
+                                    for a in args if a is not type(None))
     if typing.get_origin(tp) is tuple:
-        return isinstance(value, tuple) and all(_typed(args[0], v) for v in value)
-    return type(value) is tp or (tp is float and type(value) is int)
+        return isinstance(value, tuple) and all(_typed(args[0], v, int_as_float) for v in value)
+    return type(value) is tp or (int_as_float and tp is float and type(value) is int)
 
 
 def _holds(node, value) -> bool:
@@ -214,6 +217,8 @@ def test_any_override_builds_or_is_invalid_config(tiny_config_file, key, data):
         node = node[part]
     assert _holds(node, value)
     assert _typed(ExperimentConfig, config)
+    # to_dict() copies these values, so each of its float leaves is a float: one form per number.
+    assert _typed(ExperimentConfig, config, int_as_float=False)
     seq = config.sequence
     # A config that constructs lies in the README's sequence ranges, and builds.
     assert seq.k >= 2 and seq.d >= 1 and 0 < seq.source_fraction < 1
@@ -483,7 +488,6 @@ def test_report_aggregates_mean_and_population_std(tmp_path, capsys):
         os.makedirs(d)
         doc = {
             "config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
-            "variant": "codag", "domain_order": None,
             "per_seed": {"1": {"da_matrix": [[value]], "dg_matrix": [[value]],
                                "metrics": {"tda_mean": value, "tdg_mean": value,
                                            "fa_mean": value, "all": value}}},
@@ -505,7 +509,6 @@ def test_report_two_identical_runs_mean_is_that_value(tmp_path, capsys):
         os.makedirs(d)
         doc = {
             "config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
-            "variant": "codag", "domain_order": None,
             "per_seed": {"1": {"da_matrix": [[0.75]], "dg_matrix": [[0.75]],
                                "metrics": {"tda_mean": 0.75, "tdg_mean": 0.75,
                                            "fa_mean": 0.75, "all": 0.75}}},
@@ -523,7 +526,6 @@ def test_report_single_run_zero_std(tmp_path, capsys):
     os.makedirs(runs)
     doc = {
         "config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
-        "variant": "codag", "domain_order": None,
         "per_seed": {"1": {"da_matrix": [[0.7]], "dg_matrix": [[0.7]],
                            "metrics": {"tda_mean": 0.7, "tdg_mean": None,
                                        "fa_mean": None, "all": None}}},
@@ -544,14 +546,12 @@ def test_report_empty_dir_fails(tmp_path, capsys):
 
 
 _RESULTS = {"config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
-            "variant": "codag", "domain_order": None,
             "per_seed": {"1": {"metrics": {"tda_mean": 0.7, "tdg_mean": 0.7,
                                            "fa_mean": 0.7, "all": 0.7}}}}
 
 
 @pytest.mark.parametrize("content", [
-    pytest.param(json.dumps({k: v for k, v in _RESULTS.items() if k != "variant"}),
-                 id="no-variant"),
+    pytest.param(json.dumps(dict(_RESULTS, config={"seeds": [1]})), id="no-variant"),
     pytest.param(json.dumps({k: v for k, v in _RESULTS.items() if k != "config"}),
                  id="no-config"),
     pytest.param(json.dumps(dict(_RESULTS, config=[1])), id="config-as-list"),
@@ -583,12 +583,61 @@ def test_report_gives_each_config_its_own_row(tmp_path, tiny_config_file, capsys
         assert main(["run", "--config", tiny_config_file, *overrides,
                      "--out", str(runs / name)]) == 0
     table = _report(runs)
-    assert sorted(table) == ["codag dg.alpha=0", "codag dg.alpha=1.0"]
-    for label, name in (("codag dg.alpha=1.0", "demo"), ("codag dg.alpha=0", "nodistill")):
+    assert sorted(table) == ["codag dg.alpha=0.0", "codag dg.alpha=1.0"]
+    for label, name in (("codag dg.alpha=1.0", "demo"), ("codag dg.alpha=0.0", "nodistill")):
         res = json.loads((runs / name / "results.json").read_text())
         assert table[label]["all"]["n"] == 1
         assert table[label]["all"]["mean"] == res["per_seed"]["7"]["metrics"]["all"]
-    assert "codag dg.alpha=0" in capsys.readouterr().out
+    assert "codag dg.alpha=0.0" in capsys.readouterr().out
+
+
+def test_int_and_float_spellings_are_one_config(tmp_path, tiny_config_file):
+    """``dg.alpha=0`` reads as 0.0: one config digest and one report row."""
+    runs = tmp_path / "runs"
+    digests = set()
+    for name, alpha, seed in (("int", "0", 7), ("float", "0.0", 8)):
+        digests.add(config_digest(build_config(tiny_config_file, [f"dg.alpha={alpha}"]).to_dict()))
+        assert main(["run", "--config", tiny_config_file, "--override", f"dg.alpha={alpha}",
+                     "--override", f"seeds=[{seed}]", "--out", str(runs / name)]) == 0
+    assert len(digests) == 1
+    table = _report(runs)
+    assert list(table) == ["codag"] and table["codag"]["all"]["n"] == 2
+
+
+def test_resume_adds_and_drops_seeds(tmp_path, tiny_config_file, monkeypatch):
+    """A finished ``seeds=[7]`` run resumed with ``seeds=[7, 8]`` runs only seed 8's
+    stages and writes the files of a fresh two-seed run; resuming that with
+    ``seeds=[7]`` runs no stage."""
+    run = ["run", "--config", tiny_config_file, "--out"]
+    fresh, grown = tmp_path / "fresh", tmp_path / "grown"
+    assert main(run + [str(fresh), "--override", "seeds=[7, 8]"]) == 0
+    assert main(run + [str(grown)]) == 0
+    seeds_run = []
+    real_stage = orchestrate.run_stage
+
+    def recording_stage(state, t, *args):
+        seeds_run.append(state.seed)
+        return real_stage(state, t, *args)
+
+    monkeypatch.setattr(orchestrate, "run_stage", recording_stage)
+    assert main(run + [str(grown), "--override", "seeds=[7, 8]", "--resume"]) == 0
+    assert seeds_run == [8, 8, 8]
+    assert _tree(grown) == _tree(fresh)
+    seeds_run.clear()
+    assert main(run + [str(grown), "--override", "seeds=[7]", "--resume"]) == 0
+    assert seeds_run == []
+    assert list(json.loads((grown / "results.json").read_text())["per_seed"]) == ["7"]
+
+
+def test_allocation_failure_is_one_error_line(tmp_path, capsys):
+    """10**11 rows per domain: numpy refuses the first domain's 745 GiB arrays at
+    allocation, before any memory is touched."""
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
+    code = main(["run", "--config", config, "--override", "sequence.n_per_domain=100000000000",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert "Unable to allocate" in line
 
 
 def test_report_pools_the_seed_shards_of_one_config(tmp_path, tiny_config_file):
@@ -607,12 +656,12 @@ def test_report_pools_the_seed_shards_of_one_config(tmp_path, tiny_config_file):
 
 
 def test_report_labels_are_distinct_and_fixed():
-    rows = [("codag", {"dg": {"alpha": 0}, "buffer_capacity": 30}),
-            ("da-only", {"dg": {"alpha": 0}}),
-            ("codag", {"dg": {"alpha": 1.0}, "buffer_capacity": 30}),
-            ("codag", {"dg": {"alpha": 1.0}, "buffer_capacity": 0})]
-    assert cli._row_labels(rows) == [
-        "codag buffer_capacity=30 dg.alpha=0", "da-only",
+    configs = [{"variant": "codag", "dg": {"alpha": 0.0}, "buffer_capacity": 30},
+               {"variant": "da-only", "dg": {"alpha": 0.0}},
+               {"variant": "codag", "dg": {"alpha": 1.0}, "buffer_capacity": 30},
+               {"variant": "codag", "dg": {"alpha": 1.0}, "buffer_capacity": 0}]
+    assert cli._row_labels(configs) == [
+        "codag buffer_capacity=30 dg.alpha=0.0", "da-only",
         "codag buffer_capacity=30 dg.alpha=1.0", "codag buffer_capacity=0 dg.alpha=1.0"]
 
 

@@ -12,7 +12,7 @@ import codag.orchestrate as orchestrate
 import codag.replay as replay
 from codag.adapt import AdaptConfig
 from codag.augment import AugmentConfig
-from codag.data import HiddenLabelsError, SequenceConfig
+from codag.data import Dataset, HiddenLabelsError, SequenceConfig
 from codag.generalize import DGConfig, train_dg_source
 from codag.nnmodel import (
     HEAD_BLOCKS,
@@ -29,7 +29,6 @@ from codag.orchestrate import (
     StageOrderError,
     config_digest,
     new_run_state,
-    run_digest,
     run_experiment,
     run_seed,
     run_stage,
@@ -72,7 +71,7 @@ def test_source_only_horizon():
 def test_stage_order_enforced():
     cfg = tiny_config()
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
-    state = new_run_state(7, seq, cfg.buffer_capacity, run_digest(cfg, seq))
+    state = new_run_state(7, seq, cfg)
     with pytest.raises(StageOrderError):
         run_stage(state, 1, seq, cfg)
     run_stage(state, 0, seq, cfg)
@@ -184,6 +183,7 @@ def test_run_experiment_artifacts(tmp_path):
         assert (seed_dir / "checkpoints" / "dg_stage2.ckpt").exists()
     on_disk = json.loads((out / "results.json").read_text())
     assert on_disk["config_digest"] == results["config_digest"]
+    assert list(on_disk) == ["config_digest", "config", "per_seed", "aggregate"]
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
@@ -193,7 +193,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     seed_dir = tmp_path / "partial"
     os.makedirs(seed_dir)
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
-    state = new_run_state(7, seq, cfg.buffer_capacity, run_digest(cfg, seq))
+    state = new_run_state(7, seq, cfg)
     for t in range(2):  # stop midway, committing every stage
         run_stage(state, t, seq, cfg)
         orchestrate.save_run_state(state, str(seed_dir))
@@ -431,7 +431,7 @@ def stopped_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("stopped")
     run_seed(cfg, 7, seed_dir=str(root / "full"))
     seq = cfg.sequence.build(split_seed=substream(7, "data"))
-    state = new_run_state(7, seq, cfg.buffer_capacity, run_digest(cfg, seq))
+    state = new_run_state(7, seq, cfg)
     for t in range(2):
         run_stage(state, t, seq, cfg)
         orchestrate.save_run_state(state, str(root / "part"))
@@ -505,8 +505,48 @@ def test_config_dict_roundtrip_and_digest():
     assert cfg.dg.selnlpl is False and cfg.buffer_capacity == 0  # kept as given
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
-    assert config_digest(again) == config_digest(cfg)
+    assert config_digest(again.to_dict()) == config_digest(cfg.to_dict())
     assert "out_dir" not in cfg.to_dict()
+
+
+def test_default_config_file_is_the_default_config():
+    """configs/default.json writes its angles as ints; read as floats, they are the defaults."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
+    with open(path, encoding="utf-8") as fh:
+        from_file = ExperimentConfig.from_dict(json.load(fh)).to_dict()
+    assert from_file == ExperimentConfig().to_dict()
+    assert config_digest(from_file) == config_digest(ExperimentConfig().to_dict())
+
+
+TARGET_PERMUTATION = np.array([2, 0, 1])  # of tiny_config's three classes
+
+
+def _relabelled_targets(build):
+    """``SequenceConfig.build`` with every target domain's labels permuted, in its
+    test set and in the hidden train view that shares them."""
+    def relabelled(self, *args, **kwargs):
+        seq = build(self, *args, **kwargs)
+        for t in range(1, seq.n_domains):
+            test = seq.test_sets[t]
+            seq.test_sets[t] = Dataset(test.x, TARGET_PERMUTATION[test.labels], test.k,
+                                       test.domain_id)
+            seq.train_sets[t] = seq.test_sets[t].without_labels()
+        return seq
+    return relabelled
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_target_labels_never_reach_a_checkpoint(tmp_path, monkeypatch, variant):
+    """Relabelling every target test set leaves every checkpoint byte as it was;
+    only the accuracies, which read the test labels, change."""
+    cfg = tiny_config(variant=variant, log_curves=True)
+    plain, _ = run_seed(cfg, 7, seed_dir=str(tmp_path / "plain"))
+    monkeypatch.setattr(SequenceConfig, "build", _relabelled_targets(SequenceConfig.build))
+    relabelled, _ = run_seed(cfg, 7, seed_dir=str(tmp_path / "relabelled"))
+    checkpoints = _tree(tmp_path / "plain" / "checkpoints")
+    assert checkpoints and _tree(tmp_path / "relabelled" / "checkpoints") == checkpoints
+    np.testing.assert_array_equal(relabelled.dg_matrix[:, 0], plain.dg_matrix[:, 0])
+    assert not np.array_equal(relabelled.dg_matrix[:, 1:], plain.dg_matrix[:, 1:])
 
 
 def test_experiment_config_validation():
