@@ -25,33 +25,26 @@ class AugmentConfig:
             raise ValueError("noise_sigma must be nonnegative")
 
 
-def randmix(
-    batch,
-    config: AugmentConfig,
-    rng: np.random.Generator,
-    *,
-    batch_size: int | None = None,
-) -> np.ndarray:
+def randmix(batch, config: AugmentConfig, rng: np.random.Generator, *,
+            batch_size: int) -> np.ndarray:
     """Augmented batch: sum_i w_i * T_i(x) + noise, same shape as the input.
 
     Slot 0 is the identity; the remaining slots are random affine maps
-    (entries ~ N(0, 1/d), zero bias) followed by tanh.
-    With ``batch_size``, every consecutive ``batch_size``-row slice gets its
-    own weights, maps and noise, drawn in the order and with the values of
-    one call per slice; the elementwise work then runs once over all rows.
+    (entries ~ N(0, 1/d), zero bias) followed by tanh. Every consecutive
+    ``batch_size``-row slice gets its own weights, maps and noise, drawn slice
+    by slice in order; the elementwise work then runs once over all rows.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a nonempty (n, d) array")
     n, d = x.shape
     m = config.n_transforms
-    step = n if batch_size is None else batch_size
 
     w = np.empty((m, n, 1))  # slot i's weight on every row
     views = np.empty((m - 1, n, d))  # views[i - 1] is slot i's view of every row
     noise = np.empty_like(x) if config.noise_sigma > 0 else None
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
+    for start in range(0, n, batch_size):
+        rows = slice(start, start + batch_size)
         xb = x[rows]
         w[:, rows, 0] = rng.dirichlet(np.full(m, config.mix_concentration))[:, None]
         for i in range(1, m):

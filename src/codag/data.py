@@ -169,7 +169,7 @@ def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]
     if (not any(c in text for c in _NOT_PLAIN) and text.find("\r", 0, lf) in (-1, lf - 1)
             and _longest_cell(text) <= _MAX_CELL):
         # A blank first record reads as a header too, and both parsers skip it.
-        first = next(csv.reader(io.StringIO(text, newline="")), [])
+        first = next(csv.reader([text if lf < 0 else text[:lf + 1]]), [])
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # e.g. "input contained no data"

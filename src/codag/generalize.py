@@ -169,7 +169,7 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
                 if min(config.batch_size, n - start) == 1:
                     # A one-row product is matrix-vector, whose sums can differ in
                     # the last bit from a block's; such a batch keeps its own pass.
-                    logits[start] = forward(teacher, xe[start])
+                    logits[start:start + 1] = forward(teacher, xe[start:start + 1])
             qe = softmax(logits)
             teacher_q = qe, np.log(np.where(qe > 0, qe, 1.0))
         # Complementary labels are drawn batch by batch for the NL rows, zero elsewhere.

@@ -10,11 +10,11 @@ blocks, in their given order, into one flat buffer whose read-only views are
 the blocks, and builds an exact float64 shadow of it (``shadow``) and a
 float64 gradient buffer of the same layout (``grads``). ``blocks`` is a
 read-only mapping, so changing weights means building a new object.
-``forward``, ``features`` and ``gradient`` read the shadow; float32 to
-float64 is exact, so they compute on the stored weights. ``forward`` and
-``features`` run long inputs in row blocks whose float64 temporaries stay
-at or under 64 KiB, so repeated full-set evaluation reuses warm memory
-instead of faulting in fresh pages.
+``forward``, ``features`` and ``gradient`` take (n, d) arrays and read the
+shadow; float32 to float64 is exact, so they compute on the stored weights.
+``forward`` and ``features`` run long inputs in row blocks whose float64
+temporaries stay at or under 64 KiB, so repeated full-set evaluation reuses
+warm memory instead of faulting in fresh pages.
 
 ``gradient`` writes each block's gradient into its view of ``grads``
 (``out=`` products and reductions, the same arithmetic as fresh arrays), so
@@ -36,6 +36,7 @@ CHECKPOINT_MAGIC = b"CODAGCKPT"
 CHECKPOINT_VERSION = 1
 HEAD_BLOCKS = ("head.w", "head.b")
 _TEMP_BYTES = 64 * 1024  # largest float64 temporary of one forward row block
+MOMENTUM = 0.9  # of every Sgd
 
 
 class CheckpointError(RuntimeError):
@@ -115,16 +116,13 @@ def init_params(config: ModelConfig, d: int, k: int, seed) -> ClassifierParams:
     return ClassifierParams(blocks)
 
 
-def _as_batch(params: ClassifierParams, x) -> tuple[np.ndarray, bool]:
+def _as_batch(params: ClassifierParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(
-            f"input dimension mismatch: expected {params.input_dim}, got {x.shape[-1]}"
+            f"input dimension mismatch: expected shape (n, {params.input_dim}), got {x.shape}"
         )
-    return x, single
+    return x
 
 
 def _forward_cached(w, x: np.ndarray, cache: list | None = None):
@@ -160,7 +158,7 @@ def _row_edges(n: int, widest: int) -> list[int]:
 
 def _blocked(params: ClassifierParams, x, keep_feats: bool):
     """(features or None, logits) from one row-blocked pass over ``x``."""
-    xb, single = _as_batch(params, x)
+    xb = _as_batch(params, x)
     w = params.shadow
     feat_dim, k = w["head.w"].shape
     feats_out = np.empty((xb.shape[0], feat_dim)) if keep_feats else None
@@ -172,18 +170,16 @@ def _blocked(params: ClassifierParams, x, keep_feats: bool):
         logits_out[start:stop] = logits
         if keep_feats:
             feats_out[start:stop] = feats
-    if single:
-        return (feats_out[0] if keep_feats else None), logits_out[0]
     return feats_out, logits_out
 
 
 def forward(params: ClassifierParams, x) -> np.ndarray:
-    """Logits for a single vector or a batch; rows align with inputs."""
+    """Logits of an (n, d) batch, one row per input row."""
     return _blocked(params, x, keep_feats=False)[1]
 
 
 def features(params: ClassifierParams, x) -> np.ndarray:
-    """Feature-extractor output (the head's input)."""
+    """Feature-extractor output (the head's input) of an (n, d) batch."""
     return _blocked(params, x, keep_feats=True)[0]
 
 
@@ -222,7 +218,7 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
     are ``params.grads``, so they hold only until the next call on the same
     parameters.
     """
-    xb, _ = _as_batch(params, x)
+    xb = _as_batch(params, x)
     w = params.shadow
     cache = []
     feats, logits = _forward_cached(w, xb, cache)
@@ -252,7 +248,7 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
 
 
 class Sgd:
-    """SGD with momentum over the parameters' own flat buffers.
+    """SGD with momentum ``MOMENTUM`` over the parameters' own flat buffers.
 
     ``step`` updates the weights and their shadow in whole-buffer operations,
     with the same per-element arithmetic as a per-block update, reading
@@ -261,11 +257,10 @@ class Sgd:
     keeps a zero velocity, so every step leaves it bit-identical.
     """
 
-    def __init__(self, params: ClassifierParams, lr: float, momentum: float = 0.9):
+    def __init__(self, params: ClassifierParams, lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.momentum = momentum
         self._params = params
         self._w32, self._w64 = params._flat, params._flat64
         self._grad = params._flat_grads
@@ -279,7 +274,7 @@ class Sgd:
         v, t = self.velocity, self._scratch
         # A diverging run overflows the float32 cast; the check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
-            v *= self.momentum
+            v *= MOMENTUM
             v += self._grad
             np.multiply(v, self.lr, out=t)
             np.subtract(self._w64, t, out=t)

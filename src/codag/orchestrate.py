@@ -107,12 +107,18 @@ class ExperimentConfig:
 
 
 def config_to_dict(obj) -> dict:
-    """A dataclass as JSON data: nested dataclasses become dicts, tuples lists."""
+    """A dataclass as JSON data: nested dataclasses become dicts, tuples lists.
+    A float field's numbers are written as floats, however they were given, so
+    ``DGConfig(alpha=0)`` writes what ``from_dict`` reads from ``"alpha": 0``."""
     out = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
             value = config_to_dict(value)
+        elif f.type is float:
+            value = float(value)
+        elif f.type == tuple[float, ...]:
+            value = [float(v) for v in value]
         elif isinstance(value, tuple):
             value = list(value)
         out[f.name] = value

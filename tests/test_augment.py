@@ -8,14 +8,14 @@ def test_identity_weights_reproduce_input():
     # One slot, the identity: its Dirichlet weight is 1, so the input comes back.
     cfg = AugmentConfig(n_transforms=1, noise_sigma=0.0)
     x = np.random.default_rng(1).standard_normal((8, 5))
-    np.testing.assert_array_equal(randmix(x, cfg, np.random.default_rng(0)), x)
+    np.testing.assert_array_equal(randmix(x, cfg, np.random.default_rng(0), batch_size=8), x)
 
 
 def test_determinism_under_fixed_stream():
     cfg = AugmentConfig()
     x = np.random.default_rng(2).standard_normal((6, 4))
-    a = randmix(x, cfg, np.random.default_rng(33))
-    b = randmix(x, cfg, np.random.default_rng(33))
+    a = randmix(x, cfg, np.random.default_rng(33), batch_size=6)
+    b = randmix(x, cfg, np.random.default_rng(33), batch_size=6)
     np.testing.assert_array_equal(a, b)
 
 
@@ -34,7 +34,7 @@ def test_mixing_formula_matches_twin_generator_oracle(cfg):
     expected = sum(wi * view for wi, view in zip(w, views))
     if cfg.noise_sigma > 0:
         expected = expected + twin.normal(0.0, cfg.noise_sigma, x.shape)
-    np.testing.assert_allclose(randmix(x, cfg, np.random.default_rng(12)), expected,
+    np.testing.assert_allclose(randmix(x, cfg, np.random.default_rng(12), batch_size=6), expected,
                                rtol=0, atol=1e-12)
 
 
@@ -51,8 +51,8 @@ def test_shape_preserved_and_fresh_transforms_differ_per_batch():
     cfg = AugmentConfig(noise_sigma=0.0)
     rng = np.random.default_rng(5)
     x = np.random.default_rng(6).standard_normal((10, 7))
-    first = randmix(x, cfg, rng)
-    second = randmix(x, cfg, rng)  # same stream, later state: new transforms
+    first = randmix(x, cfg, rng, batch_size=10)
+    second = randmix(x, cfg, rng, batch_size=10)  # same stream, later state: new transforms
     assert first.shape == x.shape == second.shape
     assert not np.allclose(first, second)
 
@@ -60,7 +60,7 @@ def test_shape_preserved_and_fresh_transforms_differ_per_batch():
 def test_empty_batch_rejected():
     cfg = AugmentConfig()
     with pytest.raises(ValueError):
-        randmix(np.empty((0, 3)), cfg, np.random.default_rng(0))
+        randmix(np.empty((0, 3)), cfg, np.random.default_rng(0), batch_size=16)
 
 
 def test_config_validation():
@@ -82,7 +82,8 @@ def test_batch_size_equals_one_call_per_batch(cfg, n):
     b = 16
     x = np.random.default_rng(n).standard_normal((n, 5))
     twin, rng = np.random.default_rng(9), np.random.default_rng(9)
-    expected = np.concatenate([randmix(x[s:s + b], cfg, twin) for s in range(0, n, b)])
+    expected = np.concatenate([randmix(x[s:s + b], cfg, twin, batch_size=b)
+                               for s in range(0, n, b)])
     got = randmix(x, cfg, rng, batch_size=b)
     assert got.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state

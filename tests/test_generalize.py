@@ -227,7 +227,7 @@ def test_train_target_alpha_zero_no_selnlpl_equals_plain_ce():
 
     replay = RngStreams.for_stage(5, 0)
     perm = replay.shuffle.permutation(len(data))
-    xb = randmix(data.x[perm], aug, replay.aug)
+    xb = randmix(data.x[perm], aug, replay.aug, batch_size=cfg.batch_size)
     probs = softmax(forward(prev, xb))
     expected = np.mean([ce_loss(probs[i], int(data.labels[perm][i]))
                         for i in range(len(data))])
@@ -379,7 +379,7 @@ def per_batch_train_dg(params0, x, y, is_pseudo, teacher, config, aug, rng):
             idx = perm[start:start + config.batch_size]
             xb = x[idx]
             if aug is not None:
-                xb = randmix(xb, aug, rng.aug)
+                xb = randmix(xb, aug, rng.aug, batch_size=config.batch_size)
             kb = kinds[idx]
             comp = np.zeros(idx.shape[0], dtype=np.int64)
             nl_mask = kb == _NL

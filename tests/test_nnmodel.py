@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import stat
 import struct
 
@@ -20,6 +21,7 @@ from codag.nnmodel import (
     Sgd,
     atomic_write,
     features,
+    features_and_logits,
     forward,
     gradient,
     init_params,
@@ -67,8 +69,8 @@ def test_init_determinism_and_bounds():
 def test_forward_zero_params_gives_zero_logits():
     params = ClassifierParams({name: np.zeros_like(block)
                                for name, block in small_params().blocks.items()})
-    out = forward(params, np.ones(4))
-    np.testing.assert_array_equal(out, np.zeros(3))
+    out = forward(params, np.ones((1, 4)))
+    np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
 
 def test_forward_hand_computed_single_layer():
@@ -80,7 +82,7 @@ def test_forward_hand_computed_single_layer():
         "head.b": np.array([0.25, -1.0], dtype=np.float32),
     }
     params = ClassifierParams(blocks)
-    x = np.array([2.0, -1.0])
+    x = np.array([[2.0, -1.0]])
     expected = x @ blocks["head.w"].astype(float) + blocks["head.b"].astype(float)
     np.testing.assert_allclose(forward(params, x), expected, atol=1e-12)
 
@@ -90,7 +92,7 @@ def test_batch_forward_matches_stacked_single():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 4))
     batch = forward(params, x)
-    singles = np.stack([forward(params, row) for row in x])
+    singles = np.concatenate([forward(params, x[i:i + 1]) for i in range(len(x))])
     np.testing.assert_allclose(batch, singles, atol=0)
 
 
@@ -98,6 +100,10 @@ def test_forward_dimension_mismatch():
     params = small_params()
     with pytest.raises(ValueError, match="dimension"):
         forward(params, np.ones(5))
+    # A vector of the right length is not a batch, and the error names both shapes.
+    for fn in (forward, features, features_and_logits):
+        with pytest.raises(ValueError, match=re.escape(r"expected shape (n, 4), got (4,)")):
+            fn(params, np.ones(4))
 
 
 def test_features_compose_with_head():
@@ -132,16 +138,16 @@ def test_row_blocked_forward_equals_single_pass():
         assert features(params, x).shape == (n, 32)
         assert forward(params, x).tobytes() == logits.tobytes(), n
         assert features(params, x).tobytes() == feats.tobytes(), n
-    vec = rng.standard_normal(16)
-    feats, logits = _single_pass(params, vec[None, :])
-    assert forward(params, vec).tobytes() == logits[0].tobytes()
-    assert features(params, vec).tobytes() == feats[0].tobytes()
+    row = rng.standard_normal((1, 16))
+    feats, logits = _single_pass(params, row)
+    assert forward(params, row).tobytes() == logits.tobytes()
+    assert features(params, row).tobytes() == feats.tobytes()
 
 
 def test_features_zero_extractor():
     params = ClassifierParams({name: np.zeros_like(block) if name.startswith("ext") else block
                                for name, block in small_params().blocks.items()})
-    np.testing.assert_array_equal(features(params, np.ones(4)), np.zeros(5))
+    np.testing.assert_array_equal(features(params, np.ones((1, 4))), np.zeros((1, 5)))
 
 
 def test_softmax_basics():
@@ -279,7 +285,7 @@ def test_sgd_shadow_and_flat_update_match_per_block_oracle(frozen):
     velocity = {name: np.zeros(block.shape) for name, block in oracle.items()
                 if name not in frozen}
     lr, momentum = 0.05, 0.9
-    opt = Sgd(params, lr, momentum)
+    opt = Sgd(params, lr)
     rng = np.random.default_rng(8)
     for _ in range(50):
         x = rng.standard_normal((64, 16))
