@@ -45,8 +45,6 @@ def _forward_cached(w, x, cache=None):
 
 def gradient(loss_fn, params, x, freeze_head: bool = False):
     xb = np.asarray(x, dtype=np.float64)
-    if xb.ndim == 1:
-        xb = xb[None, :]
     w = _weights(params)
     cache = []
     feats, logits = _forward_cached(w, xb, cache)

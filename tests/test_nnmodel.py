@@ -176,7 +176,7 @@ def fd_gradient(loss_fn, params, x, h=1e-5):
     for name, block in params.blocks.items():
         g = np.zeros_like(block)
         for idx in np.ndindex(block.shape):
-            lp, lm = (loss_fn(np.atleast_2d(forward(_moved(params, name, idx, step), x)))[0]
+            lp, lm = (loss_fn(forward(_moved(params, name, idx, step), x))[0]
                       for step in (h, -h))
             g[idx] = (lp - lm) / (2 * h)
         grads[name] = g
