@@ -607,15 +607,15 @@ def test_int_and_float_spellings_are_one_config(tmp_path, tiny_config_file):
     runs = tmp_path / "mixed"
     base = build_config(tiny_config_file, [])
     built = dataclasses.replace(
-        base, seeds=(7,), dg=dataclasses.replace(base.dg, alpha=0),
+        base, dg=dataclasses.replace(base.dg, alpha=0),
         adapt=dataclasses.replace(base.adapt, lr=1),
         sequence=dataclasses.replace(base.sequence, angles_deg=(0, 30, 60, 90, 120)))
     floats = ["dg.alpha=0.0", "adapt.lr=1.0", "sequence.angles_deg=[0.0, 30.0, 60.0, 90.0, 120.0]"]
     read = build_config(tiny_config_file, floats)
     assert config_digest(built.to_dict()) == config_digest(read.to_dict())
-    orchestrate.run_experiment(built, runs / "python")
-    assert main(["run", "--config", tiny_config_file, *(a for f in floats for a in ("--override", f)),
-                 "--override", "seeds=[8]", "--out", str(runs / "cli")]) == 0
+    orchestrate.run_experiment(built, runs / "python")  # seed 7
+    overrides = [arg for f in [*floats, "seeds=[8]"] for arg in ("--override", f)]
+    assert main(["run", "--config", tiny_config_file, *overrides, "--out", str(runs / "cli")]) == 0
     table = _report(runs)
     ((label, row),) = table.items()
     assert row["all"]["n"] == 2, label

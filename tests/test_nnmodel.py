@@ -102,7 +102,7 @@ def test_forward_dimension_mismatch():
         forward(params, np.ones(5))
     # A vector of the right length is not a batch, and the error names both shapes.
     for fn in (forward, features, features_and_logits):
-        with pytest.raises(ValueError, match=re.escape(r"expected shape (n, 4), got (4,)")):
+        with pytest.raises(ValueError, match=re.escape("expected shape (n, 4), got (4,)")):
             fn(params, np.ones(4))
 
 
