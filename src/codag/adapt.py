@@ -134,11 +134,11 @@ def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
             pl = centroid_pseudo_labels(params, target)
         xe, ple = target.x[perm], pl[perm]
 
-        def batch_grad(rows):
+        def batch_loss(rows):
             loss_fn = _im_pl_logit_loss(ple[rows], config.im_weight, config.pl_weight)
             return gradient(loss_fn, params, xe[rows], freeze_head=True)
 
-        return PHASE_ADAPT, batch_grad
+        return PHASE_ADAPT, batch_loss
 
     return train_epochs(dg_params, len(target), config, rng, epoch_setup, on_epoch)
 

@@ -76,14 +76,8 @@ class Dataset:
 
     def without_labels(self) -> "Dataset":
         """View over the same arrays with label access disabled."""
-        ds = Dataset.__new__(Dataset)
-        ds.x = self.x
-        ds.k = self.k
-        ds.domain_id = self.domain_id
-        ds.labels_hidden = True
-        ds.pseudo = self.pseudo
-        ds._labels = self._labels
-        return ds
+        return Dataset(self.x, self._labels, self.k, self.domain_id, labels_hidden=True,
+                       pseudo=self.pseudo)
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)

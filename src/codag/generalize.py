@@ -69,7 +69,7 @@ def select_confident(params: ClassifierParams, x, threshold: float) -> np.ndarra
     return softmax(forward(params, x)).max(axis=1) > threshold
 
 
-def _mixed_logit_loss(y, kinds, comp, teacher_q, alpha: float, clip_eps: float):
+def _mixed_logit_loss(y, kinds, comp, teacher_q, alpha: float):
     """Logit-level loss: per-row CE/NL per ``kinds`` plus alpha * KL(q || p).
 
     ``teacher_q`` is None or (q, log(where(q > 0, q, 1))). Label losses average
@@ -96,13 +96,13 @@ def _mixed_logit_loss(y, kinds, comp, teacher_q, alpha: float, clip_eps: float):
             keep = 1.0 - pt
             # -log(max(p_t, eps)) for CE rows, -log(max(1 - p_t, eps)) for NL rows.
             nll = np.where(nl, keep, pt)
-            np.negative(np.log(np.maximum(nll, clip_eps, out=nll), out=nll), out=nll)
+            np.negative(np.log(np.maximum(nll, _CLIP_EPS, out=nll), out=nll), out=nll)
             total += (float(nll[ce].sum()) + float(nll[nl].sum())) / n_labeled
             # Per-row factor: -1 for CE rows, c for NL rows, 0 for skipped and
             # clipped rows; the gradient is 0.0 - factor * p, plus the factor
             # at the target. 0.0 - x, not -x, keeps the sign of a zero.
-            shift = np.where(ce & (pt > clip_eps), -1.0, 0.0)
-            np.divide(pt, keep, out=shift, where=nl & (keep > clip_eps))
+            shift = np.where(ce & (pt > _CLIP_EPS), -1.0, 0.0)
+            np.divide(pt, keep, out=shift, where=nl & (keep > _CLIP_EPS))
             dl = np.multiply(shift[:, None], p)
             np.subtract(0.0, dl, out=dl)
             dl.ravel()[flat] += shift
@@ -177,15 +177,15 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
         has_nl = bool(nl_e.any())
         comp_e = np.zeros(n, dtype=np.int64)
 
-        def batch_grad(rows):
+        def batch_loss(rows):
             yb, kb, comp = ye[rows], ke[rows], comp_e[rows]
             if has_nl and (nl_mask := nl_e[rows]).any():
                 comp[nl_mask] = draw_complementary_labels(yb[nl_mask], k, rng.nl)
             q = None if teacher_q is None else (teacher_q[0][rows], teacher_q[1][rows])
-            loss_fn = _mixed_logit_loss(yb, kb, comp, q, config.alpha, _CLIP_EPS)
+            loss_fn = _mixed_logit_loss(yb, kb, comp, q, config.alpha)
             return gradient(loss_fn, params, xe[rows])
 
-        return phase, batch_grad
+        return phase, batch_loss
 
     return train_epochs(params0, n, config, rng.shuffle, epoch_setup, on_epoch)
 

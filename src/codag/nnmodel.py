@@ -16,11 +16,10 @@ shadow; float32 to float64 is exact, so they compute on the stored weights.
 temporaries stay at or under 64 KiB, so repeated full-set evaluation reuses
 warm memory instead of faulting in fresh pages.
 
-``gradient`` writes each block's gradient into its view of ``grads``
-(``out=`` products and reductions, the same arithmetic as fresh arrays), so
-``Sgd.step`` reads the buffer without copying. The grads that ``gradient``
-returns therefore stay valid only until the next ``gradient`` call on the
-same parameters.
+``gradient`` returns the loss and writes each block's gradient into its view
+of ``grads`` (``out=`` products and reductions, the same arithmetic as fresh
+arrays); ``Sgd.step()`` steps the parameters it was built on by that buffer,
+without copying it.
 """
 
 import hashlib
@@ -209,14 +208,12 @@ def log_softmax(logits) -> np.ndarray:
     return z
 
 
-def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
-    """Loss value and per-block gradients for ``loss_fn(logits)``.
+def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False) -> float:
+    """Loss value of ``loss_fn(logits)``; its per-block gradients fill ``params.grads``.
 
     ``loss_fn`` maps the (n, K) logit matrix to ``(value, dvalue_dlogits)``;
     the reverse pass distributes dlogits through the architecture. With
-    ``freeze_head`` the head blocks get exactly-zero gradients. The grads
-    are ``params.grads``, so they hold only until the next call on the same
-    parameters.
+    ``freeze_head`` the head blocks get exactly-zero gradients.
     """
     xb = _as_batch(params, x)
     w = params.shadow
@@ -244,13 +241,13 @@ def gradient(loss_fn, params: ClassifierParams, x, freeze_head: bool = False):
         np.add.reduce(dz, axis=0, out=grads[f"ext{i}.b"])
         if i > 0:
             dz = dz @ w[f"ext{i}.w"].T
-    return float(loss), grads
+    return float(loss)
 
 
 class Sgd:
-    """SGD with momentum ``MOMENTUM`` over the parameters' own flat buffers.
+    """SGD with momentum ``MOMENTUM`` over the flat buffers of the params it is built on.
 
-    ``step`` updates the weights and their shadow in whole-buffer operations,
+    ``step()`` updates their weights and shadow in whole-buffer operations,
     with the same per-element arithmetic as a per-block update, reading
     ``params.grads`` in place and never writing to it. A block whose grads
     are always exactly zero (the head under ``gradient(..., freeze_head=True)``)
@@ -261,16 +258,14 @@ class Sgd:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self._params = params
         self._w32, self._w64 = params._flat, params._flat64
         self._grad = params._flat_grads
         self._scratch = np.empty(params._flat.size)
         self.velocity = np.zeros(params._flat.size)
 
-    def step(self, params: ClassifierParams, grads) -> None:
-        """One update; raises FloatingPointError when a weight leaves the finite range."""
-        if params is not self._params or grads is not params.grads:
-            raise ValueError("Sgd.step takes the packed params it was built on and their grads")
+    def step(self) -> None:
+        """One update by the current ``params.grads``; raises FloatingPointError
+        when a weight leaves the finite range."""
         v, t = self.velocity, self._scratch
         # A diverging run overflows the float32 cast; the check below reports it.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -289,21 +284,21 @@ def train_epochs(params0: ClassifierParams, n: int, config, shuffle: np.random.G
     """``config.epochs`` epochs of ``Sgd`` over ``n`` rows on a copy of ``params0``.
 
     Per epoch: one permutation from ``shuffle``; ``epoch_setup(epoch, params,
-    perm)`` returns the phase and ``batch_grad(rows)``, the (loss, grads) of a
-    slice of the permuted rows; one step per slice; then ``on_epoch(epoch,
-    params, mean_loss, phase)``. A ``FloatingPointError`` gains phase and epoch.
+    perm)`` returns the phase and ``batch_loss(rows)``, which calls ``gradient``
+    on a slice of the permuted rows and returns its loss; one step per slice;
+    then ``on_epoch(epoch, params, mean_loss, phase)``. A ``FloatingPointError``
+    gains phase and epoch.
     """
     params = params0.copy()
     opt = Sgd(params, config.lr)
     for epoch in range(config.epochs):
         perm = shuffle.permutation(n)
-        phase, batch_grad = epoch_setup(epoch, params, perm)
+        phase, batch_loss = epoch_setup(epoch, params, perm)
         losses = []
         try:
             for start in range(0, n, config.batch_size):
-                loss, grads = batch_grad(slice(start, start + config.batch_size))
-                opt.step(params, grads)
-                losses.append(loss)
+                losses.append(batch_loss(slice(start, start + config.batch_size)))
+                opt.step()
         except FloatingPointError as exc:
             raise FloatingPointError(f"{phase} phase, epoch {epoch}: {exc}") from exc
         if on_epoch is not None:

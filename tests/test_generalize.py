@@ -344,7 +344,7 @@ def test_mixed_logit_loss_matches_row_list_reference_bitwise():
         q = softmax(rng.standard_normal((n, k))) if trial % 2 else None
         alpha = float(rng.choice([0.0, 1.0, 0.5]))
         with np.errstate(divide="ignore"):  # log(0) of an underflowed p in the KL value
-            got_loss, got = _mixed_logit_loss(y, kinds, comp, teacher_q(q), alpha, 1e-7)(logits)
+            got_loss, got = _mixed_logit_loss(y, kinds, comp, teacher_q(q), alpha)(logits)
             ref_loss, ref = row_list_loss(y, kinds, comp, q, alpha, 1e-7)(logits)
         assert got.tobytes() == ref.tobytes(), f"trial {trial}"  # signs of zero too
         assert got_loss == ref_loss
@@ -388,8 +388,8 @@ def per_batch_train_dg(params0, x, y, is_pseudo, teacher, config, aug, rng):
             q = softmax(forward(teacher, xb)) if teacher is not None else None
             batches.append(_loss_inputs(y[idx], kb, comp, q))
             loss_fn = row_list_loss(y[idx], kb, comp, q, config.alpha, 1e-7)
-            _, grads = gradient(loss_fn, params, xb)
-            opt.step(params, grads)
+            gradient(loss_fn, params, xb)
+            opt.step()
     return params, batches
 
 
@@ -404,13 +404,13 @@ def test_epoch_level_dg_loop_matches_per_batch_loop(n_pool, batch_size, monkeypa
     complementary labels, teacher probabilities and their log), bit for bit."""
     batches = []
 
-    def recording_loss(y, kinds, comp, q_log_q, alpha, clip_eps):
+    def recording_loss(y, kinds, comp, q_log_q, alpha):
         q = None
         if q_log_q is not None:
             q, log_q = q_log_q
             assert log_q.tobytes() == teacher_q(q)[1].tobytes()
         batches.append(_loss_inputs(y, kinds, comp, q))
-        return _mixed_logit_loss(y, kinds, comp, q_log_q, alpha, clip_eps)
+        return _mixed_logit_loss(y, kinds, comp, q_log_q, alpha)
 
     monkeypatch.setattr(generalize, "_mixed_logit_loss", recording_loss)
     seq = default_sequence(split_seed=substream(3, "data"))

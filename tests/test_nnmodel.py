@@ -30,6 +30,7 @@ from codag.nnmodel import (
     softmax,
 )
 
+import kernel_oracles as oracle
 from conftest import teacher_q
 
 
@@ -184,7 +185,8 @@ def fd_gradient(loss_fn, params, x, h=1e-5):
 
 
 def assert_fd_match(loss_fn, params, x, tol=1e-4):
-    _, grads = gradient(loss_fn, params, x)
+    gradient(loss_fn, params, x)
+    grads = params.grads
     fd = fd_gradient(loss_fn, params, x)
     for name in params.blocks:
         denom = np.maximum(np.maximum(np.abs(fd[name]), np.abs(grads[name])), 1e-8)
@@ -204,21 +206,21 @@ def fd_setup():
 def test_gradient_matches_fd_cross_entropy(fd_setup):
     params, x, y, _ = fd_setup
     kinds = np.full(7, _CE)
-    assert_fd_match(_mixed_logit_loss(y, kinds, None, None, 0.0, 1e-7), params, x)
+    assert_fd_match(_mixed_logit_loss(y, kinds, None, None, 0.0), params, x)
 
 
 def test_gradient_matches_fd_negative_learning(fd_setup):
     params, x, y, _ = fd_setup
     kinds = np.full(7, _NL)
     comp = (y + 1) % 3
-    assert_fd_match(_mixed_logit_loss(y, kinds, comp, None, 0.0, 1e-7), params, x)
+    assert_fd_match(_mixed_logit_loss(y, kinds, comp, None, 0.0), params, x)
 
 
 def test_gradient_matches_fd_distillation(fd_setup):
     params, x, y, rng = fd_setup
     q = softmax(rng.standard_normal((7, 3)))
     kinds = np.full(7, _SKIP)
-    assert_fd_match(_mixed_logit_loss(y, kinds, None, teacher_q(q), 1.0, 1e-7), params, x)
+    assert_fd_match(_mixed_logit_loss(y, kinds, None, teacher_q(q), 1.0), params, x)
 
 
 def test_gradient_matches_fd_mixed_batch(fd_setup):
@@ -226,7 +228,7 @@ def test_gradient_matches_fd_mixed_batch(fd_setup):
     q = softmax(rng.standard_normal((7, 3)))
     kinds = np.array([_CE, _NL, _SKIP, _CE, _NL, _CE, _SKIP])
     comp = (y + 1) % 3
-    assert_fd_match(_mixed_logit_loss(y, kinds, comp, teacher_q(q), 0.7, 1e-7), params, x)
+    assert_fd_match(_mixed_logit_loss(y, kinds, comp, teacher_q(q), 0.7), params, x)
 
 
 def test_gradient_matches_fd_im_plus_pseudo_ce(fd_setup):
@@ -236,10 +238,25 @@ def test_gradient_matches_fd_im_plus_pseudo_ce(fd_setup):
 
 def test_freeze_head_zeroes_head_blocks(fd_setup):
     params, x, y, _ = fd_setup
-    _, grads = gradient(_im_pl_logit_loss(y, 1.0, 0.3), params, x, freeze_head=True)
+    gradient(_im_pl_logit_loss(y, 1.0, 0.3), params, x, freeze_head=True)
+    grads = params.grads
     assert np.all(grads["head.w"] == 0.0)
     assert np.all(grads["head.b"] == 0.0)
     assert np.any(grads["ext0.w"] != 0.0)
+
+
+def test_gradient_returns_the_loss_and_fills_params_grads(fd_setup):
+    params, x, y, _ = fd_setup
+    loss_fn = _mixed_logit_loss(y, np.array([_CE, _NL, _SKIP] * 2 + [_CE]), (y + 1) % 3,
+                                None, 0.0)
+    loss = gradient(loss_fn, params, x)
+    want_loss, want = oracle.gradient(loss_fn, params, x)
+    assert type(loss) is float
+    assert struct.pack("<d", loss) == struct.pack("<d", loss_fn(forward(params, x))[0])
+    assert struct.pack("<d", loss) == struct.pack("<d", want_loss)
+    assert params.grads.keys() == want.keys()
+    for name, block in want.items():
+        assert params.grads[name].tobytes() == block.tobytes(), name
 
 
 def test_constant_loss_gives_zero_gradients(fd_setup):
@@ -248,8 +265,8 @@ def test_constant_loss_gives_zero_gradients(fd_setup):
     def const(logits):
         return 3.5, np.zeros_like(logits)
 
-    _, grads = gradient(const, params, x)
-    for name, g in grads.items():
+    gradient(const, params, x)
+    for name, g in params.grads.items():
         assert np.all(g == 0.0), name
 
 
@@ -270,8 +287,8 @@ def test_sgd_leaves_frozen_blocks_bit_identical():
     rng = np.random.default_rng(9)
     for _ in range(3):
         x, y = rng.standard_normal((16, 4)), rng.integers(0, 3, 16)
-        _, grads = gradient(_im_pl_logit_loss(y, 1.0, 0.3), params, x, freeze_head=True)
-        opt.step(params, grads)
+        gradient(_im_pl_logit_loss(y, 1.0, 0.3), params, x, freeze_head=True)
+        opt.step()
     assert params.blocks["head.w"].tobytes() == before["head.w"].tobytes()
     assert params.blocks["head.b"].tobytes() == before["head.b"].tobytes()
     assert not np.array_equal(params.blocks["ext0.w"], before["ext0.w"])
@@ -290,12 +307,12 @@ def test_sgd_shadow_and_flat_update_match_per_block_oracle(frozen):
     for _ in range(50):
         x = rng.standard_normal((64, 16))
         y = rng.integers(0, 5, 64)
-        loss_fn = _mixed_logit_loss(y, np.full(64, _CE), None, None, 0.0, 1e-7)
-        _, grads = gradient(loss_fn, params, x, freeze_head=bool(frozen))
-        opt.step(params, grads)
+        loss_fn = _mixed_logit_loss(y, np.full(64, _CE), None, None, 0.0)
+        gradient(loss_fn, params, x, freeze_head=bool(frozen))
+        opt.step()
         for name, v in velocity.items():  # the per-block update, one block at a time
             v *= momentum
-            v += grads[name]
+            v += params.grads[name]
             oracle[name] = (oracle[name].astype(np.float64) - lr * v).astype(np.float32)
 
     for name, block in params.blocks.items():
@@ -305,13 +322,15 @@ def test_sgd_shadow_and_flat_update_match_per_block_oracle(frozen):
         assert params.blocks[name].tobytes() == before.blocks[name].tobytes()
     x = rng.standard_normal((300, 16))
     assert forward(params, x).tobytes() == forward(params.copy(), x).tobytes()
-    _, got = gradient(loss_fn, params, x[:64])
-    _, from_copy = gradient(loss_fn, params.copy(), x[:64])
-    assert all(got[name].tobytes() == from_copy[name].tobytes() for name in got)
+    twin = params.copy()
+    gradient(loss_fn, params, x[:64])
+    gradient(loss_fn, twin, x[:64])
+    assert all(params.grads[name].tobytes() == twin.grads[name].tobytes()
+               for name in params.grads)
     with pytest.raises(ValueError, match="read-only"):
         params.blocks["ext0.w"][0, 0] = 1.0
-    with pytest.raises(ValueError, match="packed"):
-        opt.step(params.copy(), grads)
+    with pytest.raises(TypeError):  # a step takes no params and no grads
+        opt.step(twin, twin.grads)
 
     clone = params.copy()
     assert_owns_exact_shadow(clone)
@@ -346,17 +365,16 @@ def test_every_params_object_owns_its_storage(tmp_path):
             getattr(params, view)["head.b"] = np.zeros(5, dtype=np.float32)
 
     x = np.random.default_rng(0).standard_normal((32, 16))
-    loss_fn = _mixed_logit_loss(np.arange(32) % 5, np.full(32, _CE), None, None, 0.0, 1e-7)
-    _, grads = gradient(loss_fn, params, x)
-    assert grads is params.grads
+    loss_fn = _mixed_logit_loss(np.arange(32) % 5, np.full(32, _CE), None, None, 0.0)
+    gradient(loss_fn, params, x)
+    grads = params.grads
     before = {name: g.copy() for name, g in grads.items()}
-    _, other = gradient(loss_fn, clone, x[::-1])
-    assert other is clone.grads
+    gradient(loss_fn, clone, x[::-1])
     assert all(grads[name].tobytes() == before[name].tobytes() for name in grads)
 
     opt = Sgd(params, 0.1)
     for foreign in ({name: g.copy() for name, g in grads.items()}, clone.grads):
-        with pytest.raises(ValueError, match="packed"):
+        with pytest.raises(TypeError):
             opt.step(params, foreign)
 
 
