@@ -14,10 +14,6 @@ SRC = os.path.join(ROOT, "src", "codag")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
-
 def definitions_and_uses(src: str):
     """Every ``def`` and ``class`` in ``src/*.py`` as (file, node), and every
     name or attribute use as (file, line, column, name)."""
@@ -46,12 +42,9 @@ def _inside(use, fname: str, node) -> bool:
 def unreferenced(src: str) -> list[str]:
     """``file:line: name`` of each non-dunder definition that nothing uses."""
     defs, uses = definitions_and_uses(src)
-    by_name: dict[str, list] = {}
-    for use in uses:
-        by_name.setdefault(use[3], []).append(use)
     return [f"{fname}:{node.lineno}: {node.name}" for fname, node in defs
-            if not _is_dunder(node.name)
-            and all(_inside(use, fname, node) for use in by_name.get(node.name, []))]
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and all(_inside(use, fname, node) for use in uses if use[3] == node.name)]
 
 
 def test_every_definition_has_a_caller_in_the_package():
