@@ -31,32 +31,22 @@ def randmix(batch, config: AugmentConfig, rng: np.random.Generator, *,
 
     Slot 0 is the identity; the remaining slots are random affine maps
     (entries ~ N(0, 1/d), zero bias) followed by tanh. Every consecutive
-    ``batch_size``-row slice gets its own weights, maps and noise, drawn slice
-    by slice in order; the elementwise work then runs once over all rows.
+    ``batch_size``-row slice gets its own weights, maps and noise, drawn and
+    mixed into the output slice by slice: every temporary is one slice in
+    size, whatever the pool size.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a nonempty (n, d) array")
-    n, d = x.shape
+    d = x.shape[1]
     m = config.n_transforms
-
-    w = np.empty((m, n, 1))  # slot i's weight on every row
-    views = np.empty((m - 1, n, d))  # views[i - 1] is slot i's view of every row
-    noise = np.empty_like(x) if config.noise_sigma > 0 else None
-    for start in range(0, n, batch_size):
-        rows = slice(start, start + batch_size)
-        xb = x[rows]
-        w[:, rows, 0] = rng.dirichlet(np.full(m, config.mix_concentration))[:, None]
-        for i in range(1, m):
-            np.matmul(xb, rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)), out=views[i - 1, rows])
-        if noise is not None:
-            noise[rows] = rng.normal(0.0, config.noise_sigma, xb.shape)
-    np.tanh(views, out=views)
-
     out = np.zeros_like(x)  # from +0.0, so a -0.0 term still sums to +0.0
-    out += w[0] * x
-    for i in range(1, m):
-        out += w[i] * views[i - 1]
-    if noise is not None:
-        out += noise
+    for start in range(0, x.shape[0], batch_size):
+        xb, ob = x[start:start + batch_size], out[start:start + batch_size]
+        w = rng.dirichlet(np.full(m, config.mix_concentration))
+        ob += w[0] * xb
+        for i in range(1, m):
+            ob += w[i] * np.tanh(xb @ rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)))
+        if config.noise_sigma > 0:
+            ob += rng.normal(0.0, config.noise_sigma, xb.shape)
     return out

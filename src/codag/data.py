@@ -131,12 +131,7 @@ def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
     hit = _parsed_csv.get(key)
     if hit is not None and hit[:3] == (digest, k, d):
         return Dataset(hit[3], hit[4], k, domain_id=domain_id)
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = blob.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
-    x, labels = _parse_csv(text, path, k, d)
+    x, labels = _parse_csv(blob, path, k, d)
     ds = Dataset(x, labels, k, domain_id=domain_id)
     x.flags.writeable = labels.flags.writeable = False
     _parsed_csv[key] = (digest, k, d, x, labels)
@@ -145,30 +140,30 @@ def load_csv_domain(path, k: int, d: int, domain_id: int = 0) -> Dataset:
 
 # A quote lets a csv record span lines, and numpy strips these four ASCII
 # separators as whitespace where float() and int() refuse them.
-_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+_NOT_PLAIN = b'"\x1c\x1d\x1e\x1f'
 # int() refuses more digits than sys.get_int_max_str_digits(), which is never
 # below 640, and csv a cell over csv.field_size_limit(); numpy refuses neither.
 _MAX_CELL = 640
 
 
-def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (features, labels) of a domain file's text; errors name ``path`` and the line.
+def _parse_csv(blob: bytes, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (features, labels) of a domain file's bytes; errors name ``path`` and the line.
 
     A plain file is read by numpy's C reader, which parses floats with the same
-    routine as float(). Anything it refuses or that fails a check goes to the
-    line parser, which gives every error.
+    routine as float() and decodes each line as UTF-8. Anything it refuses or
+    that fails a check goes to the line parser, which gives every error.
     """
     # csv ends the first record at a bare CR, but skiprows=1 skips to the first LF.
-    lf = text.find("\n")
-    if (not any(c in text for c in _NOT_PLAIN) and text.find("\r", 0, lf) in (-1, lf - 1)
-            and _longest_cell(text) <= _MAX_CELL):
-        # A blank first record reads as a header too, and both parsers skip it.
-        first = next(csv.reader([text if lf < 0 else text[:lf + 1]]), [])
+    lf = blob.find(b"\n")
+    if (not any(c in blob for c in _NOT_PLAIN) and blob.find(b"\r", 0, lf) in (-1, lf - 1)
+            and _longest_cell(blob) <= _MAX_CELL):
         try:
+            # A blank first record reads as a header too, and both parsers skip it.
+            first = next(csv.reader([(blob if lf < 0 else blob[:lf + 1]).decode("utf-8")]), [])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # e.g. "input contained no data"
-                table = np.loadtxt(io.StringIO(text), dtype=[("x", "f8", (d,)), ("y", "i8")],
-                                   delimiter=",", comments=None, ndmin=1,
+                table = np.loadtxt(io.BytesIO(blob), dtype=[("x", "f8", (d,)), ("y", "i8")],
+                                   delimiter=",", comments=None, ndmin=1, encoding="utf-8",
                                    skiprows=int(_looks_like_header(first)))
         except Exception:  # whatever the C reader refuses, the line parser decides
             pass
@@ -177,18 +172,23 @@ def _parse_csv(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]
             if (len(labels) and np.isfinite(x).all()
                     and 0 <= labels.min() and labels.max() < k):
                 return x, labels
-    return _parse_lines(text, path, k, d)
+    return _parse_lines(blob, path, k, d)
 
 
-def _longest_cell(text: str) -> int:
-    """An upper bound on the length of ``text``'s longest cell (UTF-8 bytes, CR included)."""
-    codes = np.frombuffer(text.encode(), dtype=np.uint8)
+def _longest_cell(blob: bytes) -> int:
+    """An upper bound on the length of ``blob``'s longest cell (bytes, CR included)."""
+    codes = np.frombuffer(blob, dtype=np.uint8)
     ends = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
     return int(np.diff(ends, prepend=-1, append=codes.size).max())
 
 
-def _parse_lines(text: str, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_lines(blob: bytes, path, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """``_parse_csv`` one csv record at a time: the parser that names a bad line."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
     rows: list[list[float]] = []
     labels: list[int] = []
     linenos: list[int] = []

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,10 +142,41 @@ def test_csv_errors_name_line_numbers(tmp_path):
         load_csv_domain(tmp_path / "missing.csv", k=2, d=2)
 
 
+@pytest.mark.parametrize("blob, want", [
+    (b"f\xff0,label\r\n0.5,0\r\n", "line 1: not UTF-8 text"),  # in the header numpy skips
+    (b"0.5,9\n0.\xff5,1\n", "line 2: not UTF-8 text"),  # before the label error on line 1
+])
+def test_utf8_check_comes_first(tmp_path, blob, want):
+    path = tmp_path / "dom.csv"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as info:
+        load_csv_domain(path, k=2, d=1)
+    assert str(info.value) == f"{path}: {want}"
+
+
+def test_csv_load_peaks_below_four_times_the_file(tmp_path, monkeypatch):
+    """The reader parses the bytes it hashed; it keeps no decoded copy of the file."""
+    x = np.random.default_rng(5).standard_normal((4000, 16))
+    labels = np.arange(4000) % 3
+    lines = ["f" + ",f".join(map(str, range(16))) + ",label"]
+    lines += [",".join(map(repr, row.tolist())) + f",{y}" for row, y in zip(x, labels)]
+    path = tmp_path / "dom.csv"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    monkeypatch.setattr(data, "_parsed_csv", {})
+    tracemalloc.start()
+    try:
+        ds = load_csv_domain(path, k=3, d=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.x.tobytes() == x.tobytes() and ds.labels.tolist() == labels.tolist()
+    assert peak < 4 * path.stat().st_size
+
+
 def test_line_parser_names_the_physical_line():
     """A quoted cell spans lines 2 to 5, so the third record is on line 6."""
     with pytest.raises(ValueError) as info:
-        data._parse_csv('f0,label\n"0.5\n\n\n",1\n0.5,7\n', "f.csv", 2, 1)
+        data._parse_csv(b'f0,label\n"0.5\n\n\n",1\n0.5,7\n', "f.csv", 2, 1)
     assert str(info.value) == "f.csv: line 6: label out of range [0, 2)"
 
 
@@ -290,7 +322,8 @@ def _outcome(parse, text, k, d):
 @example(case=(2, 1, "1." + "0" * 131072 + ",1\n"))  # csv refuses a cell this long
 def test_parse_csv_equals_frozen_line_parser(case):
     k, d, text = case
-    got, want = _outcome(data._parse_csv, text, k, d), _outcome(csv_oracle.parse_csv, text, k, d)
+    got = _outcome(data._parse_csv, text.encode(), k, d)
+    want = _outcome(csv_oracle.parse_csv, text, k, d)
     if want[0] == "Error":  # csv.Error escapes the oracle; the package names the file and line
         assert got[0] == "ValueError"
         assert re.fullmatch(rf"domain_00\.csv: line [1-9]\d*: {re.escape(want[1])}", got[1])
