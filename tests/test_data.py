@@ -133,25 +133,16 @@ def test_csv_errors_name_line_numbers(tmp_path):
         load_csv_domain(bad_feat, k=2, d=2)
 
     not_utf8 = tmp_path / "not_utf8.csv"
-    not_utf8.write_bytes(b"f0,label\r\n0.5,0\r\n0.\xff5,1\r\n")
-    with pytest.raises(ValueError) as info:
-        load_csv_domain(not_utf8, k=2, d=1)
-    assert str(info.value) == f"{not_utf8}: line 3: not UTF-8 text"
+    for blob, line in ((b"f0,label\r\n0.5,0\r\n0.\xff5,1\r\n", 3),
+                       (b"f\xff0,label\r\n0.5,0\r\n", 1),  # in the header numpy skips
+                       (b"0.5,9\n0.\xff5,1\n", 2)):  # before the label error on line 1
+        not_utf8.write_bytes(blob)
+        with pytest.raises(ValueError) as info:
+            load_csv_domain(not_utf8, k=2, d=1)
+        assert str(info.value) == f"{not_utf8}: line {line}: not UTF-8 text"
 
     with pytest.raises(FileNotFoundError):
         load_csv_domain(tmp_path / "missing.csv", k=2, d=2)
-
-
-@pytest.mark.parametrize("blob, want", [
-    (b"f\xff0,label\r\n0.5,0\r\n", "line 1: not UTF-8 text"),  # in the header numpy skips
-    (b"0.5,9\n0.\xff5,1\n", "line 2: not UTF-8 text"),  # before the label error on line 1
-])
-def test_utf8_check_comes_first(tmp_path, blob, want):
-    path = tmp_path / "dom.csv"
-    path.write_bytes(blob)
-    with pytest.raises(ValueError) as info:
-        load_csv_domain(path, k=2, d=1)
-    assert str(info.value) == f"{path}: {want}"
 
 
 def test_csv_load_peaks_below_four_times_the_file(tmp_path, monkeypatch):
@@ -440,9 +431,9 @@ def count_parses(monkeypatch):
     monkeypatch.setattr(data, "_parsed_csv", {})
     parse, calls = data._parse_csv, []
 
-    def counting(text, path, k, d):
+    def counting(blob, path, k, d):
         calls.append(path)
-        return parse(text, path, k, d)
+        return parse(blob, path, k, d)
 
     monkeypatch.setattr(data, "_parse_csv", counting)
     return calls
