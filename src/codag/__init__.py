@@ -27,7 +27,6 @@ from .data import (
     split_source,
 )
 from .evaluate import (
-    CurveLog,
     MetricsReport,
     accuracy,
     composite_all,

@@ -20,10 +20,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .evaluate import metrics_from_grids
+from .evaluate import METRICS, metrics_from_grids, summarize
 from .nnmodel import atomic_write
 from .orchestrate import ExperimentConfig, RunStateError, config_digest, run_experiment
 
@@ -84,7 +82,7 @@ def cmd_run(args) -> int:
         raise CliError(str(exc)) from None
     agg = results["aggregate"]
     print(f"variant={config.variant} digest={results['config_digest'][:12]}")
-    for name in ("tda", "tdg", "fa", "all"):
+    for name, _ in METRICS:
         entry = agg[name]
         if entry is None:
             print(f"  {name.upper():>4}: n/a")
@@ -112,9 +110,6 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-_REPORTED = (("tda", "tda_mean"), ("tdg", "tdg_mean"), ("fa", "fa_mean"), ("all", "all"))
-
-
 def _read_results(path: str) -> tuple[str, dict, dict[str, list[float]]]:
     """One results.json: its config's digest, its config without the seed list
     and, by metric, the seeds' non-null values."""
@@ -123,7 +118,7 @@ def _read_results(path: str) -> tuple[str, dict, dict[str, list[float]]]:
             res = json.load(fh)
         metrics = [entry["metrics"] for entry in res["per_seed"].values()]
         values = {short: [m[key] for m in metrics if m[key] is not None]
-                  for short, key in _REPORTED}
+                  for short, key in METRICS}
         config = res["config"]
         if not isinstance(config, dict) or not isinstance(config["variant"], str) or not all(
                 type(v) in (int, float) for vs in values.values() for v in vs):
@@ -171,14 +166,14 @@ def cmd_report(args) -> int:
     rows = dict(zip(_row_labels(configs), shards))
 
     width = max(20, *(len(label) + 2 for label in rows))
-    lines = [f"{'variant':<{width}}" + "".join(f"{name.upper():>16}" for name, _ in _REPORTED)]
+    lines = [f"{'variant':<{width}}" + "".join(f"{name.upper():>16}" for name, _ in METRICS)]
     lines.append("-" * len(lines[0]))
     table = {}
     for label in sorted(rows):
         pooled = {short: [v for values in rows[label] for v in values[short]]
-                  for short, _ in _REPORTED}
-        table[label] = {name: {"mean": float(np.mean(v)), "std": float(np.std(v)), "n": len(v)}
-                        if v else None for name, v in pooled.items()}
+                  for short, _ in METRICS}
+        table[label] = {name: {**summarize(v), "n": len(v)} if v else None
+                        for name, v in pooled.items()}
         lines.append(f"{label:<{width}}" + "".join(
             f"{'n/a':>16}" if c is None else f"{100 * c['mean']:>9.2f} ±{100 * c['std']:5.2f}"
             for c in table[label].values()))

@@ -1,4 +1,4 @@
-"""Accuracy matrices, the three sequence metrics, and training-curve logs.
+"""Accuracy matrices, the three sequence metrics, their seed summaries, and curve rows.
 
 Row t' of an accuracy matrix holds test accuracy on every domain using the
 model checkpointed after stage t'. From a completed pair of matrices:
@@ -8,12 +8,11 @@ model checkpointed after stage t'. From a completed pair of matrices:
 * generalization score per domain = column mean above the diagonal,
 * forgetting score per domain = column mean below the diagonal,
 
-and the composite is the average of the three metric means.
+and the composite is the average of the three metric means. ``METRICS`` names the
+four in ``results.json`` and ``codag report``; ``curve_rows`` writes ``curves.csv``.
 """
 
-import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,40 +78,25 @@ class MetricsReport:
         return cls(tda_vals, tdg_vals, fa_vals, tda_mean, tdg_mean, fa_mean, allv)
 
 
-@dataclass
-class CurveLog:
-    """Per-epoch generalization accuracy on every domain, ordered by (stage, epoch)."""
+METRICS = (("tda", "tda_mean"), ("tdg", "tdg_mean"), ("fa", "fa_mean"), ("all", "all"))
 
-    records: list[tuple[int, int, int, float]] = field(default_factory=list)
 
-    def append(self, stage: int, epoch: int, accuracies) -> None:
-        if self.records:
-            last_stage, last_epoch, _, _ = self.records[-1]
-            if (stage, epoch) <= (last_stage, last_epoch):
-                raise ValueError(
-                    f"curve records must advance: got stage={stage} epoch={epoch} "
-                    f"after stage={last_stage} epoch={last_epoch}"
-                )
-        for domain, acc in enumerate(np.asarray(accuracies, dtype=np.float64)):
-            self.records.append((stage, epoch, domain, float(acc)))
+def summarize(values) -> dict | None:
+    """Mean and population std of one metric over the seeds; None for no values."""
+    if not values:
+        return None
+    arr = np.asarray(values, dtype=np.float64)
+    return {"mean": float(arr.mean()), "std": float(arr.std())}
 
-    def to_csv(self) -> bytes:
-        text = io.StringIO()
-        writer = csv.writer(text)
-        writer.writerow(["stage", "epoch", "domain", "accuracy"])
-        writer.writerows(self.records)
-        return text.getvalue().encode("utf-8")
 
-    @classmethod
-    def from_csv(cls, blob: bytes) -> "CurveLog":
-        """Inverse of ``to_csv``."""
-        log = cls()
-        reader = csv.reader(io.StringIO(blob.decode("utf-8"), newline=""))
-        if next(reader, None) != ["stage", "epoch", "domain", "accuracy"]:
-            raise ValueError("missing the curves header")
-        for stage, epoch, domain, acc in reader:
-            log.records.append((int(stage), int(epoch), int(domain), float(acc)))
-        return log
+CURVES_HEADER = b"stage,epoch,domain,accuracy\r\n"
+
+
+def curve_rows(stage: int, epoch: int, accuracies) -> bytes:
+    """``curves.csv`` rows of one epoch, one per domain: the bytes ``csv.writer``'s
+    default dialect writes, since it writes a float as its ``repr``."""
+    return "".join(f"{stage},{epoch},{domain},{float(acc)!r}\r\n"
+                   for domain, acc in enumerate(accuracies)).encode("ascii")
 
 
 def accuracy_rows(raw) -> np.ndarray:

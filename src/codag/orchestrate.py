@@ -19,7 +19,7 @@ import numpy as np
 from .adapt import AdaptConfig, adapt_domain, generate_pseudo_labels
 from .augment import AugmentConfig
 from .data import Dataset, DomainSequence, SequenceConfig, check_domain_order
-from .evaluate import CurveLog, MetricsReport, accuracy
+from .evaluate import CURVES_HEADER, METRICS, MetricsReport, accuracy, curve_rows, summarize
 from .generalize import DGConfig, train_dg_source, train_dg_target
 from .nnmodel import (
     CheckpointError,
@@ -188,7 +188,7 @@ class RunState:
     buffer: ReplayBuffer
     da_matrix: np.ndarray  # (n, n) accuracies; stage t writes row t
     dg_matrix: np.ndarray
-    curves: CurveLog
+    curves: bytearray  # curves.csv as written so far, header first
     models: dict[str, ClassifierParams] = field(default_factory=dict)  # last stage's, by role
     sha256: dict[str, str] = field(default_factory=dict)  # committed checkpoints, by path
 
@@ -202,7 +202,7 @@ def new_run_state(seed: int, seq: DomainSequence, config: ExperimentConfig) -> R
         buffer=ReplayBuffer(config.buffer_capacity, seq.k),
         da_matrix=np.full((n, n), np.nan),
         dg_matrix=np.full((n, n), np.nan),
-        curves=CurveLog(),
+        curves=bytearray(CURVES_HEADER),
     )
 
 
@@ -254,8 +254,8 @@ def run_stage(state: RunState, t: int, seq: DomainSequence,
 
     on_epoch = None
     if config.log_curves:
-        def on_epoch(epoch, params, mean_loss, phase, _t=t):
-            state.curves.append(_t, epoch, _eval_row(params, seq))
+        def on_epoch(epoch, params, mean_loss, phase):
+            state.curves += curve_rows(t, epoch, _eval_row(params, seq))
 
     da = None
     if t > 0 and recipe.da_from is not None:
@@ -303,14 +303,13 @@ def save_run_state(state: RunState, seed_dir) -> None:
     for role, params in state.models.items():
         name = _ckpt_name(role, state.next_stage - 1)
         state.sha256[name] = save_checkpoint(params, os.path.join(seed_dir, name))
-    curves = state.curves.to_csv()
-    atomic_write(os.path.join(seed_dir, "curves.csv"), curves)
+    atomic_write(os.path.join(seed_dir, "curves.csv"), state.curves)
     payload = {
         "version": STATE_VERSION,
         "digest": state.digest,
         "next_stage": state.next_stage,
-        "curves_bytes": len(curves),
-        "sha256": {**state.sha256, "curves.csv": _sha256(curves)},
+        "curves_bytes": len(state.curves),
+        "sha256": {**state.sha256, "curves.csv": _sha256(state.curves)},
     }
     atomic_write(os.path.join(seed_dir, "state.json"), json.dumps(payload).encode("utf-8"))
 
@@ -329,8 +328,10 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
     """Advance the fresh ``state`` to the last stage committed under ``seed_dir``.
 
     The first ``curves_bytes`` bytes of curves.csv and each stage's checkpoints
-    must match their sha256, and the checkpoints' block names, order and shapes
-    those of ``config.model``; each stage's tail is then replayed from them.
+    must match their sha256, the curves must start with their header, and the
+    checkpoints' block names, order and shapes must be those of ``config.model``.
+    The curves are kept byte for byte; each stage's tail is replayed from the
+    checkpoints.
     Raises ``RunStateError``, naming the state file, for anything malformed,
     and naming both digests when the state belongs to another config or data.
     """
@@ -365,7 +366,9 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
         if len(curves) != payload["curves_bytes"] or _sha256(curves) != sha256["curves.csv"]:
             raise ValueError(f"{curves_path}: the first {payload['curves_bytes']} bytes differ "
                              "from the ones committed")
-        state.curves = CurveLog.from_csv(curves)
+        if not curves.startswith(CURVES_HEADER):
+            raise ValueError(f"{curves_path}: missing the curves header")
+        state.curves = bytearray(curves)
         layout = _layout(init_params(config.model, seq.d, seq.k, 0))
         for t in range(next_stage):
             models = {}
@@ -413,16 +416,9 @@ def _seed_worker(config: ExperimentConfig, seed: int, seed_dir, resume: bool) ->
 
 def _aggregate(per_seed: dict) -> dict:
     out = {}
-    for key in ("tda_mean", "tdg_mean", "fa_mean", "all"):
+    for name, key in METRICS:
         values = [entry["metrics"][key] for entry in per_seed.values()]
-        if any(v is None for v in values):
-            out[key.replace("_mean", "")] = None
-            continue
-        arr = np.asarray(values, dtype=np.float64)
-        out[key.replace("_mean", "")] = {
-            "mean": float(arr.mean()),
-            "std": float(arr.std()),  # population std over the fixed seed set
-        }
+        out[name] = None if None in values else summarize(values)
     return out
 
 

@@ -17,7 +17,7 @@ import codag.cli as cli
 import codag.data as data
 import codag.orchestrate as orchestrate
 from codag.cli import CliError, build_config, main
-from codag.orchestrate import ExperimentConfig, config_digest, config_from_dict
+from codag.orchestrate import ExperimentConfig, config_digest, config_from_dict, run_experiment
 from codag.rng import substream
 
 from test_orchestrate import STATE_FAULTS, _tree
@@ -536,6 +536,23 @@ def test_report_single_run_zero_std(tmp_path, capsys):
     table = json.loads((runs / "report.json").read_text())
     assert table["codag"]["tda"]["std"] == 0.0
     assert table["codag"]["tdg"] is None
+
+
+def test_one_domain_run_has_null_aggregates_and_report_cells(tmp_path, capsys):
+    """A one-domain sequence has no generalization or forgetting score: results.json
+    aggregates TDG, FA and All as null, and codag report leaves their cells null."""
+    config = ExperimentConfig.from_dict(
+        dict(TINY, seeds=[7, 8], sequence=dict(TINY["sequence"], angles_deg=[0])))
+    runs = tmp_path / "runs"
+    aggregate = run_experiment(config, str(runs / "one"))["aggregate"]
+    assert json.loads((runs / "one" / "results.json").read_text())["aggregate"] == aggregate
+    assert set(aggregate["tda"]) == {"mean", "std"}
+    assert [aggregate[name] for name in ("tdg", "fa", "all")] == [None] * 3
+    assert main(["report", "--runs", str(runs)]) == 0
+    table = json.loads((runs / "report.json").read_text())
+    assert table == {"codag": {"tda": {**aggregate["tda"], "n": 2},
+                               "tdg": None, "fa": None, "all": None}}
+    assert capsys.readouterr().out.count("n/a") == 3
 
 
 def test_report_empty_dir_fails(tmp_path, capsys):

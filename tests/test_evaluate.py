@@ -1,14 +1,18 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codag.data import Dataset, SequenceConfig
 from codag.evaluate import (
-    CurveLog,
+    CURVES_HEADER,
     MetricsReport,
     accuracy,
     composite_all,
+    curve_rows,
     fa,
     metrics_from_grids,
     tda,
@@ -182,21 +186,21 @@ def test_accuracy_matrix_guards():
             metrics_from_grids([[0.5, 0.5]] * 2, grid)
 
 
-def test_curve_log_ordering_and_roundtrip():
-    log = CurveLog()
-    log.append(0, 0, [0.1, 0.2])
-    log.append(0, 1, [0.3, 0.4])
-    log.append(1, 0, [0.5, 0.6])
-    assert len(log.records) == 6
-    with pytest.raises(ValueError):
-        log.append(0, 5, [0.0, 0.0])  # stage went backwards
+_ACCURACIES = st.one_of(st.sampled_from([0.0, 1.0, 2 / 3]), st.floats(0, 1))
 
-    blob = log.to_csv()
-    assert blob.startswith(b"stage,epoch,domain,accuracy\r\n0,0,0,0.1\r\n")
-    again = CurveLog.from_csv(blob)
-    assert again.records == log.records
-    series = [(s, e, a) for s, e, d, a in again.records if d == 1]
-    assert series == [(0, 0, 0.2), (0, 1, 0.4), (1, 0, 0.6)]
+
+@settings(max_examples=200, deadline=None)
+@given(epochs=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                                 st.lists(_ACCURACIES, min_size=1, max_size=12)), max_size=4))
+@example(epochs=[(0, 0, [0.0, 1.0, 2 / 3]), (4, 299, [2 / 3] * 11)])
+def test_curve_rows_are_the_bytes_csv_writer_writes(epochs):
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["stage", "epoch", "domain", "accuracy"])
+    for stage, epoch, accuracies in epochs:
+        writer.writerows((stage, epoch, domain, acc) for domain, acc in enumerate(accuracies))
+    blob = CURVES_HEADER + b"".join(curve_rows(*epoch) for epoch in epochs)
+    assert blob == text.getvalue().encode("utf-8")
 
 
 def test_metrics_from_grids_single_grid_fallback_and_validation():

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -257,7 +259,7 @@ def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, 
 
     np.testing.assert_array_equal(resumed.dg_matrix, full.dg_matrix)
     np.testing.assert_array_equal(resumed.da_matrix, full.da_matrix)
-    assert full.curves.records and resumed.curves.records == full.curves.records
+    assert len(_curve_records(full.curves)) > 0 and resumed.curves == full.curves
     # checkpoints, curves.csv and state.json, byte for byte
     assert _tree(part_dir) == _tree(full_dir)
     names = sorted(os.listdir(full_dir / "checkpoints"))
@@ -351,6 +353,15 @@ def _rehashed_dg_checkpoint(seed_dir, edit):
     state_path.write_text(json.dumps(payload))
 
 
+def _headerless_curves_rehashed(seed_dir):
+    """curves.csv without its header line, with curves_bytes and its sha256 rewritten."""
+    curves = (seed_dir / "curves.csv").read_bytes().split(b"\r\n", 1)[1]
+    assert curves  # rows are left, so only the missing header can refuse them
+    (seed_dir / "curves.csv").write_bytes(curves)
+    _edit_state(seed_dir, lambda p: (p.update(curves_bytes=len(curves)), p["sha256"].update(
+        {"curves.csv": hashlib.sha256(curves).hexdigest()})))
+
+
 def _da_only_with_da_checkpoints(seed_dir):
     """The layout da-only runs wrote before they kept one model: a byte-identical
     ``da_stage{t}.ckpt`` beside each target stage's ``dg_stage{t}.ckpt``, hashed."""
@@ -370,8 +381,8 @@ def _one_more_hidden_unit(blocks):
             "ext1.w": np.pad(blocks["ext1.w"], ((0, 1), (0, 0)))}
 
 
-# Each fault edits the state of a finished 3-stage run on tiny_config, of codag
-# unless FAULT_VARIANTS names another variant.
+# Each fault edits the state of a finished 3-stage run on tiny_config, with the
+# overrides FAULT_CONFIGS gives it.
 STATE_FAULTS = {
     "truncated": lambda d: (d / "state.json").write_text((d / "state.json").read_text()[:300]),
     "not-an-object": lambda d: (d / "state.json").write_text("[1, 2]"),
@@ -408,14 +419,16 @@ STATE_FAULTS = {
     "curves-byte": lambda d: _flip_last_byte(d / "curves.csv"),
     "curves-truncated": lambda d: (d / "curves.csv").write_bytes(
         (d / "curves.csv").read_bytes()[:-1]),
+    "curves-headerless-rehashed": _headerless_curves_rehashed,
     "da-only-da-checkpoints": _da_only_with_da_checkpoints,
 }
-FAULT_VARIANTS = {"da-only-da-checkpoints": "da-only"}
+FAULT_CONFIGS = {"curves-headerless-rehashed": {"log_curves": True},
+                 "da-only-da-checkpoints": {"variant": "da-only"}}
 
 
 @pytest.mark.parametrize("fault", STATE_FAULTS)
 def test_malformed_state_raises_run_state_error(tmp_path, fault):
-    cfg = tiny_config(variant=FAULT_VARIANTS.get(fault, "codag"))
+    cfg = tiny_config(**FAULT_CONFIGS.get(fault, {}))
     seed_dir = tmp_path / "seed7"
     run_seed(cfg, 7, seed_dir=str(seed_dir))
     STATE_FAULTS[fault](seed_dir)
@@ -589,19 +602,26 @@ def test_matrices_match_checkpoint_reevaluation(tmp_path):
     assert values == pytest.approx([dg_mat[0, 0], da_mat[1, 1]])
 
 
+def _curve_records(curves) -> list[tuple[int, int, int, float]]:
+    """``curves.csv``'s rows below its header, as (stage, epoch, domain, accuracy)."""
+    rows = list(csv.reader(io.StringIO(bytes(curves).decode("ascii"), newline="")))
+    assert rows[0] == ["stage", "epoch", "domain", "accuracy"]
+    return [(int(s), int(e), int(d), float(a)) for s, e, d, a in rows[1:]]
+
+
 def test_full_run_emits_one_record_per_stage_epoch_domain(codag_curve_state):
-    state, _ = codag_curve_state
-    assert len(state.curves.records) == 5 * 60 * 5
-    keys = [(s, e) for s, e, d, _ in state.curves.records if d == 0]
-    assert keys == sorted(keys)
+    records = _curve_records(codag_curve_state[0].curves)
+    assert len(records) == 5 * 60 * 5
+    keys = [(s, e, d) for s, e, d, _ in records]
+    assert keys == sorted(set(keys))
 
 
 def test_seen_domain_curves_stay_stable_after_shifts(codag_curve_state):
     """With the buffer on, no previously-seen domain crashes between epochs."""
-    state, _ = codag_curve_state
+    records = _curve_records(codag_curve_state[0].curves)
     worst = 0.0
     for domain in range(5):
-        past = [(s, e, a) for s, e, d, a in state.curves.records if d == domain and s > domain]
+        past = [(s, e, a) for s, e, d, a in records if d == domain and s > domain]
         for (_, _, a1), (_, _, a2) in zip(past, past[1:]):
             worst = max(worst, a1 - a2)
     assert worst < 0.3
