@@ -82,5 +82,5 @@ def test_every_definition_has_a_caller_in_the_package():
 
 
 def test_every_import_is_named_by_its_module():
-    assert unused_imports(SRC) == [], "imported but never named:\n" + "\n".join(
-        unused_imports(SRC))
+    unused = unused_imports(SRC)
+    assert unused == [], "imported but never named:\n" + "\n".join(unused)
