@@ -26,15 +26,7 @@ from .data import (
     load_csv_domain,
     split_source,
 )
-from .evaluate import (
-    MetricsReport,
-    accuracy,
-    composite_all,
-    fa,
-    metrics_from_grids,
-    tda,
-    tdg,
-)
+from .evaluate import accuracy, metrics_from_grids, sequence_metrics
 from .generalize import (
     DGConfig,
     select_confident,

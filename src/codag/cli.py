@@ -199,8 +199,9 @@ def cmd_eval_matrix(args) -> int:
         metrics = metrics_from_grids(raw["dg"], raw.get("da"))
     except ValueError as exc:
         raise CliError(f"{args.file}: {exc}") from None
-    for name, value in (("TDA", metrics.tda_mean), ("TDG", metrics.tdg_mean),
-                        ("FA", metrics.fa_mean), ("All", metrics.all)):
+    for name, key in (("TDA", "tda_mean"), ("TDG", "tdg_mean"), ("FA", "fa_mean"),
+                      ("All", "all")):
+        value = metrics[key]
         print(f"{name:>4}: " + ("n/a" if value is None else f"{100 * value:.2f}"))
     return 0
 

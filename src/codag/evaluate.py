@@ -8,11 +8,11 @@ model checkpointed after stage t'. From a completed pair of matrices:
 * generalization score per domain = column mean above the diagonal,
 * forgetting score per domain = column mean below the diagonal,
 
-and the composite is the average of the three metric means. ``METRICS`` names the
-four in ``results.json`` and ``codag report``; ``curve_rows`` writes ``curves.csv``.
+and the composite is the average of the three metric means. ``sequence_metrics``
+is the one source of these numbers: it returns a seed's ``metrics`` object in
+``results.json``. ``METRICS`` names the four means that ``results.json`` and
+``codag report`` aggregate; ``curve_rows`` writes ``curves.csv``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,56 +26,21 @@ def accuracy(params: ClassifierParams, test: Dataset) -> float:
     return float(np.mean(preds == test.labels))
 
 
-def tda(da: np.ndarray, dg: np.ndarray) -> tuple[list[float], float]:
-    """Per-domain accuracy right after each domain's own stage, and the mean.
-
-    The source stage has no adaptation model, so its entry comes from the
-    generalization matrix.
-    """
-    values = [float(dg[0, 0])]
-    values += [float(da[t, t]) for t in range(1, da.shape[0])]
-    return values, float(np.mean(values))
-
-
-def tdg(dg: np.ndarray) -> tuple[list[float], float | None]:
-    """Per-domain mean accuracy before each domain's stage (domains 1..T)."""
+def sequence_metrics(da: np.ndarray, dg: np.ndarray) -> dict:
+    """The metrics of two complete (n, n) accuracy matrices, as ``results.json``
+    stores them for a seed. The source stage has no adaptation model, so its
+    adaptation score comes from the generalization matrix. With one domain the
+    TDG, FA and composite means are None."""
     n = dg.shape[0]
-    values = [float(np.mean(dg[:t, t])) for t in range(1, n)]
-    return values, (float(np.mean(values)) if values else None)
-
-
-def fa(dg: np.ndarray) -> tuple[list[float], float | None]:
-    """Per-domain mean accuracy after later stages (domains 0..T-1)."""
-    n = dg.shape[0]
-    values = [float(np.mean(dg[t + 1:, t])) for t in range(n - 1)]
-    return values, (float(np.mean(values)) if values else None)
-
-
-def composite_all(tda_mean: float, tdg_mean: float, fa_mean: float) -> float:
-    """Arithmetic mean of the three metric means."""
-    return (tda_mean + tdg_mean + fa_mean) / 3.0
-
-
-@dataclass
-class MetricsReport:
-    tda_per_domain: list[float]
-    tdg_per_domain: list[float]
-    fa_per_domain: list[float]
-    tda_mean: float
-    tdg_mean: float | None
-    fa_mean: float | None
-    all: float | None
-
-    @classmethod
-    def from_matrices(cls, da: np.ndarray, dg: np.ndarray) -> "MetricsReport":
-        """Metrics of two complete (n, n) accuracy matrices."""
-        tda_vals, tda_mean = tda(da, dg)
-        tdg_vals, tdg_mean = tdg(dg)
-        fa_vals, fa_mean = fa(dg)
-        allv = None
-        if tdg_mean is not None and fa_mean is not None:
-            allv = composite_all(tda_mean, tdg_mean, fa_mean)
-        return cls(tda_vals, tdg_vals, fa_vals, tda_mean, tdg_mean, fa_mean, allv)
+    tda_vals = [float(dg[0, 0])] + [float(da[t, t]) for t in range(1, n)]
+    tdg_vals = [float(np.mean(dg[:t, t])) for t in range(1, n)]
+    fa_vals = [float(np.mean(dg[t + 1:, t])) for t in range(n - 1)]
+    tda_mean = float(np.mean(tda_vals))
+    tdg_mean = float(np.mean(tdg_vals)) if n > 1 else None
+    fa_mean = float(np.mean(fa_vals)) if n > 1 else None
+    return {"tda_per_domain": tda_vals, "tdg_per_domain": tdg_vals, "fa_per_domain": fa_vals,
+            "tda_mean": tda_mean, "tdg_mean": tdg_mean, "fa_mean": fa_mean,
+            "all": None if n == 1 else (tda_mean + tdg_mean + fa_mean) / 3.0}
 
 
 METRICS = (("tda", "tda_mean"), ("tdg", "tdg_mean"), ("fa", "fa_mean"), ("all", "all"))
@@ -115,7 +80,7 @@ def accuracy_rows(raw) -> np.ndarray:
     return rows
 
 
-def metrics_from_grids(dg_grid, da_grid=None) -> MetricsReport:
+def metrics_from_grids(dg_grid, da_grid=None) -> dict:
     """Metrics from raw grids; without an adaptation grid, one model fills both roles."""
     dg = accuracy_rows(dg_grid)
     da = dg if da_grid is None else accuracy_rows(da_grid)
@@ -123,4 +88,4 @@ def metrics_from_grids(dg_grid, da_grid=None) -> MetricsReport:
         raise ValueError("accuracy grid must be square")
     if da.shape != dg.shape:
         raise ValueError("matrices must agree in size")
-    return MetricsReport.from_matrices(da, dg)
+    return sequence_metrics(da, dg)

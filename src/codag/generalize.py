@@ -211,7 +211,7 @@ def train_dg_target(prev_dg: ClassifierParams, pl_data: Dataset, buffer,
     """
     x, y = pl_data.x, pl_data.labels
     is_pseudo = np.full(len(pl_data), pl_data.pseudo)
-    if buffer is not None and buffer.n_entries:
+    if buffer.n_entries:
         bx, by, _, bpseudo = buffer.as_arrays()
         x = np.concatenate([x, bx], axis=0)
         y = np.concatenate([y, by], axis=0)

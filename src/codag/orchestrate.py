@@ -19,7 +19,7 @@ import numpy as np
 from .adapt import AdaptConfig, adapt_domain, generate_pseudo_labels
 from .augment import AugmentConfig
 from .data import Dataset, DomainSequence, SequenceConfig, check_domain_order
-from .evaluate import CURVES_HEADER, METRICS, MetricsReport, accuracy, curve_rows, summarize
+from .evaluate import CURVES_HEADER, METRICS, accuracy, curve_rows, sequence_metrics, summarize
 from .generalize import DGConfig, train_dg_source, train_dg_target
 from .nnmodel import (
     CheckpointError,
@@ -386,7 +386,7 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
 
 
 def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
-             resume: bool = False) -> tuple[RunState, MetricsReport]:
+             resume: bool = False) -> tuple[RunState, dict]:
     """All stages for one seed."""
     seq = config.sequence.build(split_seed=substream(seed, "data"))
     if config.domain_order:
@@ -401,8 +401,7 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
             raise RuntimeError(f"seed {seed}, stage {t}: training diverged: {exc}") from exc
         if seed_dir is not None:
             save_run_state(state, seed_dir)
-    metrics = MetricsReport.from_matrices(state.da_matrix, state.dg_matrix)
-    return state, metrics
+    return state, sequence_metrics(state.da_matrix, state.dg_matrix)
 
 
 def _seed_worker(config: ExperimentConfig, seed: int, seed_dir, resume: bool) -> dict:
@@ -410,7 +409,7 @@ def _seed_worker(config: ExperimentConfig, seed: int, seed_dir, resume: bool) ->
     return {
         "da_matrix": state.da_matrix.tolist(),
         "dg_matrix": state.dg_matrix.tolist(),
-        "metrics": config_to_dict(metrics),
+        "metrics": metrics,
     }
 
 

@@ -138,7 +138,8 @@ class ReplayBuffer:
         return len(self._domains)
 
     def as_arrays(self):
-        """(x, labels, domain_ids, is_pseudo) in (age, class, pick) order."""
+        """(x, labels, domain_ids, is_pseudo) in (age, class, pick) order; the
+        buffer must hold at least one entry."""
         xs, ys, ds, ps = [], [], [], []
         for store in self._domains:
             for cls in sorted(store.per_class):
@@ -149,10 +150,6 @@ class ReplayBuffer:
                 ys.append(np.full(rows.shape[0], cls, dtype=np.int64))
                 ds.append(np.full(rows.shape[0], store.domain_id, dtype=np.int64))
                 ps.append(np.full(rows.shape[0], store.pseudo))
-        if not xs:
-            d = 0
-            return (np.empty((0, d)), np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
         return (np.concatenate(xs), np.concatenate(ys),
                 np.concatenate(ds), np.concatenate(ps))
 

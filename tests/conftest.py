@@ -111,7 +111,7 @@ def run_in_pool(fn, arg_tuples) -> list:
 
 @pytest.fixture(scope="session")
 def variant_runs():
-    """(RunState, MetricsReport) by run spec name and seed, for the directional checks."""
+    """(RunState, metrics dict) by run spec name and seed, for the directional checks."""
     specs = [("codag",), ("codag-da-init",), ("codag", "buffer_capacity=0"), ("dg-only",)]
     runs = [(spec[0], seed, False, spec[1:]) for spec in specs for seed in SEEDS5]
     out = {}

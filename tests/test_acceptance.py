@@ -9,13 +9,14 @@ import os
 
 import numpy as np
 
-from codag import adapt_domain, composite_all, fa, herding_select, softmax, tdg
+from codag import adapt_domain, herding_select, sequence_metrics, softmax
 from codag.adapt import AdaptConfig, _im_pl_logit_loss
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
 from codag.rng import substream
 
 from conftest import run_variant, source_model, teacher_q
 from golden_table import state_digest
+from test_evaluate import cell_grids
 from test_nnmodel import assert_fd_match, small_params
 from test_replay import brute_force_herding
 
@@ -63,14 +64,14 @@ REPORTED_CELLS = {
 
 def test_criterion_1_metric_arithmetic_reproduction():
     tda_v, tdg_v, fa_v, reported = REPORTED_CELLS[("pacs", "codag")]
-    headline = composite_all(tda_v, tdg_v, fa_v)
+    headline = sequence_metrics(*cell_grids(tda_v, tdg_v, fa_v))["all"]
     headline_ok = abs(headline - reported) < 0.05 and abs(headline - 82.87) < 0.005
 
     others_passing = 0
     for cell, (a, g, f, rep) in REPORTED_CELLS.items():
         if cell == ("pacs", "codag"):
             continue
-        if abs(composite_all(a, g, f) - rep) < 0.05:
+        if abs(sequence_metrics(*cell_grids(a, g, f))["all"] - rep) < 0.05:
             others_passing += 1
     _criterion(
         1, "composite reproduces reported overall scores",
@@ -85,8 +86,8 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         grid = rng.random((n, n))
-        tdg_vals, _ = tdg(grid)
-        fa_vals, _ = fa(grid)
+        m = sequence_metrics(grid, grid)
+        tdg_vals, fa_vals = m["tdg_per_domain"], m["fa_per_domain"]
         for t in range(1, n):
             brute = sum(grid[tp, t] for tp in range(t)) / t
             metric_exact &= abs(tdg_vals[t - 1] - brute) <= 1e-12
@@ -147,8 +148,8 @@ def test_criterion_3_gradient_correctness():
 
 
 def test_criterion_4_generalized_initialization_helps(variant_runs):
-    codag = np.mean([m.tda_mean for _, m in variant_runs["codag"].values()])
-    da_init = np.mean([m.tda_mean for _, m in variant_runs["codag-da-init"].values()])
+    codag = np.mean([m["tda_mean"] for _, m in variant_runs["codag"].values()])
+    da_init = np.mean([m["tda_mean"] for _, m in variant_runs["codag-da-init"].values()])
     _criterion(4, "DG-initialized adaptation beats DA-initialized on mean TDA",
                codag >= da_init, f"{codag:.4f} vs {da_init:.4f}")
 
@@ -157,9 +158,9 @@ def test_criterion_5_buffer_removal_hits_fa_hardest(variant_runs):
     def means(variant):
         ms = [m for _, m in variant_runs[variant].values()]
         return np.array([
-            np.mean([m.tda_mean for m in ms]),
-            np.mean([m.tdg_mean for m in ms]),
-            np.mean([m.fa_mean for m in ms]),
+            np.mean([m["tda_mean"] for m in ms]),
+            np.mean([m["tdg_mean"] for m in ms]),
+            np.mean([m["fa_mean"] for m in ms]),
         ])
 
     drop = means("codag") - means("codag+buffer_capacity=0")
@@ -186,10 +187,10 @@ def test_criterion_7_determinism(variant_runs):
 
 
 def test_criterion_8_sanity_floor(variant_runs):
-    codag_tda = np.mean([m.tda_mean for _, m in variant_runs["codag"].values()])
-    dgonly_tda = np.mean([m.tda_mean for _, m in variant_runs["dg-only"].values()])
+    codag_tda = np.mean([m["tda_mean"] for _, m in variant_runs["codag"].values()])
+    dgonly_tda = np.mean([m["tda_mean"] for _, m in variant_runs["dg-only"].values()])
     per_domain_tdg = np.mean(
-        [m.tdg_per_domain for _, m in variant_runs["codag"].values()], axis=0
+        [m["tdg_per_domain"] for _, m in variant_runs["codag"].values()], axis=0
     )
     chance = 1.0 / 5.0
     _criterion(

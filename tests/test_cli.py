@@ -751,14 +751,26 @@ def test_eval_matrix_matches_library_on_random_grids(tmp_path, capsys):
         path.write_text(json.dumps({"dg": dg, "da": da}))
         assert main(["eval-matrix", "--file", str(path)]) == 0
         out = capsys.readouterr().out
-        report = metrics_from_grids(dg, da)
-        assert f"TDA: {100 * report.tda_mean:.2f}" in out
-        assert f"All: {100 * report.all:.2f}" in out
+        m = metrics_from_grids(dg, da)
+        assert out.splitlines() == [
+            f" TDA: {100 * m['tda_mean']:.2f}", f" TDG: {100 * m['tdg_mean']:.2f}",
+            f"  FA: {100 * m['fa_mean']:.2f}", f" All: {100 * m['all']:.2f}"]
+
+
+def test_eval_matrix_one_domain_prints_na(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dg": [[0.9]]}))
+    assert main(["eval-matrix", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == " TDA: 90.00\n TDG: n/a\n  FA: n/a\n All: n/a\n"
 
 
 def test_version_command(capsys):
     assert main(["version"]) == 0
-    assert capsys.readouterr().out.strip()
+    out = capsys.readouterr().out.strip()
+    assert out
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        assert out == tomllib.load(fh)["project"]["version"]
 
 
 def test_default_config_smoke_run_under_five_minutes(tmp_path):

@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 from codag.data import Dataset, SequenceConfig
 from codag.evaluate import (
     CURVES_HEADER,
-    MetricsReport,
     accuracy,
-    composite_all,
     curve_rows,
-    fa,
     metrics_from_grids,
-    tda,
-    tdg,
+    sequence_metrics,
 )
 from codag.nnmodel import ClassifierParams, forward, init_params, ModelConfig
 
@@ -64,40 +60,40 @@ def test_accuracy_matches_counting_oracle_and_permutation_invariance():
 
 
 def test_tda_worked_example():
-    values, mean = tda(DA3_DIAG, DG3)
-    assert values == pytest.approx([0.9, 0.85, 0.9])
-    assert mean == pytest.approx(0.8833, abs=1e-4)
+    m = sequence_metrics(DA3_DIAG, DG3)
+    assert m["tda_per_domain"] == pytest.approx([0.9, 0.85, 0.9])
+    assert m["tda_mean"] == pytest.approx(0.8833, abs=1e-4)
 
 
 def test_tda_identity_diagonal():
     eye = np.ones((3, 3))
-    values, mean = tda(eye, eye)
-    assert mean == 1.0
+    assert sequence_metrics(eye, eye)["tda_mean"] == 1.0
 
 
 def test_tdg_worked_example():
-    values, mean = tdg(DG3)
-    assert values == pytest.approx([0.5, 0.5])
-    assert mean == pytest.approx(0.5)
+    m = sequence_metrics(DA3_DIAG, DG3)
+    assert m["tdg_per_domain"] == pytest.approx([0.5, 0.5])
+    assert m["tdg_mean"] == pytest.approx(0.5)
 
 
 def test_tdg_constant_matrix():
-    values, mean = tdg(np.full((4, 4), 0.7))
-    assert values == pytest.approx([0.7, 0.7, 0.7])
-    assert mean == pytest.approx(0.7)
+    grid = np.full((4, 4), 0.7)
+    m = sequence_metrics(grid, grid)
+    assert m["tdg_per_domain"] == pytest.approx([0.7, 0.7, 0.7])
+    assert m["tdg_mean"] == pytest.approx(0.7)
 
 
 def test_fa_worked_example():
-    values, mean = fa(DG3)
-    assert values == pytest.approx([0.775, 0.8])
-    assert mean == pytest.approx(0.7875)
+    m = sequence_metrics(DA3_DIAG, DG3)
+    assert m["fa_per_domain"] == pytest.approx([0.775, 0.8])
+    assert m["fa_mean"] == pytest.approx(0.7875)
 
 
 def test_fa_perfect_retention():
     grid = np.full((4, 4), 0.3)
     grid[np.tril_indices(4, -1)] = 0.65  # constant below the diagonal
-    values, _ = fa(grid)
-    assert values == pytest.approx([0.65, 0.65, 0.65])
+    m = sequence_metrics(grid, grid)
+    assert m["fa_per_domain"] == pytest.approx([0.65, 0.65, 0.65])
 
 
 def test_tdg_fa_brute_force_oracle():
@@ -105,8 +101,8 @@ def test_tdg_fa_brute_force_oracle():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         grid = rng.random((n, n))
-        tdg_vals, _ = tdg(grid)
-        fa_vals, _ = fa(grid)
+        m = sequence_metrics(grid, grid)
+        tdg_vals, fa_vals = m["tdg_per_domain"], m["fa_per_domain"]
         for t in range(1, n):
             brute = sum(grid[tp, t] for tp in range(t)) / t
             assert abs(tdg_vals[t - 1] - brute) < 1e-12
@@ -129,38 +125,50 @@ def matrix_pairs(draw):
 def test_tda_and_all_match_brute_force(pair):
     da, dg = pair
     n = len(dg)
-    report = metrics_from_grids(dg, da)
+    m = metrics_from_grids(dg, da)
     tda_vals = [dg[0][0]] + [da[t][t] for t in range(1, n)]
-    assert report.tda_per_domain == tda_vals
+    assert m["tda_per_domain"] == tda_vals
     tda_mean = sum(tda_vals) / n
-    assert report.tda_mean == pytest.approx(tda_mean, abs=1e-12)
+    assert m["tda_mean"] == pytest.approx(tda_mean, abs=1e-12)
     if n == 1:
-        assert report.all is None
+        assert m["all"] is None
         return
     tdg_vals = [sum(dg[tp][t] for tp in range(t)) / t for t in range(1, n)]
     fa_vals = [sum(dg[tp][t] for tp in range(t + 1, n)) / (n - 1 - t) for t in range(n - 1)]
     brute_all = (tda_mean + sum(tdg_vals) / (n - 1) + sum(fa_vals) / (n - 1)) / 3
-    assert report.all == pytest.approx(brute_all, abs=1e-12)
+    assert m["all"] == pytest.approx(brute_all, abs=1e-12)
 
 
 def test_single_domain_metrics_are_empty():
     grid = np.array([[0.9]])
-    assert tdg(grid) == ([], None)
-    assert fa(grid) == ([], None)
+    m = sequence_metrics(grid, grid)
+    assert (m["tdg_per_domain"], m["tdg_mean"]) == ([], None)
+    assert (m["fa_per_domain"], m["fa_mean"]) == ([], None)
+    assert m["all"] is None
+
+
+def cell_grids(tda_mean, tdg_mean, fa_mean):
+    """(da, dg): 2x2 grids whose TDA, TDG and FA means are the three given numbers."""
+    dg = [[tda_mean, tdg_mean], [fa_mean, 0.0]]
+    da = [[0.0, 0.0], [0.0, tda_mean]]
+    return np.array(da), np.array(dg)
 
 
 def test_composite_all_reported_cells():
-    assert composite_all(0.876, 0.722, 0.888) == pytest.approx(0.8287, abs=5e-4)
-    assert abs(composite_all(87.6, 72.2, 88.8) - 82.9) < 0.05
-    assert abs(composite_all(78.6, 61.0, 58.2) - 65.9) < 0.05
-    assert composite_all(0.5, 0.5, 0.5) == 0.5
+    for cell, composite, tol in (((0.876, 0.722, 0.888), 0.8287, 5e-4),
+                                 ((87.6, 72.2, 88.8), 82.9, 0.05),
+                                 ((78.6, 61.0, 58.2), 65.9, 0.05)):
+        m = sequence_metrics(*cell_grids(*cell))
+        assert [m["tda_mean"], m["tdg_mean"], m["fa_mean"]] == list(cell)
+        assert abs(m["all"] - composite) < tol
+    assert sequence_metrics(*cell_grids(0.5, 0.5, 0.5))["all"] == 0.5
 
 
 def test_metrics_report_composite_consistency():
-    report = MetricsReport.from_matrices(DA3_DIAG, DG3)
-    assert report.all == pytest.approx(
-        (report.tda_mean + report.tdg_mean + report.fa_mean) / 3, abs=1e-9
-    )
+    m = sequence_metrics(DA3_DIAG, DG3)
+    assert m["all"] == pytest.approx((m["tda_mean"] + m["tdg_mean"] + m["fa_mean"]) / 3, abs=1e-9)
+    assert list(m) == ["tda_per_domain", "tdg_per_domain", "fa_per_domain", "tda_mean",
+                       "tdg_mean", "fa_mean", "all"]  # the results.json order
 
 
 def test_accuracy_matrix_guards():
@@ -204,8 +212,8 @@ def test_curve_rows_are_the_bytes_csv_writer_writes(epochs):
 
 
 def test_metrics_from_grids_single_grid_fallback_and_validation():
-    report = metrics_from_grids(DG3.tolist())
-    assert report.tda_per_domain == pytest.approx([0.9, 0.85, 0.9])
+    m = metrics_from_grids(DG3.tolist())
+    assert m["tda_per_domain"] == pytest.approx([0.9, 0.85, 0.9])
     with pytest.raises(ValueError):
         metrics_from_grids([[0.5, 0.5]])
     with pytest.raises(ValueError):

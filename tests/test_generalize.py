@@ -201,15 +201,15 @@ def test_train_target_on_true_labels_equals_train_source():
     cfg = DGConfig(epochs=6, alpha=0.0)
     from_source = train_dg_source(params0, source, cfg, AugmentConfig(),
                                   RngStreams.for_stage(3, 1))
-    from_target = train_dg_target(params0, source, None, cfg, AugmentConfig(),
-                                  RngStreams.for_stage(3, 1))
+    from_target = train_dg_target(params0, source, ReplayBuffer(0, source.k), cfg,
+                                  AugmentConfig(), RngStreams.for_stage(3, 1))
     for name in params0.blocks:
         assert from_target.blocks[name].tobytes() == from_source.blocks[name].tobytes()
 
 
 def test_train_target_zero_epochs_returns_prev():
     prev = init_params(ModelConfig(), 3, 4, 1)
-    out = train_dg_target(prev, _pl_dataset(), None, DGConfig(epochs=0),
+    out = train_dg_target(prev, _pl_dataset(), ReplayBuffer(0, 4), DGConfig(epochs=0),
                           AugmentConfig(), RngStreams.for_stage(0, 0))
     for name in prev.blocks:
         assert out.blocks[name].tobytes() == prev.blocks[name].tobytes()
@@ -222,7 +222,7 @@ def test_train_target_alpha_zero_no_selnlpl_equals_plain_ce():
     cfg = DGConfig(epochs=1, batch_size=25, alpha=0.0, selnlpl=False)
     aug = AugmentConfig(noise_sigma=0.05)
     captured = []
-    train_dg_target(prev, data, None, cfg, aug, RngStreams.for_stage(5, 0),
+    train_dg_target(prev, data, ReplayBuffer(0, data.k), cfg, aug, RngStreams.for_stage(5, 0),
                     on_epoch=lambda e, p, loss, phase: captured.append((loss, phase)))
 
     replay = RngStreams.for_stage(5, 0)
@@ -240,7 +240,7 @@ def test_train_target_phase_schedule():
     data = _pl_dataset(n=20, seed=2)
     prev = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 3)
     phases = []
-    train_dg_target(prev, data, None,
+    train_dg_target(prev, data, ReplayBuffer(0, data.k),
                     DGConfig(epochs=8, batch_size=20, nl_epoch_fraction=0.25),
                     None, RngStreams.for_stage(1, 0),
                     on_epoch=lambda e, p, loss, phase: phases.append(phase))
@@ -252,8 +252,8 @@ def test_train_target_selnlpl_off_single_phase():
     data = _pl_dataset(n=20, seed=2)
     prev = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 3)
     phases = []
-    train_dg_target(prev, data, None, DGConfig(epochs=3, selnlpl=False), None,
-                    RngStreams.for_stage(1, 0),
+    train_dg_target(prev, data, ReplayBuffer(0, data.k), DGConfig(epochs=3, selnlpl=False),
+                    None, RngStreams.for_stage(1, 0),
                     on_epoch=lambda e, p, loss, phase: phases.append(phase))
     assert phases == [PHASE_CE] * 3
 

@@ -15,6 +15,7 @@ import codag.replay as replay
 from codag.adapt import AdaptConfig
 from codag.augment import AugmentConfig
 from codag.data import Dataset, HiddenLabelsError, SequenceConfig
+from codag.evaluate import CURVES_HEADER, sequence_metrics
 from codag.generalize import DGConfig, train_dg_source
 from codag.nnmodel import (
     HEAD_BLOCKS,
@@ -66,8 +67,8 @@ def test_source_only_horizon():
                                               angles_deg=(0.0,), seed=3))
     state, metrics = run_seed(cfg, 7)
     assert state.next_stage == 1
-    assert metrics.tdg_mean is None and metrics.fa_mean is None and metrics.all is None
-    assert len(metrics.tda_per_domain) == 1
+    assert metrics["tdg_mean"] is None and metrics["fa_mean"] is None and metrics["all"] is None
+    assert len(metrics["tda_per_domain"]) == 1
 
 
 def test_stage_order_enforced():
@@ -422,7 +423,9 @@ STATE_FAULTS = {
     "curves-headerless-rehashed": _headerless_curves_rehashed,
     "da-only-da-checkpoints": _da_only_with_da_checkpoints,
 }
-FAULT_CONFIGS = {"curves-headerless-rehashed": {"log_curves": True},
+# These corrupt curves.csv, so their runs log curves: a fault must reach a row.
+CURVE_FAULTS = ("empty-curves", "curves-byte", "curves-truncated", "curves-headerless-rehashed")
+FAULT_CONFIGS = {**dict.fromkeys(CURVE_FAULTS, {"log_curves": True}),
                  "da-only-da-checkpoints": {"variant": "da-only"}}
 
 
@@ -431,6 +434,8 @@ def test_malformed_state_raises_run_state_error(tmp_path, fault):
     cfg = tiny_config(**FAULT_CONFIGS.get(fault, {}))
     seed_dir = tmp_path / "seed7"
     run_seed(cfg, 7, seed_dir=str(seed_dir))
+    if fault in CURVE_FAULTS:
+        assert len((seed_dir / "curves.csv").read_bytes()) > len(CURVES_HEADER)
     STATE_FAULTS[fault](seed_dir)
     with pytest.raises(RunStateError, match=r"seed7.state\.json: malformed run state"):
         run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
@@ -580,7 +585,6 @@ def test_experiment_config_validation():
 
 def test_matrices_match_checkpoint_reevaluation(tmp_path):
     from codag import accuracy
-    from codag.evaluate import tda
     from codag.nnmodel import load_checkpoint
 
     cfg = tiny_config(
@@ -598,7 +602,7 @@ def test_matrices_match_checkpoint_reevaluation(tmp_path):
     da1 = load_checkpoint(seed_dir / "checkpoints" / "da_stage1.ckpt")
     assert da_mat[1][1] == pytest.approx(accuracy(da1, seq.test_sets[1]), abs=1e-12)
 
-    values, _ = tda(da_mat, dg_mat)
+    values = sequence_metrics(da_mat, dg_mat)["tda_per_domain"]
     assert values == pytest.approx([dg_mat[0, 0], da_mat[1, 1]])
 
 

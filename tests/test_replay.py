@@ -169,9 +169,9 @@ def test_capacity_never_exceeded_along_a_chain(dg_params):
 
 def test_zero_capacity_stays_empty(dg_params):
     buf = update_buffer(ReplayBuffer(0, 5), _labeled_domain(100, 5, 6, 0, 1), dg_params)
-    assert buf.n_entries == 0
-    x, y, dom, pseudo = buf.as_arrays()
-    assert x.shape[0] == 0
+    assert buf.n_entries == 0 and buf.n_domains == 1
+    with pytest.raises(ValueError):  # as_arrays needs an entry
+        buf.as_arrays()
 
 
 def test_scarce_class_keeps_what_exists(dg_params):
@@ -239,7 +239,9 @@ def test_buffer_quotas_over_random_domains_and_class_histograms(chain):
         # Shares at most 1 apart, the larger ones first; they add up to the capacity.
         shares = [capacity // (t + 1) + (i < capacity % (t + 1)) for i in range(t + 1)]
         assert buf.n_domains == t + 1 and buf.n_entries <= capacity
-        x, y, dom, _ = buf.as_arrays()  # each (domain, class) in pick order
+        # each (domain, class) in pick order; as_arrays needs an entry
+        x, y, dom, _ = (buf.as_arrays() if buf.n_entries else
+                        (np.empty((0, 2)), np.empty(0, int), np.empty(0, int), None))
         kept.append([None] * k)
         for i, share in enumerate(shares):
             class_shares = [share // k + (c < share % k) for c in range(k)]
