@@ -154,7 +154,7 @@ def cell_grids(tda_mean, tdg_mean, fa_mean):
     return np.array(da), np.array(dg)
 
 
-def test_composite_all_reported_cells():
+def test_composite_reproduces_reported_cells():
     for cell, composite, tol in (((0.876, 0.722, 0.888), 0.8287, 5e-4),
                                  ((87.6, 72.2, 88.8), 82.9, 0.05),
                                  ((78.6, 61.0, 58.2), 65.9, 0.05)):
