@@ -2,7 +2,7 @@
 
 Commands:
     run         --config C [--override k=v]... --out D [--jobs N] [--resume]
-    gen-data    --config C --out D
+    gen-data    --config C [--override k=v]... --out D
     report      --runs D
     eval-matrix --file F
     version

@@ -1,9 +1,14 @@
 """Shared fixtures: full-fidelity runs are expensive, so they are session-scoped
 and their independent runs go through a process pool."""
 
+import functools
+import json
 import multiprocessing
 import os
+import pathlib
+import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import pytest
 
@@ -26,11 +31,12 @@ from codag import (
     train_dg_source,
     train_dg_target,
 )
-from codag.cli import apply_override
+from codag.cli import apply_override, main
 from codag.orchestrate import ExperimentConfig, run_seed
 from codag.rng import RngStreams, substream
 
 SEEDS5 = (2022, 2023, 2024, 2025, 2026)
+DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
 
 
 def default_sequence(seed: int = 7, split_seed=2022):
@@ -60,17 +66,19 @@ def spec_name(spec: tuple[str, ...]) -> str:
     return "+".join(spec)
 
 
-def run_variant(variant: str, seed: int, log_curves: bool = False, overrides=()):
-    """One seed of the default config with ``variant`` and the given overrides."""
-    raw = {"seeds": [seed], "variant": variant, "log_curves": log_curves}
+def run_variant(variant: str, seed: int, overrides=()):
+    """One seed of the default config, curves off, with ``variant`` and the given overrides."""
+    raw = {"seeds": [seed], "variant": variant, "log_curves": False}
     for assignment in overrides:
         apply_override(raw, assignment)
     return run_seed(ExperimentConfig.from_dict(raw), seed)
 
 
-def source_model(seed: int, seq=None):
-    if seq is None:
-        seq = default_sequence(split_seed=substream(seed, "data"))
+@functools.cache
+def source_model(seed: int):
+    """The default sequence for ``seed`` and its source-trained DG model, trained once per
+    seed; callers only read the two (training copies its input model)."""
+    seq = default_sequence(split_seed=substream(seed, "data"))
     params = train_dg_source(
         init_params(ModelConfig(), seq.d, seq.k, substream(seed, "init")),
         seq.train_sets[0], DGConfig(), AugmentConfig(), RngStreams.for_stage(seed, 0),
@@ -113,18 +121,32 @@ def run_in_pool(fn, arg_tuples) -> list:
 def variant_runs():
     """(RunState, metrics dict) by run spec name and seed, for the directional checks."""
     specs = [("codag",), ("codag-da-init",), ("codag", "buffer_capacity=0"), ("dg-only",)]
-    runs = [(spec[0], seed, False, spec[1:]) for spec in specs for seed in SEEDS5]
+    runs = [(spec[0], seed, spec[1:]) for spec in specs for seed in SEEDS5]
     out = {}
-    for (variant, seed, _, overrides), result in zip(runs, run_in_pool(run_variant, runs)):
+    for (variant, seed, overrides), result in zip(runs, run_in_pool(run_variant, runs)):
         out.setdefault(spec_name((variant, *overrides)), {})[seed] = result
     return out
 
 
+class CliRun(NamedTuple):
+    """One finished ``codag run``: its exit code, wall time and output directory."""
+
+    code: int
+    elapsed_s: float
+    out: pathlib.Path
+
+    def results(self) -> dict:
+        return json.loads((self.out / "results.json").read_text())
+
+
 @pytest.fixture(scope="session")
-def codag_curve_state():
-    """One default run with per-epoch curve logging enabled."""
-    state, metrics = run_variant("codag", 2022, log_curves=True)
-    return state, metrics
+def default_cli_run(tmp_path_factory):
+    """``codag run`` on ``configs/default.json``: seeds 2022-2024, curves on, and two
+    workers, since the seeds are independent."""
+    out = tmp_path_factory.mktemp("default-run") / "run"
+    start = time.perf_counter()
+    code = main(["run", "--config", DEFAULT_CONFIG, "--out", str(out), "--jobs", "2"])
+    return CliRun(code, time.perf_counter() - start, out)
 
 
 @pytest.fixture(scope="session")

@@ -111,10 +111,10 @@ def changes(old: dict, new: dict) -> list[str]:
 def main() -> None:
     import tempfile
 
-    runs = [(spec[0], seed, False, spec[1:]) for spec in SEED_SPECS for seed in SEEDS5]
+    runs = [(spec[0], seed, spec[1:]) for spec in SEED_SPECS for seed in SEEDS5]
     with tempfile.TemporaryDirectory() as tmp:
         seed_runs = {}
-        for (variant, seed, _, overrides), (state, _) in zip(runs, run_in_pool(run_variant, runs)):
+        for (variant, seed, overrides), (state, _) in zip(runs, run_in_pool(run_variant, runs)):
             key = f"{spec_name((variant, *overrides))}/{seed}"
             seed_runs[key] = state_digest(state, os.path.join(tmp, key.replace("/", "-")))
         tiny = {spec_name(spec): tiny_file_hashes(spec, os.path.join(tmp, spec_name(spec)))

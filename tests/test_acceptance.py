@@ -14,8 +14,8 @@ from codag.adapt import AdaptConfig, _im_pl_logit_loss
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
 from codag.rng import substream
 
-from conftest import run_variant, source_model, teacher_q
-from golden_table import state_digest
+from conftest import source_model, teacher_q
+from golden_table import checks, state_digest
 from test_evaluate import cell_grids
 from test_nnmodel import assert_fd_match, small_params
 from test_replay import brute_force_herding
@@ -176,11 +176,13 @@ def test_criterion_6_noisy_label_schedule_helps(selnlpl_noise_diffs):
                f"per-seed {np.round(diffs, 4).tolist()}, mean {diffs.mean():+.4f}")
 
 
-def test_criterion_7_determinism(variant_runs):
+def test_criterion_7_determinism(variant_runs, default_cli_run):
+    """The pool's in-process run of codag/2022 against the same seed of ``codag run
+    --jobs 2`` with curves on: two processes and two call paths."""
     first, _ = variant_runs["codag"][2022]
-    second, _ = run_variant("codag", 2022)
-    dg_diff = np.nanmax(np.abs(first.dg_matrix - second.dg_matrix))
-    da_diff = np.nanmax(np.abs(first.da_matrix - second.da_matrix))
+    second = default_cli_run.results()["per_seed"]["2022"]
+    dg_diff = np.nanmax(np.abs(first.dg_matrix - np.array(second["dg_matrix"])))
+    da_diff = np.nanmax(np.abs(first.da_matrix - np.array(second["da_matrix"])))
     _criterion(7, "identical (config, seed) runs agree within 1e-9",
                dg_diff <= 1e-9 and da_diff <= 1e-9,
                f"max diffs dg {dg_diff:.2e} da {da_diff:.2e}")
@@ -204,13 +206,19 @@ def test_criterion_8_sanity_floor(variant_runs):
 _BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def test_default_runs_match_golden_digests(variant_runs, codag_curve_state, tmp_path):
-    """The benchmark's golden digests, on the fixtures' default-config runs at seed 2022."""
+def test_default_runs_match_golden_digests(variant_runs, default_cli_run, tmp_path):
+    """The benchmark's golden digests, on the pool's codag and dg-only runs at seed 2022
+    and on every seed of the default ``codag run`` with curves."""
     with open(os.path.join(_BENCH, "golden.json"), encoding="utf-8") as fh:
         golden = json.load(fh)["default"]
     runs = {"codag/2022": variant_runs["codag"][2022][0],
-            "dg-only/2022": variant_runs["dg-only"][2022][0],
-            "codag/2022 with curves": codag_curve_state[0]}
+            "dg-only/2022": variant_runs["dg-only"][2022][0]}
     for name, state in runs.items():
-        digest = state_digest(state, tmp_path / name.replace("/", "-").replace(" ", "-"))
-        assert digest == golden[name.split()[0]], f"{name}: digest {digest} is not the golden one"
+        digest = state_digest(state, tmp_path / name.replace("/", "-"))
+        assert digest == golden[name], f"{name}: digest {digest} is not the golden one"
+    per_seed = default_cli_run.results()["per_seed"]
+    assert set(per_seed) == {"2022", "2023", "2024"}
+    for seed, entry in per_seed.items():
+        digest = checks.seed_run_digest(entry, str(default_cli_run.out / f"seed{seed}"))
+        assert digest == golden[f"codag/{seed}"], \
+            f"codag/{seed} with curves: digest {digest} is not the golden one"

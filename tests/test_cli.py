@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import typing
@@ -20,6 +21,7 @@ from codag.cli import CliError, build_config, main
 from codag.orchestrate import ExperimentConfig, config_digest, config_from_dict, run_experiment
 from codag.rng import substream
 
+from conftest import DEFAULT_CONFIG
 from test_orchestrate import STATE_FAULTS, _tree
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -666,9 +668,8 @@ def test_resume_adds_and_drops_seeds(tmp_path, tiny_config_file, monkeypatch):
 def test_allocation_failure_is_one_error_line(tmp_path, capsys):
     """10**11 rows per domain: numpy refuses the first domain's 745 GiB arrays at
     allocation, before any memory is touched."""
-    config = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
-    code = main(["run", "--config", config, "--override", "sequence.n_per_domain=100000000000",
-                 "--out", str(tmp_path / "out")])
+    code = main(["run", "--config", DEFAULT_CONFIG, "--override",
+                 "sequence.n_per_domain=100000000000", "--out", str(tmp_path / "out")])
     assert code == 1
     (line,) = _error_lines(capsys.readouterr().err)
     assert "Unable to allocate" in line
@@ -773,15 +774,16 @@ def test_version_command(capsys):
         assert out == tomllib.load(fh)["project"]["version"]
 
 
-def test_default_config_smoke_run_under_five_minutes(tmp_path):
-    import time
-
-    config = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
-    start = time.time()
-    # The seeds are independent; two workers shorten the suite.
-    assert main(["run", "--config", config, "--out", str(tmp_path / "smoke"), "--jobs", "2"]) == 0
-    elapsed = time.time() - start
-    assert elapsed < 300, f"default run took {elapsed:.0f}s"
-    res = json.loads((tmp_path / "smoke" / "results.json").read_text())
+def test_default_config_smoke_run_under_five_minutes(default_cli_run):
+    assert default_cli_run.code == 0
+    assert default_cli_run.elapsed_s < 300, f"default run took {default_cli_run.elapsed_s:.0f}s"
+    res = default_cli_run.results()
     assert set(res["per_seed"]) == {"2022", "2023", "2024"}
     assert res["aggregate"]["all"] is not None
+
+
+def test_resuming_a_finished_default_run_changes_no_file(default_cli_run, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(default_cli_run.out, copy)
+    assert main(["run", "--config", DEFAULT_CONFIG, "--out", str(copy), "--resume"]) == 0
+    assert _tree(copy) == _tree(default_cli_run.out)

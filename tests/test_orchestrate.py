@@ -613,16 +613,16 @@ def _curve_records(curves) -> list[tuple[int, int, int, float]]:
     return [(int(s), int(e), int(d), float(a)) for s, e, d, a in rows[1:]]
 
 
-def test_full_run_emits_one_record_per_stage_epoch_domain(codag_curve_state):
-    records = _curve_records(codag_curve_state[0].curves)
+def test_full_run_emits_one_record_per_stage_epoch_domain(default_cli_run):
+    records = _curve_records((default_cli_run.out / "seed2022" / "curves.csv").read_bytes())
     assert len(records) == 5 * 60 * 5
     keys = [(s, e, d) for s, e, d, _ in records]
     assert keys == sorted(set(keys))
 
 
-def test_seen_domain_curves_stay_stable_after_shifts(codag_curve_state):
+def test_seen_domain_curves_stay_stable_after_shifts(default_cli_run):
     """With the buffer on, no previously-seen domain crashes between epochs."""
-    records = _curve_records(codag_curve_state[0].curves)
+    records = _curve_records((default_cli_run.out / "seed2022" / "curves.csv").read_bytes())
     worst = 0.0
     for domain in range(5):
         past = [(s, e, a) for s, e, d, a in records if d == domain and s > domain]
