@@ -16,7 +16,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 __version__ = "0.1.0"
 
-from .adapt import AdaptConfig, adapt_domain, centroid_pseudo_labels, generate_pseudo_labels
+from .adapt import adapt_domain, centroid_pseudo_labels, generate_pseudo_labels
 from .augment import AugmentConfig, randmix
 from .data import (
     Dataset,
@@ -36,6 +36,7 @@ from .generalize import (
 from .nnmodel import (
     CheckpointError,
     ClassifierParams,
+    EpochConfig,
     ModelConfig,
     Sgd,
     features,

@@ -7,13 +7,12 @@ in ``nnmodel.train_epochs`` (phase ``PHASE_ADAPT``). The adapted model then
 exports argmax pseudo-labels for the DG model.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset
 from .nnmodel import (
     ClassifierParams,
+    EpochConfig,
     features,  # noqa: F401  (unused here; perfbench's span wrappers look it up in this module)
     features_and_logits,
     forward,
@@ -24,28 +23,8 @@ from .nnmodel import (
 )
 
 PHASE_ADAPT = "adaptation"
-
-
-@dataclass(frozen=True)
-class AdaptConfig:
-    epochs: int = 60
-    lr: float = 0.01
-    batch_size: int = 64
-    im_weight: float = 1.0
-    pl_weight: float = 0.3  # weight of the centroid pseudo-label term
-    pl_refresh_interval: int = 5  # epochs between centroid refreshes
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.im_weight < 0 or self.pl_weight < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.pl_refresh_interval < 1:
-            raise ValueError("pl_refresh_interval must be at least 1")
+PL_WEIGHT = 0.3  # of the centroid pseudo-label term, against an IM weight of 1 (SHOT's beta)
+PL_REFRESH_EPOCHS = 5  # epochs between centroid refreshes
 
 
 # Features near the float64 limit overflow the norms; the non-finite loss reports it.
@@ -80,12 +59,11 @@ def centroid_pseudo_labels(params: ClassifierParams, dataset: Dataset) -> np.nda
     return np.argmin(_cosine_distances(feats, centroids), axis=1)
 
 
-def _im_pl_logit_loss(pl_labels: np.ndarray, im_weight: float, beta: float):
-    """Information maximization plus pseudo-label cross-entropy on logits.
+def _im_pl_logit_loss(pl_labels: np.ndarray):
+    """Information maximization plus ``PL_WEIGHT`` times pseudo-label cross-entropy, on logits.
 
-    The gradient is im_weight * (p / n) * (-log p + <p, log p> - <p, log pbar>
-    + log pbar) + beta * (p - onehot(pl)) / n, each element evaluated in that
-    order.
+    The gradient is (p / n) * (-log p + <p, log p> - <p, log pbar> + log pbar)
+    + PL_WEIGHT * (p - onehot(pl)) / n, each element evaluated in that order.
     """
 
     def loss_fn(logits):
@@ -111,31 +89,30 @@ def _im_pl_logit_loss(pl_labels: np.ndarray, im_weight: float, beta: float):
             grad -= cross[:, None]
             grad += log_pbar
             grad *= p_n
-            grad *= im_weight
 
             ce = float(-(np.add.reduce(logp.ravel()[flat]) / n))
-            d_ce = np.multiply(p_n, beta, out=p_n)
-            d_ce.ravel()[flat] = (p.ravel()[flat] - 1.0) / n * beta
+            d_ce = np.multiply(p_n, PL_WEIGHT, out=p_n)
+            d_ce.ravel()[flat] = (p.ravel()[flat] - 1.0) / n * PL_WEIGHT
             grad += d_ce
 
-        return im_weight * im + beta * ce, grad
+        return im + PL_WEIGHT * ce, grad
 
     return loss_fn
 
 
-def adapt_domain(dg_params: ClassifierParams, target, config: AdaptConfig,
+def adapt_domain(dg_params: ClassifierParams, target, config: EpochConfig,
                  rng: np.random.Generator, on_epoch=None) -> ClassifierParams:
     """Adapt on unlabeled target data; the head stays bit-identical."""
     pl = None
 
     def epoch_setup(epoch, params, perm):
         nonlocal pl
-        if epoch % config.pl_refresh_interval == 0:
+        if epoch % PL_REFRESH_EPOCHS == 0:
             pl = centroid_pseudo_labels(params, target)
         xe, ple = target.x[perm], pl[perm]
 
         def batch_loss(rows):
-            loss_fn = _im_pl_logit_loss(ple[rows], config.im_weight, config.pl_weight)
+            loss_fn = _im_pl_logit_loss(ple[rows])
             return gradient(loss_fn, params, xe[rows], freeze_head=True)
 
         return PHASE_ADAPT, batch_loss

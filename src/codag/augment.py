@@ -1,8 +1,9 @@
 """Stochastic mixing augmentation for generalization training.
 
 Each batch is replaced by a convex mix of views: an identity slot plus
-freshly sampled random tanh-affine maps, with Dirichlet mixing weights and
-additive Gaussian noise. Transforms never persist across batches.
+freshly sampled random tanh-affine maps, with Dirichlet(1, ..., 1) mixing
+weights (uniform on the simplex) and additive Gaussian noise. Transforms
+never persist across batches.
 """
 
 from dataclasses import dataclass
@@ -13,14 +14,11 @@ import numpy as np
 @dataclass(frozen=True)
 class AugmentConfig:
     n_transforms: int = 4
-    mix_concentration: float = 1.0
     noise_sigma: float = 0.1
 
     def __post_init__(self):
         if self.n_transforms < 1:
             raise ValueError("n_transforms must be at least 1")
-        if self.mix_concentration <= 0:
-            raise ValueError("mix_concentration must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
 
@@ -43,7 +41,7 @@ def randmix(batch, config: AugmentConfig, rng: np.random.Generator, *,
     out = np.zeros_like(x)  # from +0.0, so a -0.0 term still sums to +0.0
     for start in range(0, x.shape[0], batch_size):
         xb, ob = x[start:start + batch_size], out[start:start + batch_size]
-        w = rng.dirichlet(np.full(m, config.mix_concentration))
+        w = rng.dirichlet(np.ones(m))
         ob += w[0] * xb
         for i in range(1, m):
             ob += w[i] * np.tanh(xb @ rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)))

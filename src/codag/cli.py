@@ -42,6 +42,8 @@ def _load_config_file(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def apply_override(config: dict, assignment: str) -> None:
@@ -64,8 +66,9 @@ def apply_override(config: dict, assignment: str) -> None:
 
 def build_config(config_path: str, overrides) -> ExperimentConfig:
     raw = _load_config_file(config_path)
-    for assignment in overrides or ():
-        apply_override(raw, assignment)
+    if isinstance(raw, dict):  # from_dict names any other top level
+        for assignment in overrides or ():
+            apply_override(raw, assignment)
     try:
         return ExperimentConfig.from_dict(raw)
     except ValueError as exc:

@@ -17,7 +17,15 @@ import numpy as np
 
 from .augment import AugmentConfig, randmix
 from .data import Dataset
-from .nnmodel import ClassifierParams, forward, gradient, log_softmax, softmax, train_epochs
+from .nnmodel import (
+    ClassifierParams,
+    EpochConfig,
+    forward,
+    gradient,
+    log_softmax,
+    softmax,
+    train_epochs,
+)
 from .rng import RngStreams
 
 _SKIP, _CE, _NL = 0, 1, 2
@@ -30,31 +38,19 @@ PHASE_CE = "ce"
 # Probabilities are clipped to at least this before a log in the label losses.
 _CLIP_EPS = 1e-7
 
+NL_EPOCH_FRACTION = 0.25  # of the epochs in NL; SelNL then runs as many, SelPL the rest
+PL_CONF_THRESHOLD = 0.5  # SelPL trains on rows whose max softmax exceeds it
+
 
 @dataclass(frozen=True)
-class DGConfig:
-    epochs: int = 60
-    lr: float = 0.01
-    batch_size: int = 64
+class DGConfig(EpochConfig):
     alpha: float = 1.0  # distillation weight
     selnlpl: bool = True
-    nl_epoch_fraction: float = 0.25  # SelNL then runs as many epochs as NL
-    pl_conf_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        super().__post_init__()
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if not 0.0 <= self.pl_conf_threshold <= 1.0:
-            raise ValueError("pl_conf_threshold must lie in [0, 1]")
-        if not 0.0 <= self.nl_epoch_fraction <= 0.5:
-            raise ValueError("nl_epoch_fraction must lie in [0, 0.5]: SelNL runs as long as "
-                             "NL, so a larger one leaves no epoch for the SelPL phase")
 
 
 def draw_complementary_labels(labels, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,7 +119,7 @@ def _mixed_logit_loss(y, kinds, comp, teacher_q, alpha: float):
 def _phase_for_epoch(epoch: int, config: DGConfig) -> str:
     if not config.selnlpl:
         return PHASE_CE
-    nl_end = round(config.nl_epoch_fraction * config.epochs)
+    nl_end = round(NL_EPOCH_FRACTION * config.epochs)
     if epoch < nl_end:
         return PHASE_NL
     if epoch < 2 * nl_end:
@@ -155,7 +151,7 @@ def _train_dg(params0: ClassifierParams, x: np.ndarray, y: np.ndarray,
             confident = select_confident(params, x[is_pseudo], 1.0 / k)
             kinds[is_pseudo] = np.where(confident, _NL, _SKIP)
         elif phase == PHASE_SELPL:
-            confident = select_confident(params, x[is_pseudo], config.pl_conf_threshold)
+            confident = select_confident(params, x[is_pseudo], PL_CONF_THRESHOLD)
             kinds[is_pseudo] = np.where(confident, _CE, _SKIP)
 
         # One augmentation call and one teacher pass per epoch; batches slice them.

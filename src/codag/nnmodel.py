@@ -54,6 +54,23 @@ class ModelConfig:
             raise ValueError("all layer widths must be positive")
 
 
+@dataclass(frozen=True)
+class EpochConfig:
+    """An SGD schedule: ``epochs`` passes over the rows in batches of ``batch_size``."""
+
+    epochs: int = 60
+    lr: float = 0.01
+    batch_size: int = 64
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+
+
 class ClassifierParams:
     """Ordered named parameter blocks: ext{i}.w / ext{i}.b ... head.w / head.b.
 
@@ -279,8 +296,8 @@ class Sgd:
             raise FloatingPointError("non-finite weights after an SGD step")
 
 
-def train_epochs(params0: ClassifierParams, n: int, config, shuffle: np.random.Generator,
-                 epoch_setup, on_epoch=None) -> ClassifierParams:
+def train_epochs(params0: ClassifierParams, n: int, config: EpochConfig,
+                 shuffle: np.random.Generator, epoch_setup, on_epoch=None) -> ClassifierParams:
     """``config.epochs`` epochs of ``Sgd`` over ``n`` rows on a copy of ``params0``.
 
     Per epoch: one permutation from ``shuffle``; ``epoch_setup(epoch, params,

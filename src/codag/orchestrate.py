@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .adapt import AdaptConfig, adapt_domain, generate_pseudo_labels
+from .adapt import adapt_domain, generate_pseudo_labels
 from .augment import AugmentConfig
 from .data import Dataset, DomainSequence, SequenceConfig, check_domain_order
 from .evaluate import CURVES_HEADER, METRICS, accuracy, curve_rows, sequence_metrics, summarize
@@ -24,6 +24,7 @@ from .generalize import DGConfig, train_dg_source, train_dg_target
 from .nnmodel import (
     CheckpointError,
     ClassifierParams,
+    EpochConfig,
     ModelConfig,
     atomic_write,
     init_params,
@@ -80,7 +81,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (2022, 2023, 2024)
     variant: str = VARIANTS[0]  # the full method
     model: ModelConfig = field(default_factory=ModelConfig)
-    adapt: AdaptConfig = field(default_factory=AdaptConfig)
+    adapt: EpochConfig = field(default_factory=EpochConfig)
     dg: DGConfig = field(default_factory=DGConfig)
     aug: AugmentConfig = field(default_factory=AugmentConfig)
     buffer_capacity: int = 200

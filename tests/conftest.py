@@ -17,10 +17,10 @@ import pytest
 import codag  # noqa: F401
 import numpy as np
 from codag import (
-    AdaptConfig,
     AugmentConfig,
     Dataset,
     DGConfig,
+    EpochConfig,
     ModelConfig,
     ReplayBuffer,
     SequenceConfig,
@@ -99,7 +99,7 @@ def selnlpl_chain(seed: int, selnlpl: bool, noise_rate: float = 0.20) -> float:
     )
     buf = ReplayBuffer(0, seq.k)
     for t in range(1, seq.n_domains):
-        da = adapt_domain(dg, seq.train_sets[t], AdaptConfig(), substream(seed, "shuffle", t))
+        da = adapt_domain(dg, seq.train_sets[t], EpochConfig(), substream(seed, "shuffle", t))
         pl = generate_pseudo_labels(da, seq.train_sets[t])
         pl = with_label_noise(pl, noise_rate, substream(seed, "nl", 90 + t))
         dg = train_dg_target(dg, pl, buf, dgcfg, aug, RngStreams.for_stage(seed, t))

@@ -10,8 +10,9 @@ import os
 import numpy as np
 
 from codag import adapt_domain, herding_select, sequence_metrics, softmax
-from codag.adapt import AdaptConfig, _im_pl_logit_loss
+from codag.adapt import _im_pl_logit_loss
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
+from codag.nnmodel import EpochConfig
 from codag.rng import substream
 
 from conftest import source_model, teacher_q
@@ -128,7 +129,7 @@ def test_criterion_3_gradient_correctness():
         # source / pseudo-label cross-entropy
         assert_fd_match(_mixed_logit_loss(y, kinds_ce, None, None, 0.0), params, x)
         # adaptation objective: information maximization + pseudo cross-entropy
-        assert_fd_match(_im_pl_logit_loss(y, 1.0, 0.3), params, x)
+        assert_fd_match(_im_pl_logit_loss(y), params, x)
         # distillation KL
         assert_fd_match(_mixed_logit_loss(y, kinds_skip, None, teacher_q(q), 1.0), params, x)
         # negative learning
@@ -137,7 +138,7 @@ def test_criterion_3_gradient_correctness():
         ok = False
 
     seq, dg = source_model(2022)
-    adapted = adapt_domain(dg, seq.train_sets[1], AdaptConfig(),
+    adapted = adapt_domain(dg, seq.train_sets[1], EpochConfig(),
                            substream(2022, "shuffle", 1))
     frozen_ok = (
         adapted.blocks["head.w"].tobytes() == dg.blocks["head.w"].tobytes()

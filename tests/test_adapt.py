@@ -3,7 +3,6 @@ import pytest
 
 from codag.adapt import (
     PHASE_ADAPT,
-    AdaptConfig,
     _cosine_distances,
     adapt_domain,
     centroid_pseudo_labels,
@@ -12,6 +11,7 @@ from codag.adapt import (
 from codag.data import Dataset
 from codag.nnmodel import (
     ClassifierParams,
+    EpochConfig,
     ModelConfig,
     features,
     features_and_logits,
@@ -185,7 +185,7 @@ def test_centroid_labels_degenerate_identical_samples():
 
 def test_adapt_zero_epochs_returns_input_exactly():
     seq, dg = source_model(2022)
-    out = adapt_domain(dg, seq.train_sets[1], AdaptConfig(epochs=0), substream(2022, "shuffle", 1))
+    out = adapt_domain(dg, seq.train_sets[1], EpochConfig(epochs=0), substream(2022, "shuffle", 1))
     for name in dg.blocks:
         assert out.blocks[name].tobytes() == dg.blocks[name].tobytes()
 
@@ -194,7 +194,7 @@ def test_adapt_head_frozen_and_loss_decreases():
     seq, dg = source_model(2022)
     losses = []
     adapted = adapt_domain(
-        dg, seq.train_sets[1], AdaptConfig(), substream(2022, "shuffle", 1),
+        dg, seq.train_sets[1], EpochConfig(), substream(2022, "shuffle", 1),
         on_epoch=lambda e, p, loss, phase: losses.append((loss, phase)),
     )
     assert adapted.blocks["head.w"].tobytes() == dg.blocks["head.w"].tobytes()
@@ -251,7 +251,7 @@ def test_adaptation_improves_target_accuracy_across_seeds():
     for seed in (2022, 2023, 2024, 2025, 2026):
         seq, dg = source_model(seed)
         pre = accuracy(dg, seq.test_sets[1])
-        adapted = adapt_domain(dg, seq.train_sets[1], AdaptConfig(), substream(seed, "shuffle", 1))
+        adapted = adapt_domain(dg, seq.train_sets[1], EpochConfig(), substream(seed, "shuffle", 1))
         post = accuracy(adapted, seq.test_sets[1])
         wins += post >= pre
     assert wins >= 4
@@ -259,11 +259,9 @@ def test_adaptation_improves_target_accuracy_across_seeds():
 
 def test_adapt_config_validation():
     with pytest.raises(ValueError):
-        AdaptConfig(lr=0.0)
+        EpochConfig(lr=0.0)
     with pytest.raises(ValueError):
-        AdaptConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        AdaptConfig(pl_refresh_interval=0)
+        EpochConfig(epochs=-1)
     for batch_size in (0, -5):
         with pytest.raises(ValueError, match="batch_size"):
-            AdaptConfig(batch_size=batch_size)
+            EpochConfig(batch_size=batch_size)

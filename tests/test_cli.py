@@ -64,6 +64,23 @@ def test_invalid_config_reports_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+# Each file, with or without an override, fails as one line that names it.
+@pytest.mark.parametrize("override", [[], ["--override", "a=1"]], ids=["plain", "override"])
+@pytest.mark.parametrize("content, message", [
+    (b'{"sequence": }', "line 1: invalid JSON"),
+    (b"[]", "invalid config: config must be an object, got []"),
+    (b"\xff" + json.dumps(TINY).encode(), "not UTF-8 text"),
+], ids=["invalid-json", "top-level-list", "not-utf8"])
+def test_bad_config_file_is_one_error_line(tmp_path, capsys, content, message, override):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), *override, "--out", str(out)]) == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: {path}: ") and message in line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_rejects_jobs_below_one(tmp_path, tiny_config_file, capsys, jobs):
     out = tmp_path / "out"
@@ -83,7 +100,9 @@ def _error_lines(err: str) -> list[str]:
     "log_curves=no", "adapt.epochs=2.5", "buffer_capacity=1.5", "seeds=[7,7]",
     "dg.bogus=1", "sequence=5", "sequence.scale=0", "sequence.shift=[1.0]",
     "dg.selnl_epoch_fraction=0.25", "dg.nl_conf_floor=0.2", "dg.clip_eps=1e-7",
-    "aug.identity_slot=true",
+    "aug.identity_slot=true", "adapt.im_weight=1.0", "adapt.pl_weight=0.3",
+    "adapt.pl_refresh_interval=5", "dg.nl_epoch_fraction=0.25", "dg.pl_conf_threshold=0.5",
+    "aug.mix_concentration=1.0",
     # No float holds 10**400.
     pytest.param(f"sequence.noise_sigma={10**400}", id="sequence.noise_sigma=10**400"),
 ])

@@ -13,6 +13,7 @@ from codag.generalize import (
     PHASE_NL,
     PHASE_SELNL,
     PHASE_SELPL,
+    PL_CONF_THRESHOLD,
     _mixed_logit_loss,
     _phase_for_epoch,
     draw_complementary_labels,
@@ -241,7 +242,7 @@ def test_train_target_phase_schedule():
     prev = init_params(ModelConfig(hidden=(5,), feat_dim=3), 3, 4, 3)
     phases = []
     train_dg_target(prev, data, ReplayBuffer(0, data.k),
-                    DGConfig(epochs=8, batch_size=20, nl_epoch_fraction=0.25),
+                    DGConfig(epochs=8, batch_size=20),
                     None, RngStreams.for_stage(1, 0),
                     on_epoch=lambda e, p, loss, phase: phases.append(phase))
     assert phases == [PHASE_NL, PHASE_NL, PHASE_SELNL, PHASE_SELNL,
@@ -280,15 +281,10 @@ def test_dg_config_validation():
     with pytest.raises(ValueError):
         DGConfig(alpha=-0.1)
     with pytest.raises(ValueError):
-        DGConfig(pl_conf_threshold=1.5)
-    with pytest.raises(ValueError):
         DGConfig(lr=0.0)
     for batch_size in (0, -5):
         with pytest.raises(ValueError, match="batch_size"):
             DGConfig(batch_size=batch_size)
-    with pytest.raises(ValueError, match="SelPL"):
-        DGConfig(nl_epoch_fraction=0.6)  # SelNL runs as long as NL
-    DGConfig(nl_epoch_fraction=0.5)
 
 
 # Row-list reference of the DG loss: the oracle for the mask-built ``_mixed_logit_loss``.
@@ -372,7 +368,7 @@ def per_batch_train_dg(params0, x, y, is_pseudo, teacher, config, aug, rng):
             confident = select_confident(params, x[is_pseudo], 1.0 / k)
             kinds[is_pseudo] = np.where(confident, _NL, _SKIP)
         elif phase == PHASE_SELPL:
-            confident = select_confident(params, x[is_pseudo], config.pl_conf_threshold)
+            confident = select_confident(params, x[is_pseudo], PL_CONF_THRESHOLD)
             kinds[is_pseudo] = np.where(confident, _CE, _SKIP)
         perm = rng.shuffle.permutation(len(x))
         for start in range(0, len(x), config.batch_size):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
-from codag.adapt import _im_pl_logit_loss
+from codag.adapt import PL_WEIGHT, _im_pl_logit_loss
 from codag import generalize
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
 from codag.nnmodel import HEAD_BLOCKS, ModelConfig, Sgd, gradient, init_params, softmax
@@ -70,15 +70,13 @@ def test_dg_loss_matches_oracle_bytes(case, fortran):
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 70), k=st.integers(2, 6),
-       scale=st.sampled_from(LOGIT_SCALES), im_weight=st.sampled_from([1.0, 0.7, 0.0]),
-       beta=st.sampled_from([0.3, 1.0, 0.0]), fortran=st.booleans())
-def test_im_loss_matches_oracle_bytes(seed, n, k, scale, im_weight, beta, fortran):
+       scale=st.sampled_from(LOGIT_SCALES), fortran=st.booleans())
+def test_im_loss_matches_oracle_bytes(seed, n, k, scale, fortran):
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((n, k)) * scale
     given_logits = np.asfortranarray(logits) if fortran else logits
     pl = rng.integers(0, k, n)
-    _same(_im_pl_logit_loss(pl, im_weight, beta)(given_logits),
-          oracle.im_pl_logit_loss(pl, im_weight, beta)(logits))
+    _same(_im_pl_logit_loss(pl)(given_logits), oracle.im_pl_logit_loss(pl, 1.0, PL_WEIGHT)(logits))
 
 
 @PROPERTY
@@ -110,7 +108,7 @@ def test_gradient_matches_oracle_bytes(seed, hidden, rows, freeze_head, loss, ow
             q = softmax(rng.standard_normal((rows, k)))
             loss_fn = _mixed_logit_loss(y, kinds, comp, teacher_q(q), 0.5)
         else:
-            loss_fn = _im_pl_logit_loss(y, 1.0, 0.3)
+            loss_fn = _im_pl_logit_loss(y)
         got_loss = gradient(loss_fn, params, x, freeze_head=freeze_head)
         got = params.grads
         want_loss, want = oracle.gradient(loss_fn, params, x, freeze_head=freeze_head)

@@ -233,12 +233,12 @@ def test_gradient_matches_fd_mixed_batch(fd_setup):
 
 def test_gradient_matches_fd_im_plus_pseudo_ce(fd_setup):
     params, x, y, _ = fd_setup
-    assert_fd_match(_im_pl_logit_loss(y, 1.0, 0.3), params, x)
+    assert_fd_match(_im_pl_logit_loss(y), params, x)
 
 
 def test_freeze_head_zeroes_head_blocks(fd_setup):
     params, x, y, _ = fd_setup
-    gradient(_im_pl_logit_loss(y, 1.0, 0.3), params, x, freeze_head=True)
+    gradient(_im_pl_logit_loss(y), params, x, freeze_head=True)
     grads = params.grads
     assert np.all(grads["head.w"] == 0.0)
     assert np.all(grads["head.b"] == 0.0)
@@ -287,7 +287,7 @@ def test_sgd_leaves_frozen_blocks_bit_identical():
     rng = np.random.default_rng(9)
     for _ in range(3):
         x, y = rng.standard_normal((16, 4)), rng.integers(0, 3, 16)
-        gradient(_im_pl_logit_loss(y, 1.0, 0.3), params, x, freeze_head=True)
+        gradient(_im_pl_logit_loss(y), params, x, freeze_head=True)
         opt.step()
     assert params.blocks["head.w"].tobytes() == before["head.w"].tobytes()
     assert params.blocks["head.b"].tobytes() == before["head.b"].tobytes()

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import codag.orchestrate as orchestrate
 import codag.replay as replay
-from codag.adapt import AdaptConfig
 from codag.augment import AugmentConfig
 from codag.data import Dataset, HiddenLabelsError, SequenceConfig
 from codag.evaluate import CURVES_HEADER, sequence_metrics
@@ -20,6 +19,7 @@ from codag.generalize import DGConfig, train_dg_source
 from codag.nnmodel import (
     HEAD_BLOCKS,
     ClassifierParams,
+    EpochConfig,
     ModelConfig,
     init_params,
     load_checkpoint,
@@ -45,7 +45,7 @@ def tiny_config(**over):
                                 angles_deg=(0.0, 60.0, 120.0), seed=3),
         seeds=(7,),
         model=ModelConfig(hidden=(8,), feat_dim=6),
-        adapt=AdaptConfig(epochs=3, batch_size=16),
+        adapt=EpochConfig(epochs=3, batch_size=16),
         dg=DGConfig(epochs=4, batch_size=16),
         buffer_capacity=30,
         log_curves=False,
