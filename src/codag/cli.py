@@ -10,40 +10,26 @@ Commands:
 The config file is JSON with sections sequence/model/adapt/dg/aug plus
 domain_order, seeds, variant, buffer_capacity and log_curves (see README).
 Overrides use dotted paths (``dg.alpha=0``); values parse as JSON with
-plain-string fallback. An unknown key or mistyped value exits 2.
+plain-string fallback. Every JSON file is read by ``nnmodel.read_json``.
+
+Exit codes: 2 when the command line, a config, a matrix or a run state is
+refused before anything is written (``CliError``, ``RunStateError``); 1 for
+any other failure, each as one ``error:`` line.
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 
 from . import __version__
 from .evaluate import METRICS, metrics_from_grids, summarize
-from .nnmodel import atomic_write
+from .nnmodel import atomic_write, read_json
 from .orchestrate import ExperimentConfig, RunStateError, config_digest, run_experiment
 
 
 class CliError(Exception):
-    """User-facing failure with an exit code."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
-def _load_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
+    """A refused command line, config or matrix: exits 2."""
 
 
 def apply_override(config: dict, assignment: str) -> None:
@@ -65,7 +51,10 @@ def apply_override(config: dict, assignment: str) -> None:
 
 
 def build_config(config_path: str, overrides) -> ExperimentConfig:
-    raw = _load_config_file(config_path)
+    try:
+        raw = read_json(config_path)
+    except (FileNotFoundError, ValueError) as exc:
+        raise CliError(str(exc)) from None
     if isinstance(raw, dict):  # from_dict names any other top level
         for assignment in overrides or ():
             apply_override(raw, assignment)
@@ -79,10 +68,7 @@ def cmd_run(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     config = build_config(args.config, args.override)
-    try:
-        results = run_experiment(config, args.out, resume=args.resume, jobs=args.jobs)
-    except RunStateError as exc:
-        raise CliError(str(exc)) from None
+    results = run_experiment(config, args.out, resume=args.resume, jobs=args.jobs)
     agg = results["aggregate"]
     print(f"variant={config.variant} digest={results['config_digest'][:12]}")
     for name, _ in METRICS:
@@ -103,12 +89,10 @@ def cmd_gen_data(args) -> int:
     for i in range(seq.n_domains):
         ds = seq.domain(i)
         path = os.path.join(args.out, f"domain_{i:02d}.csv")
-        text = io.StringIO()
-        writer = csv.writer(text)
-        writer.writerow([f"f{j}" for j in range(ds.d)] + ["label"])
-        for row, label in zip(ds.x, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-        atomic_write(path, text.getvalue().encode("utf-8"))
+        rows = [[f"f{j}" for j in range(ds.d)] + ["label"]]
+        rows += [[repr(float(v)) for v in row] + [str(int(label))]
+                 for row, label in zip(ds.x, ds.labels)]
+        atomic_write(path, "".join(",".join(row) + "\r\n" for row in rows).encode("ascii"))
         print(f"wrote {path} ({len(ds)} rows)")
     return 0
 
@@ -116,9 +100,8 @@ def cmd_gen_data(args) -> int:
 def _read_results(path: str) -> tuple[str, dict, dict[str, list[float]]]:
     """One results.json: its config's digest, its config without the seed list
     and, by metric, the seeds' non-null values."""
+    res = read_json(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            res = json.load(fh)
         metrics = [entry["metrics"] for entry in res["per_seed"].values()]
         values = {short: [m[key] for m in metrics if m[key] is not None]
                   for short, key in METRICS}
@@ -129,9 +112,9 @@ def _read_results(path: str) -> tuple[str, dict, dict[str, list[float]]]:
                             "and each metric a number or null")
         return config_digest(config), {k: v for k, v in config.items() if k != "seeds"}, values
     except KeyError as exc:
-        raise CliError(f"{path}: not a results file: missing key {exc}", code=1) from None
+        raise ValueError(f"{path}: not a results file: missing key {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:
-        raise CliError(f"{path}: not a results file: {exc}", code=1) from None
+        raise ValueError(f"{path}: not a results file: {exc}") from None
 
 
 def _leaves(node, prefix: str = "") -> dict[str, str]:
@@ -158,7 +141,7 @@ def cmd_report(args) -> int:
     paths = [os.path.join(root, "results.json")
              for root, _dirs, files in os.walk(args.runs) if "results.json" in files]
     if not paths:
-        raise CliError(f"no results.json files under {args.runs}", code=1)
+        raise ValueError(f"no results.json files under {args.runs}")
 
     # One row per config digest, so seed shards pool and ablations do not.
     groups: dict[str, tuple[dict, list[dict[str, list[float]]]]] = {}
@@ -188,13 +171,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_eval_matrix(args) -> int:
-    if not os.path.exists(args.file):
-        raise CliError(f"matrix file not found: {args.file}")
-    with open(args.file, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.file}: invalid JSON: {exc.msg}") from None
+    try:
+        raw = read_json(args.file)
+    except (FileNotFoundError, ValueError) as exc:
+        raise CliError(str(exc)) from None
     if not isinstance(raw, dict) or "dg" not in raw:
         raise CliError(f"{args.file}: expected an object with a 'dg' grid "
                        "and optional 'da' grid")
@@ -246,9 +226,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, RunStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -346,6 +346,20 @@ def atomic_write(path, data: bytes) -> None:
         os.close(fd)
 
 
+def read_json(path):
+    """The JSON value in the UTF-8 file ``path``; a ``ValueError`` names ``path`` and
+    the line of a syntax error or a bad byte."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
 def save_checkpoint(params: ClassifierParams, path) -> str:
     """Magic + version byte + length-prefixed JSON header + float32 payload;
     returns the sha256 of the bytes written."""

@@ -29,6 +29,7 @@ from .nnmodel import (
     atomic_write,
     init_params,
     load_checkpoint,
+    read_json,
     save_checkpoint,
 )
 from .replay import ReplayBuffer, update_buffer
@@ -338,8 +339,7 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
     """
     path = os.path.join(seed_dir, "state.json")
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
         version = payload.get("version") if isinstance(payload, dict) else None
         if version != STATE_VERSION:
             raise ValueError(f"unsupported run-state version {version!r}, "
@@ -383,7 +383,8 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
             _finish_stage(state, t, seq, config, labeled, models)
         state.sha256 = {name: sha256[name] for name in names}
     except (OSError, ValueError, TypeError, CheckpointError) as exc:
-        raise RunStateError(f"{path}: malformed run state: {exc}") from None
+        detail = str(exc).removeprefix(f"{path}: ")  # read_json's errors name the file too
+        raise RunStateError(f"{path}: malformed run state: {detail}") from None
 
 
 def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,

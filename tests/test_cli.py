@@ -230,7 +230,7 @@ def test_any_override_builds_or_is_invalid_config(tiny_config_file, key, data):
     try:
         config = build_config(tiny_config_file, [f"{key}={json.dumps(value)}"])
     except CliError as exc:
-        assert exc.code == 2 and "invalid config" in str(exc)
+        assert "invalid config" in str(exc)
         return
     node = config.to_dict()
     for part in key.split("."):
