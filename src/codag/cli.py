@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .evaluate import METRICS, metrics_from_grids, summarize
-from .nnmodel import atomic_write, read_json
+from .nnmodel import atomic_write, read_json, unique_keys
 from .orchestrate import ExperimentConfig, RunStateError, config_digest, run_experiment
 
 
@@ -38,9 +38,11 @@ def apply_override(config: dict, assignment: str) -> None:
         raise CliError(f"override must look like key=value, got {assignment!r}")
     path, raw_value = assignment.split("=", 1)
     try:
-        value = json.loads(raw_value)
+        value = json.loads(raw_value, object_pairs_hook=unique_keys)
     except json.JSONDecodeError:
         value = raw_value
+    except ValueError as exc:  # a repeated key
+        raise CliError(f"invalid config: {path}: {exc}") from None
     node = config
     keys = path.split(".")
     for key in keys[:-1]:

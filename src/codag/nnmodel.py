@@ -346,18 +346,29 @@ def atomic_write(path, data: bytes) -> None:
         os.close(fd)
 
 
+def unique_keys(pairs) -> dict:
+    """``json``'s ``object_pairs_hook``: the object as a dict, refusing a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def read_json(path):
     """The JSON value in the UTF-8 file ``path``; a ``ValueError`` names ``path`` and
     the line of a syntax error or a bad byte."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        return json.loads(blob.decode("utf-8"))
+        return json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         lineno = blob.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+    except ValueError as exc:  # a repeated key
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_checkpoint(params: ClassifierParams, path) -> str:
@@ -398,7 +409,8 @@ def load_checkpoint(path, sha256: str | None = None) -> ClassifierParams:
     if len(blob) < header_end:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[header_start:header_end].decode("utf-8"))
+        header = json.loads(blob[header_start:header_end].decode("utf-8"),
+                            object_pairs_hook=unique_keys)
         tensors = header["tensors"]
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None

@@ -68,8 +68,9 @@ def test_invalid_config_reports_line(tmp_path, capsys):
 @pytest.mark.parametrize("override", [[], ["--override", "a=1"]], ids=["plain", "override"])
 @pytest.mark.parametrize("content, message", [
     (b"[]", "invalid config: config must be an object, got []"),
-    (b"\xff" + json.dumps(TINY).encode(), "not UTF-8 text"),
-], ids=["top-level-list", "not-utf8"])
+    (b"\xff" + json.dumps(TINY).encode(), "line 1: not UTF-8 text"),
+    (json.dumps(TINY)[:-1].encode() + b', "variant": "dg-only"}', "repeated key 'variant'"),
+], ids=["top-level-list", "not-utf8", "repeated-key"])
 def test_bad_config_file_is_one_error_line(tmp_path, capsys, content, message, override):
     path = tmp_path / "config.json"
     path.write_bytes(content)
@@ -101,7 +102,7 @@ def _error_lines(err: str) -> list[str]:
     "dg.selnl_epoch_fraction=0.25", "dg.nl_conf_floor=0.2", "dg.clip_eps=1e-7",
     "aug.identity_slot=true", "adapt.im_weight=1.0", "adapt.pl_weight=0.3",
     "adapt.pl_refresh_interval=5", "dg.nl_epoch_fraction=0.25", "dg.pl_conf_threshold=0.5",
-    "aug.mix_concentration=1.0",
+    "aug.mix_concentration=1.0", 'dg={"alpha": 0, "alpha": 1}',
     # No float holds 10**400.
     pytest.param(f"sequence.noise_sigma={10**400}", id="sequence.noise_sigma=10**400"),
 ])
@@ -596,6 +597,8 @@ _RESULTS = {"config_digest": "x", "config": {"variant": "codag", "seeds": [1]},
     pytest.param(json.dumps(_RESULTS).replace('"tdg_mean": 0.7', '"tdg_mean": "0.7"'),
                  id="tdg-mean-as-string"),
     pytest.param("{not json", id="not-json"),
+    pytest.param(json.dumps(_RESULTS)[:-1] + ', "config": {"variant": "dg-only", "seeds": [2]}}',
+                 id="repeated-key"),
 ])
 def test_report_on_a_bad_results_file_is_one_error_line(tmp_path, capsys, content):
     runs = tmp_path / "runs"
@@ -756,6 +759,20 @@ def test_eval_matrix_rejects_bad_grids(tmp_path, capsys):
     errors = _error_lines(captured.err)
     assert captured.out == "" and captured.err.splitlines() == errors
     assert len(errors) == 1 and str(path) in errors[0]
+
+    # A file that cannot be read as JSON: one error line that names it once.
+    missing = tmp_path / "missing.json"
+    for target, content, message in [
+            (path, b"\xff{}", "line 1: not UTF-8 text"),
+            (path, b'{"dg":\n  }', "line 2: invalid JSON"),
+            (path, b'{"dg": [[0.5]], "dg": [[0.9]]}', "repeated key 'dg'"),
+            (missing, None, "No such file")]:
+        if content is not None:
+            target.write_bytes(content)
+        assert main(["eval-matrix", "--file", str(target)]) == 2
+        captured = capsys.readouterr()
+        (line,) = _error_lines(captured.err)
+        assert captured.out == "" and message in line and line.count(str(target)) == 1
 
 
 def test_eval_matrix_matches_library_on_random_grids(tmp_path, capsys):

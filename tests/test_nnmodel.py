@@ -431,10 +431,13 @@ _ENTRY = {"name": "head.b", "shape": [2], "dtype": "f32", "offset": 0}
     {"tensors": [dict(_ENTRY, shape=[1.5])]},
     {"tensors": [dict(_ENTRY, name=["head.b"])]},
     {"tensors": [dict(_ENTRY, offset="0")]},
+    # Raw bytes: the second "tensors" would describe the payload exactly.
+    b'{"tensors": 3, "tensors": [' + json.dumps(_ENTRY).encode() + b"]}",
 ], ids=["list", "string", "tensors-number", "entry-number", "shape-string",
-        "shape-number", "shape-negative", "shape-float", "name-list", "offset-string"])
+        "shape-number", "shape-negative", "shape-float", "name-list", "offset-string",
+        "repeated-key"])
 def test_malformed_checkpoint_header_raises_checkpoint_error(tmp_path, header):
-    body = json.dumps(header).encode("utf-8")
+    body = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
     path = tmp_path / "bad.ckpt"
     path.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
                      + struct.pack("<I", len(body)) + body + bytes(8))

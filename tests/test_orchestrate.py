@@ -397,6 +397,8 @@ STATE_FAULTS = {
     "stage-as-bool": lambda d: _edit_state(d, lambda p: p.update(next_stage=True)),
     "stage-too-far": lambda d: _edit_state(d, lambda p: p.update(next_stage=4)),
     "stage-behind": lambda d: _edit_state(d, lambda p: p.update(next_stage=2)),
+    "repeated-key": lambda d: _patch_file(d / "state.json", b'"next_stage": ',
+                                          b'"next_stage": 1, "next_stage": '),
     "hash-missing": lambda d: _edit_state(
         d, lambda p: p["sha256"].pop("checkpoints/dg_stage0.ckpt")),
     "extra-hash": lambda d: _edit_state(d, lambda p: p["sha256"].update(
