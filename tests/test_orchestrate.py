@@ -439,8 +439,9 @@ def test_malformed_state_raises_run_state_error(tmp_path, fault):
     if fault in CURVE_FAULTS:
         assert len((seed_dir / "curves.csv").read_bytes()) > len(CURVES_HEADER)
     STATE_FAULTS[fault](seed_dir)
-    with pytest.raises(RunStateError, match=r"seed7.state\.json: malformed run state"):
+    with pytest.raises(RunStateError, match=r"seed7.state\.json: malformed run state") as info:
         run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
+    assert str(info.value).count("state.json") == 1
 
 
 @pytest.fixture(scope="module")
