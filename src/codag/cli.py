@@ -1,7 +1,7 @@
 """Config-driven command line: run experiments, generate data, report, recompute metrics.
 
 Commands:
-    run         --config C [--override k=v]... --out D [--jobs N] [--resume]
+    run         --config C [--override k=v]... --out D [--jobs N]
     gen-data    --config C [--override k=v]... --out D
     report      --runs D
     eval-matrix --file F
@@ -12,9 +12,10 @@ domain_order, seeds, variant, buffer_capacity and log_curves (see README).
 Overrides use dotted paths (``dg.alpha=0``); values parse as JSON with
 plain-string fallback. Every JSON file is read by ``nnmodel.read_json``.
 
-Exit codes: 2 when the command line, a config, a matrix or a run state is
-refused before anything is written (``CliError``, ``RunStateError``); 1 for
-any other failure, each as one ``error:`` line.
+Exit codes, each with one ``error:`` line: 2 when the command line, a config
+or a matrix is refused, before anything is written (``CliError``), or when a
+seed's run state is refused as that seed starts, so seeds that ran before it
+keep what they wrote (``RunStateError``); 1 for any other failure.
 """
 
 import argparse
@@ -24,7 +25,7 @@ import sys
 
 from . import __version__
 from .evaluate import METRICS, metrics_from_grids, summarize
-from .nnmodel import atomic_write, read_json, unique_keys
+from .nnmodel import atomic_write, parse_json, read_json
 from .orchestrate import ExperimentConfig, RunStateError, config_digest, run_experiment
 
 
@@ -38,10 +39,10 @@ def apply_override(config: dict, assignment: str) -> None:
         raise CliError(f"override must look like key=value, got {assignment!r}")
     path, raw_value = assignment.split("=", 1)
     try:
-        value = json.loads(raw_value, object_pairs_hook=unique_keys)
+        value = parse_json(raw_value)
     except json.JSONDecodeError:
         value = raw_value
-    except ValueError as exc:  # a repeated key
+    except ValueError as exc:  # a repeated key, or nesting too deep
         raise CliError(f"invalid config: {path}: {exc}") from None
     node = config
     keys = path.split(".")
@@ -55,7 +56,7 @@ def apply_override(config: dict, assignment: str) -> None:
 def build_config(config_path: str, overrides) -> ExperimentConfig:
     try:
         raw = read_json(config_path)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from None
     if isinstance(raw, dict):  # from_dict names any other top level
         for assignment in overrides or ():
@@ -70,7 +71,7 @@ def cmd_run(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     config = build_config(args.config, args.override)
-    results = run_experiment(config, args.out, resume=args.resume, jobs=args.jobs)
+    results = run_experiment(config, args.out, jobs=args.jobs)
     agg = results["aggregate"]
     print(f"variant={config.variant} digest={results['config_digest'][:12]}")
     for name, _ in METRICS:
@@ -175,7 +176,7 @@ def cmd_report(args) -> int:
 def cmd_eval_matrix(args) -> int:
     try:
         raw = read_json(args.file)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from None
     if not isinstance(raw, dict) or "dg" not in raw:
         raise CliError(f"{args.file}: expected an object with a 'dg' grid "
@@ -199,9 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON experiment config")
     run.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                      help="config override, e.g. dg.alpha=0 (repeatable)")
-    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--out", required=True,
+                     help="output directory; a rerun continues its committed stages")
     run.add_argument("--jobs", type=int, default=1, help="parallel seed processes")
-    run.add_argument("--resume", action="store_true", help="continue a partial run")
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen-data", help="write the synthetic domains as CSV files")

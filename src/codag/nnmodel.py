@@ -355,19 +355,28 @@ def unique_keys(pairs) -> dict:
     return obj
 
 
+def parse_json(text: str):
+    """``json.loads`` refusing a repeated key; nesting deeper than Python's
+    recursion limit is a ``ValueError`` too."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
 def read_json(path):
     """The JSON value in the UTF-8 file ``path``; a ``ValueError`` names ``path`` and
     the line of a syntax error or a bad byte."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        return json.loads(blob.decode("utf-8"), object_pairs_hook=unique_keys)
+        return parse_json(blob.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         lineno = blob.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
-    except ValueError as exc:  # a repeated key
+    except ValueError as exc:  # a repeated key, or nesting too deep
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -409,8 +418,7 @@ def load_checkpoint(path, sha256: str | None = None) -> ClassifierParams:
     if len(blob) < header_end:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[header_start:header_end].decode("utf-8"),
-                            object_pairs_hook=unique_keys)
+        header = parse_json(blob[header_start:header_end].decode("utf-8"))
         tensors = header["tensors"]
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None

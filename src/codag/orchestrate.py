@@ -387,14 +387,13 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
         raise RunStateError(f"{path}: malformed run state: {detail}") from None
 
 
-def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
-             resume: bool = False) -> tuple[RunState, dict]:
-    """All stages for one seed."""
+def run_seed(config: ExperimentConfig, seed: int, seed_dir=None) -> tuple[RunState, dict]:
+    """All stages for one seed, continuing from the state committed under ``seed_dir``."""
     seq = config.sequence.build(split_seed=substream(seed, "data"))
     if config.domain_order:
         seq = seq.reordered(list(config.domain_order))
     state = new_run_state(seed, seq, config)
-    if resume and seed_dir is not None and os.path.exists(os.path.join(seed_dir, "state.json")):
+    if seed_dir is not None and os.path.exists(os.path.join(seed_dir, "state.json")):
         restore_run_state(state, seed_dir, seq, config)
     for t in range(state.next_stage, seq.n_domains):
         try:
@@ -406,8 +405,8 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir=None,
     return state, sequence_metrics(state.da_matrix, state.dg_matrix)
 
 
-def _seed_worker(config: ExperimentConfig, seed: int, seed_dir, resume: bool) -> dict:
-    state, metrics = run_seed(config, seed, seed_dir=seed_dir, resume=resume)
+def _seed_worker(config: ExperimentConfig, seed: int, seed_dir) -> dict:
+    state, metrics = run_seed(config, seed, seed_dir=seed_dir)
     return {
         "da_matrix": state.da_matrix.tolist(),
         "dg_matrix": state.dg_matrix.tolist(),
@@ -423,9 +422,9 @@ def _aggregate(per_seed: dict) -> dict:
     return out
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
-                   jobs: int = 1) -> dict:
-    """Run every seed, write artifacts under ``out_dir`` when given.
+def run_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> dict:
+    """Run every seed, write artifacts under ``out_dir`` when given; a seed whose
+    directory holds a ``state.json`` continues from it (``run_seed``).
 
     Returns the results document: per-seed accuracy matrices and metrics plus
     mean/std aggregates across seeds. An ``out_dir`` attribute set on
@@ -445,14 +444,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.seeds))) as pool:
             futures = {
-                seed: pool.submit(_seed_worker, config, seed, seed_dirs.get(seed), resume)
+                seed: pool.submit(_seed_worker, config, seed, seed_dirs.get(seed))
                 for seed in config.seeds
             }
             for seed, fut in futures.items():
                 per_seed[str(seed)] = fut.result()
     else:
         for seed in config.seeds:
-            per_seed[str(seed)] = _seed_worker(config, seed, seed_dirs.get(seed), resume)
+            per_seed[str(seed)] = _seed_worker(config, seed, seed_dirs.get(seed))
 
     as_dict = config.to_dict()
     results = {

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -22,7 +23,7 @@ from codag.orchestrate import ExperimentConfig, config_digest, config_from_dict,
 from codag.rng import substream
 
 from conftest import DEFAULT_CONFIG
-from test_orchestrate import STATE_FAULTS, _tree
+from test_orchestrate import DEEP_JSON, STATE_FAULTS, _tree
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -129,6 +130,18 @@ def test_readme_config_table_names_every_field():
     expected = {name: list(value) for name, value in leaves.items() if isinstance(value, dict)}
     expected["top level"] = [name for name, value in leaves.items() if not isinstance(value, dict)]
     assert documented == expected
+
+
+def test_docs_spell_only_real_flags():
+    """Every ``--flag`` in README.md and in the cli docstring is an option of some
+    ``codag`` subcommand; pip's ``--no-build-isolation`` is the one exception."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        spelled = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", fh.read() + cli.__doc__))
+    (commands,) = [action.choices for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {flag for command in commands.values() for flag in command._option_string_actions}
+    assert "--config" in spelled and spelled - {"--no-build-isolation"} <= options
 
 
 # On TINY (k=3, d=4, 60 rows per domain) each value fails a sequence range check.
@@ -296,18 +309,27 @@ def test_overflowing_features_are_one_error_line(tmp_path, tiny_config_file):
     assert len(lines) == 1 and lines[0].startswith("error: seed 7, stage 1: training diverged")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_resume_with_changed_config_exits_2(tmp_path, tiny_config_file, capsys, jobs):
+@pytest.mark.parametrize("jobs, overrides", [
+    ("1", ["dg.alpha=0"]),
+    ("2", ["dg.alpha=0"]),
+    # Fewer domains and one seed: a run that wrote over the first would leave
+    # seed8/ and seed 7's stage-2 checkpoints of the first run beside its own files.
+    ("1", ["sequence.angles_deg=[0, 60]", "seeds=[7]"]),
+], ids=["alpha-jobs1", "alpha-jobs2", "two-domains-seed7"])
+def test_rerun_of_another_config_exits_2_and_writes_nothing(tmp_path, tiny_config_file, capsys,
+                                                            jobs, overrides):
     out = tmp_path / "out"
     run = ["run", "--config", tiny_config_file, "--override", "seeds=[7, 8]", "--out", str(out)]
     assert main(run) == 0
     written = json.loads((out / "seed7" / "state.json").read_text())["digest"]
+    before = _tree(out)
     capsys.readouterr()
-    assert main(run + ["--resume", "--jobs", jobs, "--override", "dg.alpha=0"]) == 2
+    assert main(run + ["--jobs", jobs, *(a for o in overrides for a in ("--override", o))]) == 2
     errors = _error_lines(capsys.readouterr().err)
     assert len(errors) == 1
-    assert str(out / "seed7") in errors[0] and written in errors[0]
+    assert str(out / "seed7" / "state.json") in errors[0] and written in errors[0]
     assert len(re.findall(r"\b[0-9a-f]{64}\b", errors[0])) == 2  # stored and current digest
+    assert _tree(out) == before
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -319,9 +341,42 @@ def test_malformed_state_is_one_error_line(tmp_path, tiny_config_file, capsys, j
     assert main(run) == 0
     STATE_FAULTS[fault](out / "seed7")
     capsys.readouterr()
-    assert main(run + ["--resume", "--jobs", jobs]) == 2
+    assert main(run + ["--jobs", jobs]) == 2
     errors = _error_lines(capsys.readouterr().err)
     assert len(errors) == 1 and str(out / "seed7" / "state.json") in errors[0]
+
+
+@pytest.mark.parametrize("source", ["config", "override", "matrix", "nested-too-deep",
+                                    "ckpt-header-nested-too-deep-rehashed"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, tiny_config_file, capsys, source):
+    """JSON nested past Python's recursion limit exits 2 naming its source, like any
+    other bad JSON: a config, an override, a matrix, or a seed's run state (its
+    state.json or a checkpoint header)."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    out = tmp_path / "out"
+    run = ["run", "--config", tiny_config_file, "--out", str(out)]
+    argv, named = {
+        "config": (["run", "--config", str(deep), "--out", str(out)], str(deep)),
+        "override": (run + ["--override", f"seeds={DEEP_JSON}"], "seeds"),
+        "matrix": (["eval-matrix", "--file", str(deep)], str(deep)),
+    }.get(source, (run, str(out / "seed7" / "state.json")))
+    if source in STATE_FAULTS:
+        assert main(run) == 0
+        STATE_FAULTS[source](out / "seed7")
+    capsys.readouterr()
+    assert main(argv) == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert named in line and "invalid JSON: nested too deeply" in line
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "DIR", "--out", "OUT"],
+                                  ["eval-matrix", "--file", "DIR"]], ids=["config", "matrix"])
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([{"DIR": str(tmp_path), "OUT": str(out)}.get(a, a) for a in argv]) == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert str(tmp_path) in line and not out.exists()
 
 
 def _run_stopped_at_stage_2(run, monkeypatch):
@@ -349,7 +404,7 @@ def test_resume_with_foreign_checkpoint_layout_exits_2(tmp_path, tiny_config_fil
     _run_stopped_at_stage_2(run, monkeypatch)
     STATE_FAULTS[fault](out / "seed7")
     capsys.readouterr()
-    assert main(run + ["--resume"]) == 2
+    assert main(run) == 2
     errors = _error_lines(capsys.readouterr().err)
     assert len(errors) == 1 and str(out / "seed7" / "state.json") in errors[0]
     assert "dg_stage1.ckpt" in errors[0] and "do not match" in errors[0]
@@ -366,13 +421,13 @@ def _csv_run(tmp_path, config_file) -> tuple:
 def test_resume_with_changed_csv_data_exits_2(tmp_path, tiny_config_file, capsys):
     data_dir, run = _csv_run(tmp_path, tiny_config_file)
     assert main(run) == 0
-    assert main(run + ["--resume"]) == 0  # same config, same data
+    assert main(run) == 0  # same config, same data
     domain = data_dir / "domain_02.csv"
     lines = domain.read_text().splitlines()
     lines[1] = "0.5," + lines[1].split(",", 1)[1]  # one feature of one row
     domain.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(run + ["--resume"]) == 2
+    assert main(run) == 2
     errors = _error_lines(capsys.readouterr().err)
     assert len(errors) == 1 and "digest" in errors[0]
 
@@ -677,11 +732,11 @@ def test_resume_adds_and_drops_seeds(tmp_path, tiny_config_file, monkeypatch):
         return real_stage(state, t, *args)
 
     monkeypatch.setattr(orchestrate, "run_stage", recording_stage)
-    assert main(run + [str(grown), "--override", "seeds=[7, 8]", "--resume"]) == 0
+    assert main(run + [str(grown), "--override", "seeds=[7, 8]"]) == 0
     assert seeds_run == [8, 8, 8]
     assert _tree(grown) == _tree(fresh)
     seeds_run.clear()
-    assert main(run + [str(grown), "--override", "seeds=[7]", "--resume"]) == 0
+    assert main(run + [str(grown), "--override", "seeds=[7]"]) == 0
     assert seeds_run == []
     assert list(json.loads((grown / "results.json").read_text())["per_seed"]) == ["7"]
 
@@ -820,5 +875,5 @@ def test_default_config_smoke_run_under_five_minutes(default_cli_run):
 def test_resuming_a_finished_default_run_changes_no_file(default_cli_run, tmp_path):
     copy = tmp_path / "run"
     shutil.copytree(default_cli_run.out, copy)
-    assert main(["run", "--config", DEFAULT_CONFIG, "--out", str(copy), "--resume"]) == 0
+    assert main(["run", "--config", DEFAULT_CONFIG, "--out", str(copy)]) == 0
     assert _tree(copy) == _tree(default_cli_run.out)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -17,6 +18,8 @@ from codag.data import Dataset, HiddenLabelsError, SequenceConfig
 from codag.evaluate import CURVES_HEADER, sequence_metrics
 from codag.generalize import DGConfig, train_dg_source
 from codag.nnmodel import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     HEAD_BLOCKS,
     ClassifierParams,
     EpochConfig,
@@ -201,7 +204,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         run_stage(state, t, seq, cfg)
         orchestrate.save_run_state(state, str(seed_dir))
 
-    resumed, _ = run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
+    resumed, _ = run_seed(cfg, 7, seed_dir=str(seed_dir))
     np.testing.assert_array_equal(resumed.dg_matrix, full.dg_matrix)
     np.testing.assert_array_equal(resumed.da_matrix, full.da_matrix)
 
@@ -256,7 +259,7 @@ def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, 
         run_seed(cfg, 7, seed_dir=str(part_dir))
     assert json.loads((part_dir / "state.json").read_text())["next_stage"] == stop
     monkeypatch.setattr(orchestrate, "run_stage", real_stage)
-    resumed, _ = run_seed(cfg, 7, seed_dir=str(part_dir), resume=True)
+    resumed, _ = run_seed(cfg, 7, seed_dir=str(part_dir))
 
     np.testing.assert_array_equal(resumed.dg_matrix, full.dg_matrix)
     np.testing.assert_array_equal(resumed.da_matrix, full.da_matrix)
@@ -270,7 +273,7 @@ def test_variant_resumes_and_writes_each_checkpoint_once(tmp_path, monkeypatch, 
 
 
 def test_killed_write_resumes_to_uninterrupted_bytes(tmp_path, monkeypatch):
-    """A kill at any file replacement leaves a tree that --resume completes."""
+    """A kill at any file replacement leaves a tree that a rerun completes."""
     cfg = tiny_config(log_curves=True)
     real_replace = os.replace
     replaced = []
@@ -301,7 +304,7 @@ def test_killed_write_resumes_to_uninterrupted_bytes(tmp_path, monkeypatch):
         with pytest.raises(OSError, match="killed"):
             run_seed(cfg, 7, seed_dir=str(run_dir))
         monkeypatch.setattr(os, "replace", real_replace)
-        run_seed(cfg, 7, seed_dir=str(run_dir), resume=True)
+        run_seed(cfg, 7, seed_dir=str(run_dir))
         assert _tree(run_dir) == expected, f"kill at replacement {k}"
 
 
@@ -375,6 +378,19 @@ def _da_only_with_da_checkpoints(seed_dir):
     state_path.write_text(json.dumps(payload))
 
 
+DEEP_JSON = "[" * 100_000  # nested past Python's recursion limit
+
+
+def _deep_dg_checkpoint_header(seed_dir):
+    """The last DG checkpoint's header nested past the recursion limit, its sha256 rewritten."""
+    name = "checkpoints/dg_stage2.ckpt"
+    header = DEEP_JSON.encode("ascii")
+    (seed_dir / name).write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
+                                  + struct.pack("<I", len(header)) + header)
+    _edit_state(seed_dir, lambda p: p["sha256"].update(
+        {name: hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()}))
+
+
 def _one_more_hidden_unit(blocks):
     """The same function through a zero unit added to the hidden layer."""
     return {**blocks, "ext0.w": np.pad(blocks["ext0.w"], ((0, 0), (0, 1))),
@@ -399,6 +415,7 @@ STATE_FAULTS = {
     "stage-behind": lambda d: _edit_state(d, lambda p: p.update(next_stage=2)),
     "repeated-key": lambda d: _patch_file(d / "state.json", b'"next_stage": ',
                                           b'"next_stage": 1, "next_stage": '),
+    "nested-too-deep": lambda d: (d / "state.json").write_text(DEEP_JSON),
     "hash-missing": lambda d: _edit_state(
         d, lambda p: p["sha256"].pop("checkpoints/dg_stage0.ckpt")),
     "extra-hash": lambda d: _edit_state(d, lambda p: p["sha256"].update(
@@ -417,6 +434,7 @@ STATE_FAULTS = {
     "ckpt-blocks-reordered-rehashed": lambda d: _rehashed_dg_checkpoint(
         d, lambda b: {**{name: b[name] for name in HEAD_BLOCKS}, **b}),
     "ckpt-width-rehashed": lambda d: _rehashed_dg_checkpoint(d, _one_more_hidden_unit),
+    "ckpt-header-nested-too-deep-rehashed": _deep_dg_checkpoint_header,
     "no-curves": lambda d: os.remove(d / "curves.csv"),
     "empty-curves": lambda d: (d / "curves.csv").write_text(""),
     "curves-byte": lambda d: _flip_last_byte(d / "curves.csv"),
@@ -440,7 +458,7 @@ def test_malformed_state_raises_run_state_error(tmp_path, fault):
         assert len((seed_dir / "curves.csv").read_bytes()) > len(CURVES_HEADER)
     STATE_FAULTS[fault](seed_dir)
     with pytest.raises(RunStateError, match=r"seed7.state\.json: malformed run state") as info:
-        run_seed(cfg, 7, seed_dir=str(seed_dir), resume=True)
+        run_seed(cfg, 7, seed_dir=str(seed_dir))
     assert str(info.value).count("state.json") == 1
 
 
@@ -481,7 +499,7 @@ def test_any_corrupted_commit_resumes_exactly_or_is_refused(stopped_run, data):
             with open(os.path.join(seed_dir, rel), "wb") as fh:
                 fh.write(content)
         try:
-            run_seed(cfg, 7, seed_dir=seed_dir, resume=True)
+            run_seed(cfg, 7, seed_dir=seed_dir)
         except RunStateError as exc:
             assert str(exc).startswith(os.path.join(seed_dir, "state.json") + ": ")
         else:
