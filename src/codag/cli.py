@@ -14,8 +14,9 @@ plain-string fallback. Every JSON file is read by ``nnmodel.read_json``.
 
 Exit codes, each with one ``error:`` line: 2 when the command line, a config
 or a matrix is refused, before anything is written (``CliError``), or when a
-seed's run state is refused as that seed starts, so seeds that ran before it
-keep what they wrote (``RunStateError``); 1 for any other failure.
+seed's run state is refused as that seed starts, so seeds that ran before it,
+or beside it under ``--jobs``, keep what they wrote (``RunStateError``); 1 for
+any other failure.
 """
 
 import argparse
