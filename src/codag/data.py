@@ -36,28 +36,18 @@ class Dataset:
     ``labels_hidden=True`` makes any label access raise, which is how
     target-domain training views guarantee labels are never consulted.
     ``pseudo=True`` marks labels assigned by a model rather than observed.
+    The CSV parser and ``SequenceConfig`` validate its arrays, so the
+    constructor does not check them again.
     """
 
     def __init__(self, x, labels, k: int, domain_id: int = 0, labels_hidden: bool = False,
                  pseudo: bool = False):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise ValueError("dataset features must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("dataset features must be finite")
-        if k <= 0:
-            raise ValueError("class count must be positive")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (x.shape[0],):
-            raise ValueError("labels must align with features")
-        if labels.min() < 0 or labels.max() >= k:
-            raise ValueError(f"labels must lie in [0, {k})")
-        self.x = x
+        self.x = np.asarray(x, dtype=np.float64)
         self.k = k
         self.domain_id = domain_id
         self.labels_hidden = labels_hidden
         self.pseudo = pseudo
-        self._labels = labels
+        self._labels = np.asarray(labels, dtype=np.int64)
 
     @property
     def labels(self) -> np.ndarray:

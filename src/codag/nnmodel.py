@@ -205,10 +205,10 @@ def features_and_logits(params: ClassifierParams, x) -> tuple[np.ndarray, np.nda
 
 
 def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max subtraction; rejects non-finite input."""
+    """Row-wise softmax with max subtraction; non-finite input raises FloatingPointError."""
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
-        raise ValueError("softmax input must be finite")
+        raise FloatingPointError("softmax input must be finite")
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -218,7 +218,7 @@ def log_softmax(logits) -> np.ndarray:
     """Row-wise log-softmax, C-contiguous whatever the input's layout."""
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
-        raise ValueError("log_softmax input must be finite")
+        raise FloatingPointError("log_softmax input must be finite")
     z = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), order="C")
     lse = np.add.reduce(np.exp(z), axis=-1, keepdims=True)
     z -= np.log(lse, out=lse)
@@ -272,8 +272,6 @@ class Sgd:
     """
 
     def __init__(self, params: ClassifierParams, lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
         self.lr = lr
         self._w32, self._w64 = params._flat, params._flat64
         self._grad = params._flat_grads

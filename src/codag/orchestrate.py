@@ -91,10 +91,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
-            raise ValueError(f"seeds must be distinct and nonnegative, got {list(self.seeds)}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonempty, distinct and nonnegative, "
+                             f"got {list(self.seeds)}")
         if self.buffer_capacity < 0:
             raise ValueError("buffer_capacity must be nonnegative")
         if self.domain_order is not None:
@@ -435,9 +434,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> dic
     seed_dirs = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for seed in config.seeds:
+        for seed in config.seeds:  # save_run_state makes each one at the seed's first commit
             seed_dirs[seed] = os.path.join(out_dir, f"seed{seed}")
-            os.makedirs(seed_dirs[seed], exist_ok=True)
 
     if jobs > 1 and len(config.seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor

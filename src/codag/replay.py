@@ -33,7 +33,8 @@ def herding_select(feature_vectors, m: int) -> np.ndarray:
 
     Step s adds the unchosen index minimizing ||mean(all) - mean(chosen+{j})||,
     evaluated as ``sqrt(add.reduce((mu - (running + x_j) / s) ** 2))``; ties
-    resolve to the lowest index. Returns indices in pick order.
+    resolve to the lowest index. Returns ``m`` indices, ``m`` at most the row
+    count, in pick order.
 
     Each step ranks the unchosen rows, then verifies the few near the
     minimum. With c = mu - running / s, row i ranks by
@@ -61,8 +62,6 @@ def herding_select(feature_vectors, m: int) -> np.ndarray:
     """
     feats = np.asarray(feature_vectors, dtype=np.float64)
     n, d = feats.shape
-    if m > n:
-        raise ValueError(f"cannot select {m} of {n} items")
     mu = feats.mean(axis=0)
     sq_norms = np.einsum("ij,ij->i", feats, feats)
     mu_norm = math.sqrt(mu @ mu)
@@ -121,10 +120,6 @@ class ReplayBuffer:
     """Selected exemplars from completed domains, rebalanced every stage."""
 
     def __init__(self, capacity: int, k: int):
-        if capacity < 0:
-            raise ValueError("capacity must be nonnegative")
-        if k <= 0:
-            raise ValueError("class count must be positive")
         self.capacity = capacity
         self.k = k
         self._domains: list[_DomainStore] = []  # insertion order = domain age
@@ -169,11 +164,7 @@ def update_buffer(buffer: ReplayBuffer, new_domain: Dataset,
     features. Each entry keeps the domain's labels, tagged pseudo or true
     by ``new_domain.pseudo``.
     """
-    if not isinstance(new_domain, Dataset):
-        raise TypeError(f"cannot buffer a {type(new_domain).__name__}")
     x, labels, domain_id = new_domain.x, new_domain.labels, new_domain.domain_id
-    if new_domain.k != buffer.k:
-        raise ValueError(f"class count mismatch: buffer {buffer.k}, domain {new_domain.k}")
 
     out = ReplayBuffer(buffer.capacity, buffer.k)
     quotas = _quotas(buffer.capacity, buffer.n_domains + 1)

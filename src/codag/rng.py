@@ -14,8 +14,6 @@ _TAGS = {"data": 0, "init": 1, "aug": 2, "shuffle": 3, "nl": 4}
 
 def substream(master_seed: int, tag: str, *extra: int) -> np.random.Generator:
     """Independent generator for (master_seed, tag, *extra)."""
-    if tag not in _TAGS:
-        raise ValueError(f"unknown rng tag {tag!r}; expected one of {sorted(_TAGS)}")
     return np.random.default_rng(np.random.SeedSequence([master_seed, _TAGS[tag], *extra]))
 
 

@@ -78,11 +78,11 @@ def test_im_loss_bounds_and_identical_rows():
 
 
 def test_im_loss_rejects_invalid_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows must sum to 1"):
         im_loss(np.array([[0.5, 0.6], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="valid probability vectors"):
         im_loss(np.array([[1.2, -0.2]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         im_loss(np.empty((0, 3)))
 
 
@@ -258,9 +258,9 @@ def test_adaptation_improves_target_accuracy_across_seeds():
 
 
 def test_adapt_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lr must be positive"):
         EpochConfig(lr=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epochs must be nonnegative"):
         EpochConfig(epochs=-1)
     for batch_size in (0, -5):
         with pytest.raises(ValueError, match="batch_size"):

@@ -61,14 +61,14 @@ def test_shape_preserved_and_fresh_transforms_differ_per_batch():
 
 def test_empty_batch_rejected():
     cfg = AugmentConfig()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         randmix(np.empty((0, 3)), cfg, np.random.default_rng(0), batch_size=16)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_transforms"):
         AugmentConfig(n_transforms=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="noise_sigma"):
         AugmentConfig(noise_sigma=-1.0)
 
 

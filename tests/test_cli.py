@@ -96,6 +96,23 @@ def _error_lines(err: str) -> list[str]:
     return [line for line in err.splitlines() if line.startswith("error:")]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "CONFIG", "--override", "foo", "--out", "OUT"],
+     "override must look like key=value, got 'foo'"),
+    (["gen-data", "--config", "CONFIG", "--override", "sequence.kind=csv-folder",
+      "--override", "sequence.path=.", "--out", "OUT"],
+     "gen-data only materializes synthetic-rotated sequences"),
+    (["report", "--runs", "OUT"], "runs directory not found: OUT"),
+], ids=["override-without-equals", "gen-data-csv-folder", "report-missing-runs"])
+def test_refused_command_line_exits_2_and_writes_nothing(tmp_path, tiny_config_file, capsys,
+                                                        argv, message):
+    out = str(tmp_path / "out")
+    assert main([{"CONFIG": tiny_config_file, "OUT": out}.get(a, a) for a in argv]) == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert line == f"error: {message.replace('OUT', out)}"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("removed", [
     "adapt.distance=cosine", "aug.resample=per-batch", "model.d=99", "model.k=3",
     "log_curves=no", "adapt.epochs=2.5", "buffer_capacity=1.5", "seeds=[7,7]",
@@ -149,15 +166,19 @@ def test_docs_spell_only_real_flags():
     "sequence.source_fraction=0", "sequence.source_fraction=1.0",
     "sequence.source_fraction=0.999", "sequence.n_per_domain=2", "sequence.noise_sigma=-1",
     "sequence.d=1", "sequence.kind=csv-folder", "sequence.k=1",
+    # The synthetic cases above are refused by the split-size check too; a CSV one is not.
+    pytest.param("sequence.kind=csv-folder sequence.path=nowhere sequence.source_fraction=1.0",
+                 id="csv-folder-source_fraction=1.0"),
 ])
 def test_out_of_range_sequence_is_invalid_config(tmp_path, tiny_config_file, capsys, override):
     out = tmp_path / "out"
-    code = main(["run", "--config", tiny_config_file, "--override", override,
-                 "--jobs", "2", "--out", str(out)])
+    overrides = [arg for assignment in override.split() for arg in ("--override", assignment)]
+    code = main(["run", "--config", tiny_config_file, *overrides, "--jobs", "2", "--out", str(out)])
     assert code == 2
     errors = _error_lines(capsys.readouterr().err)
     assert len(errors) == 1
-    field = "path" if "csv-folder" in override else override.split("=")[0].split(".")[1]
+    last = override.split()[-1]
+    field = "path" if last == "sequence.kind=csv-folder" else last.split("=")[0].split(".")[1]
     assert "invalid config" in errors[0] and f"sequence: {field} " in errors[0]
     assert not out.exists()
 
@@ -309,13 +330,41 @@ def test_overflowing_features_are_one_error_line(tmp_path, tiny_config_file):
     assert len(lines) == 1 and lines[0].startswith("error: seed 7, stage 1: training diverged")
 
 
+@pytest.mark.parametrize("variant", ["da-only", "codag"])
+def test_non_finite_logits_name_the_seed_and_stage(tmp_path, tiny_config_file, capsys, variant):
+    """Features of +-1.7e308 are finite, so the parser takes them, but the logits
+    overflow: the run stops with one line naming the seed and the stage, and
+    leaves no seed directory behind."""
+    data_dir = tmp_path / "domains"
+    data_dir.mkdir()
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(3, 40, 4))
+    for i, domain in enumerate(signs):
+        (data_dir / f"domain_{i:02d}.csv").write_text("".join(
+            ",".join([*(repr(float(s) * 1.7e308) for s in row), str(r % 3)]) + "\n"
+            for r, row in enumerate(domain)))
+    out = tmp_path / "out"
+    overrides = ["sequence.kind=csv-folder", f"sequence.path={data_dir}", "seeds=[1]",
+                 "adapt.epochs=2", "dg.epochs=2", f"variant={variant}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing products
+        code = main(["run", "--config", tiny_config_file, "--out", str(out),
+                     *(a for o in overrides for a in ("--override", o))])
+    assert code == 1
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert re.fullmatch(r"error: seed 1, stage \d: training diverged: .*softmax input must be "
+                        r"finite", line), line
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("jobs, overrides", [
     ("1", ["dg.alpha=0"]),
     ("2", ["dg.alpha=0"]),
     # Fewer domains and one seed: a run that wrote over the first would leave
     # seed8/ and seed 7's stage-2 checkpoints of the first run beside its own files.
     ("1", ["sequence.angles_deg=[0, 60]", "seeds=[7]"]),
-], ids=["alpha-jobs1", "alpha-jobs2", "two-domains-seed7"])
+    # Seed 7 is refused first, so seed 9 never starts and leaves no directory.
+    ("1", ["dg.alpha=0", "seeds=[7, 9]"]),
+], ids=["alpha-jobs1", "alpha-jobs2", "two-domains-seed7", "alpha-new-seed9"])
 def test_rerun_of_another_config_exits_2_and_writes_nothing(tmp_path, tiny_config_file, capsys,
                                                             jobs, overrides):
     out = tmp_path / "out"
@@ -330,6 +379,7 @@ def test_rerun_of_another_config_exits_2_and_writes_nothing(tmp_path, tiny_confi
     assert str(out / "seed7" / "state.json") in errors[0] and written in errors[0]
     assert len(re.findall(r"\b[0-9a-f]{64}\b", errors[0])) == 2  # stored and current digest
     assert _tree(out) == before
+    assert sorted(os.listdir(out)) == ["results.json", "seed7", "seed8"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -806,6 +856,11 @@ def test_eval_matrix_rejects_bad_grids(tmp_path, capsys):
 
     path.write_text(json.dumps([1, 2, 3]))
     assert main(["eval-matrix", "--file", str(path)]) == 2
+
+    capsys.readouterr()
+    path.write_text(json.dumps({"dg": [0.5, 0.5]}))
+    assert main(["eval-matrix", "--file", str(path)]) == 2
+    assert "2-D grid" in capsys.readouterr().err
 
     capsys.readouterr()
     path.write_text(json.dumps({"dg": [[True, False], [True, True]]}))

@@ -214,7 +214,7 @@ def test_curve_rows_are_the_bytes_csv_writer_writes(epochs):
 def test_metrics_from_grids_single_grid_fallback_and_validation():
     m = metrics_from_grids(DG3.tolist())
     assert m["tda_per_domain"] == pytest.approx([0.9, 0.85, 0.9])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         metrics_from_grids([[0.5, 0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
         metrics_from_grids([[0.5, 1.5], [0.5, 0.5]])

@@ -71,7 +71,7 @@ def test_ce_loss_examples():
     assert ce_loss(np.array([1.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-12)
     assert ce_loss(np.full(4, 0.25), 2) == pytest.approx(np.log(4), abs=1e-12)
     assert ce_loss(np.array([0.3, 0.7]), 1) == pytest.approx(0.35667, abs=1e-5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         ce_loss(np.array([0.5, 0.5]), 2)
 
 
@@ -83,7 +83,7 @@ def test_nl_loss_examples():
     assert nl_loss(np.array([0.0, 1.0]), 0) == pytest.approx(0.0, abs=1e-12)
     assert nl_loss(np.array([0.2, 0.8]), 0) == pytest.approx(0.22314, abs=1e-5)
     assert nl_loss(np.array([1.0, 0.0]), 0) == pytest.approx(-np.log(1e-7), abs=1e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must differ"):
         nl_loss(np.array([0.5, 0.5]), 1, label=1)
 
 
@@ -267,7 +267,7 @@ def test_with_label_noise_flips_expected_fraction():
     assert isinstance(noisy, Dataset) and noisy.pseudo
     clean = with_label_noise(data, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(clean.labels, data.labels)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rate must lie"):
         with_label_noise(data, 1.5, np.random.default_rng(0))
 
 
@@ -278,9 +278,9 @@ def test_selnlpl_protects_against_noisy_labels_single_seed(selnlpl_noise_diffs):
 
 
 def test_dg_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
         DGConfig(alpha=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lr must be positive"):
         DGConfig(lr=0.0)
     for batch_size in (0, -5):
         with pytest.raises(ValueError, match="batch_size"):

@@ -159,9 +159,9 @@ def test_softmax_basics():
     assert big[0] > 1 - 1e-12 and np.isfinite(big).all()
     rows = softmax(np.random.default_rng(0).standard_normal((20, 4)))
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError, match="softmax input must be finite"):
         softmax([np.nan, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError, match="softmax input must be finite"):
         softmax([np.inf, 0.0])
 
 
@@ -415,6 +415,20 @@ def test_checkpoint_corruption_detected(tmp_path):
     trailing.write_bytes(blob + b"\x00\x00\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(trailing)
+
+    def with_header(tensors, payload=b""):
+        body = json.dumps({"tensors": tensors}).encode("utf-8")
+        return blob[:10] + struct.pack("<I", len(body)) + body + payload
+
+    for content, message in [
+            (blob[:12], "truncated checkpoint"),  # magic, version and half the header length
+            (blob[:10] + struct.pack("<I", len(blob)) + blob[14:], "truncated header"),
+            (with_header([dict(_ENTRY, dtype="f64")], bytes(8)), "unsupported dtype 'f64'"),
+            (with_header([dict(_ENTRY, offset=4)], bytes(12)), "unexpected offset for head.b"),
+            (with_header([]), "checkpoint holds no tensors")]:
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
 _ENTRY = {"name": "head.b", "shape": [2], "dtype": "f32", "offset": 0}

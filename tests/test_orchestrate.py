@@ -413,6 +413,9 @@ STATE_FAULTS = {
     "stage-as-bool": lambda d: _edit_state(d, lambda p: p.update(next_stage=True)),
     "stage-too-far": lambda d: _edit_state(d, lambda p: p.update(next_stage=4)),
     "stage-behind": lambda d: _edit_state(d, lambda p: p.update(next_stage=2)),
+    # Consistent hashes for a run with no stage committed: the stage check alone refuses it.
+    "stage-zero": lambda d: _edit_state(d, lambda p: p.update(
+        next_stage=0, sha256={"curves.csv": p["sha256"]["curves.csv"]})),
     "repeated-key": lambda d: _patch_file(d / "state.json", b'"next_stage": ',
                                           b'"next_stage": 1, "next_stage": '),
     "nested-too-deep": lambda d: (d / "state.json").write_text(DEEP_JSON),
@@ -592,16 +595,19 @@ def test_experiment_config_validation():
     for removed in ("nope", "codag-no-buffer", "codag-no-selnlpl"):
         with pytest.raises(ValueError, match="unknown variant"):
             ExperimentConfig(variant=removed)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError, match="distinct"):
         ExperimentConfig(seeds=(7, 7))
     with pytest.raises(ValueError, match="nonnegative"):
         ExperimentConfig(seeds=(7, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="buffer_capacity"):
         ExperimentConfig(buffer_capacity=-1)
     with pytest.raises(ValueError, match="domain_order"):
         ExperimentConfig(domain_order=[9])
+    for model in ({"hidden": [0]}, {"feat_dim": 0}):  # model.hidden=[0], model.feat_dim=0
+        with pytest.raises(ValueError, match="model: all layer widths must be positive"):
+            ExperimentConfig.from_dict({"model": model})
 
 
 def test_matrices_match_checkpoint_reevaluation(tmp_path):
