@@ -14,7 +14,8 @@ Run it from anywhere; with no arguments it surveys every ``raise``::
 
 It prints one line per mutant, ``file:line killed|survived SECONDS``, and
 exits 1 if any mutant survived (2 if the unmutated suite already fails).
-Its name keeps pytest from collecting it. It needs only the standard library.
+Its name keeps pytest from collecting it. It imports only the standard
+library; the suite it runs needs pytest.
 """
 
 import argparse
