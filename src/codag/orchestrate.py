@@ -381,7 +381,7 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
             labeled = _labeled(state, t, seq, config, models.get("da"))
             _finish_stage(state, t, seq, config, labeled, models)
         state.sha256 = {name: sha256[name] for name in names}
-    except (OSError, ValueError, TypeError, CheckpointError) as exc:
+    except (OSError, ValueError, TypeError, FloatingPointError, CheckpointError) as exc:
         detail = str(exc).removeprefix(f"{path}: ")  # read_json's errors name the file too
         raise RunStateError(f"{path}: malformed run state: {detail}") from None
 

@@ -3,14 +3,14 @@
 Each ``raise`` statement in turn becomes ``pass`` in a temporary copy of the
 repository, and the test suite runs on that copy, without
 ``test_acceptance.py``, as ``pytest -x -q``. A mutant is killed when a test
-fails or the run outlasts ``--timeout``, and it survives when every test
+fails or the run outlasts ``TIMEOUT_S``, and it survives when every test
 passes: then no test sees that check fail. The test file named after the
 mutated module runs first, so most mutants die within seconds. The
 repository itself is never written.
 
-Run it from anywhere; with no arguments it surveys every ``raise``::
+Run it from anywhere; it surveys every ``raise``::
 
-    python tests/mutation_survey.py [--timeout SECONDS] [FILE[:LINE] ...]
+    python tests/mutation_survey.py
 
 It prints one line per mutant, ``file:line killed|survived SECONDS``, and
 exits 1 if any mutant survived (2 if the unmutated suite already fails).
@@ -18,7 +18,6 @@ Its name keeps pytest from collecting it. It imports only the standard
 library; the suite it runs needs pytest.
 """
 
-import argparse
 import ast
 import os
 import shutil
@@ -29,6 +28,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 600.0  # a mutant's suite that runs longer counts as killed
 _SKIPPED_TESTS = {"test_acceptance.py"}
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                      ".bench_work", "*.egg-info")
@@ -49,7 +49,7 @@ def mutate(source: str, node: ast.Raise) -> str:
     return b"".join(lines).decode("utf-8")
 
 
-def run_suite(copy: str, first: str | None, timeout: float) -> bool:
+def run_suite(copy: str, first: str | None) -> bool:
     """True when ``pytest -x -q`` passes on the copy's tests, ``first`` run first."""
     tests = sorted(name for name in os.listdir(os.path.join(copy, "tests"))
                    if name.startswith("test_") and name.endswith(".py")
@@ -65,24 +65,18 @@ def run_suite(copy: str, first: str | None, timeout: float) -> bool:
     proc = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        return proc.wait(timeout=timeout) == 0
+        return proc.wait(timeout=TIMEOUT_S) == 0
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         return False
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds before a mutant's suite counts as killed (default 600)")
-    parser.add_argument("sites", nargs="*", metavar="FILE[:LINE]",
-                        help="survey only these modules or raise lines, e.g. data.py:45")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="codag-mutants-") as tmp:
         copy = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=_NOT_COPIED)
-        if not run_suite(copy, None, args.timeout):
+        if not run_suite(copy, None):
             print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
             return 2
         src = os.path.join(copy, "src", "codag")
@@ -94,20 +88,17 @@ def main(argv=None) -> int:
             with open(path, encoding="utf-8") as fh:
                 original = fh.read()
             for node in raise_sites(original):
-                site = f"{fname}:{node.lineno}"
-                if args.sites and fname not in args.sites and site not in args.sites:
-                    continue
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(mutate(original, node))
                 start = time.perf_counter()
                 try:
-                    killed = not run_suite(copy, f"test_{fname}", args.timeout)
+                    killed = not run_suite(copy, f"test_{fname}")
                 finally:
                     with open(path, "w", encoding="utf-8") as fh:
                         fh.write(original)
                 total += 1
                 survivors += not killed
-                print(f"{site} {'killed' if killed else 'survived'} "
+                print(f"{fname}:{node.lineno} {'killed' if killed else 'survived'} "
                       f"{time.perf_counter() - start:.1f}", flush=True)
     print(f"{total} mutants, {survivors} survived", file=sys.stderr)
     return 1 if survivors else 0

@@ -346,11 +346,11 @@ def _flip_last_byte(path):
     path.write_bytes(bytes(blob))
 
 
-def _rehashed_dg_checkpoint(seed_dir, edit):
-    """Rewrite the last DG checkpoint with ``edit(blocks)`` and record its new sha256."""
+def _rehashed_checkpoint(seed_dir, edit, role="dg"):
+    """Rewrite the last checkpoint of ``role`` with ``edit(blocks)`` and record its new sha256."""
     state_path = seed_dir / "state.json"
     payload = json.loads(state_path.read_text())
-    name = f"checkpoints/dg_stage{payload['next_stage'] - 1}.ckpt"
+    name = f"checkpoints/{role}_stage{payload['next_stage'] - 1}.ckpt"
     save_checkpoint(ClassifierParams(edit(dict(load_checkpoint(seed_dir / name).blocks))),
                     seed_dir / name)
     payload["sha256"][name] = hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
@@ -432,11 +432,14 @@ STATE_FAULTS = {
     "ckpt-block-name": lambda d: _patch_file(d / "checkpoints" / "da_stage2.ckpt",
                                              b'"ext0.w"', b'"ext0/w"'),
     # Checkpoints whose blocks do not fit the model, with state.json's sha256 rewritten.
-    "ckpt-block-renamed-rehashed": lambda d: _rehashed_dg_checkpoint(
+    "ckpt-block-renamed-rehashed": lambda d: _rehashed_checkpoint(
         d, lambda b: {"ext0/w" if name == "ext0.w" else name: v for name, v in b.items()}),
-    "ckpt-blocks-reordered-rehashed": lambda d: _rehashed_dg_checkpoint(
+    "ckpt-blocks-reordered-rehashed": lambda d: _rehashed_checkpoint(
         d, lambda b: {**{name: b[name] for name in HEAD_BLOCKS}, **b}),
-    "ckpt-width-rehashed": lambda d: _rehashed_dg_checkpoint(d, _one_more_hidden_unit),
+    "ckpt-width-rehashed": lambda d: _rehashed_checkpoint(d, _one_more_hidden_unit),
+    # Replaying stage 2 pseudo-labels its target through this model's softmax.
+    "ckpt-nan-rehashed": lambda d: _rehashed_checkpoint(
+        d, lambda b: {**b, "ext0.w": np.full_like(b["ext0.w"], np.nan)}, role="da"),
     "ckpt-header-nested-too-deep-rehashed": _deep_dg_checkpoint_header,
     "no-curves": lambda d: os.remove(d / "curves.csv"),
     "empty-curves": lambda d: (d / "curves.csv").write_text(""),
