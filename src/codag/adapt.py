@@ -123,4 +123,4 @@ def adapt_domain(dg_params: ClassifierParams, target, config: EpochConfig,
 def generate_pseudo_labels(da_params: ClassifierParams, target: Dataset) -> Dataset:
     """Argmax-of-softmax labels (ties to lowest index) over the target samples."""
     labels = softmax(forward(da_params, target.x)).argmax(axis=1)
-    return Dataset(target.x, labels, target.k, target.domain_id, pseudo=True)
+    return Dataset(target.x, labels, target.k, target.domain_id)

@@ -35,18 +35,17 @@ class Dataset:
 
     ``labels_hidden=True`` makes any label access raise, which is how
     target-domain training views guarantee labels are never consulted.
-    ``pseudo=True`` marks labels assigned by a model rather than observed.
-    The CSV parser and ``SequenceConfig`` validate its arrays, so the
+    Only domain 0, the source, is labeled: labels on any other domain are
+    pseudo-labels, and their rows follow the noisy-label schedule in DG
+    training. The CSV parser and ``SequenceConfig`` validate its arrays, so the
     constructor does not check them again.
     """
 
-    def __init__(self, x, labels, k: int, domain_id: int = 0, labels_hidden: bool = False,
-                 pseudo: bool = False):
+    def __init__(self, x, labels, k: int, domain_id: int = 0, labels_hidden: bool = False):
         self.x = np.asarray(x, dtype=np.float64)
         self.k = k
         self.domain_id = domain_id
         self.labels_hidden = labels_hidden
-        self.pseudo = pseudo
         self._labels = np.asarray(labels, dtype=np.int64)
 
     @property
@@ -66,13 +65,12 @@ class Dataset:
 
     def without_labels(self) -> "Dataset":
         """View over the same arrays with label access disabled."""
-        return Dataset(self.x, self._labels, self.k, self.domain_id, labels_hidden=True,
-                       pseudo=self.pseudo)
+        return Dataset(self.x, self._labels, self.k, self.domain_id, labels_hidden=True)
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(self.x[indices], self._labels[indices], self.k, self.domain_id,
-                       self.labels_hidden, self.pseudo)
+                       self.labels_hidden)
 
 
 def class_means(k: int, d: int, seed: int) -> np.ndarray:
@@ -259,13 +257,6 @@ class DomainSequence:
     def d(self) -> int:
         return self.test_sets[0].d
 
-    def reordered(self, target_order: list[int]) -> "DomainSequence":
-        """Same domains visited source-first, then targets in ``target_order``."""
-        check_domain_order(target_order, self.n_domains)
-        order = [0, *target_order]
-        return DomainSequence([self.train_sets[i] for i in order],
-                              [self.test_sets[i] for i in order])
-
 
 @dataclass(frozen=True)
 class SequenceConfig:
@@ -352,8 +343,9 @@ class SequenceConfig:
             x = x + self.noise_sigma * noise.standard_normal((n, self.d))
         return Dataset(x, labels, k, domain_id=i)
 
-    def build(self, split_seed) -> DomainSequence:
-        """Materialize datasets: source split into train/test, targets shared.
+    def build(self, split_seed, target_order=None) -> DomainSequence:
+        """Materialize datasets: source split into train/test, then the targets,
+        shared, in the visit order ``target_order`` (natural order when None).
 
         Only the source split depends on ``split_seed``. CSV domains come from
         ``load_csv_domain``, so every build in a process shares one read-only
@@ -366,5 +358,6 @@ class SequenceConfig:
         except ValueError as exc:  # construction checked synthetic sizes, so this is a CSV
             raise ValueError(f"{files[0]}: {exc}") from None
         del source  # frees a synthetic source before the targets generate; a CSV one stays cached
-        targets = [self.domain(i, files) for i in range(1, len(files or self.angles_deg))]
+        order = target_order or range(1, len(files or self.angles_deg))
+        targets = [self.domain(i, files) for i in order]
         return DomainSequence([train] + [ds.without_labels() for ds in targets], [test] + targets)

@@ -46,10 +46,8 @@ def sequence_metrics(da: np.ndarray, dg: np.ndarray) -> dict:
 METRICS = (("tda", "tda_mean"), ("tdg", "tdg_mean"), ("fa", "fa_mean"), ("all", "all"))
 
 
-def summarize(values) -> dict | None:
-    """Mean and population std of one metric over the seeds; None for no values."""
-    if not values:
-        return None
+def summarize(values) -> dict:
+    """Mean and population std of one metric over the seeds, given at least one value."""
     arr = np.asarray(values, dtype=np.float64)
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 

@@ -1,14 +1,15 @@
 """Generalization-model training.
 
 ``nnmodel.train_epochs`` trains the generalization model on a labeled pool
-with each epoch's setup and the batch loss from this module. At the source
-stage the pool is the labeled source domain. Target stages continue
+with each epoch's setup and the batch loss from this module. Only domain 0,
+the source, is labeled; the labels of every other domain are pseudo-labels.
+At the source stage the pool is the source domain. Target stages continue
 from the previous parameters on the pseudo-labeled domain plus replay
 entries, add a distillation term against the previous model, and guard the
-pseudo-labeled rows against label noise with a three-phase schedule:
+rows of every domain but 0 against label noise with a three-phase schedule:
 negative learning on everything, then negative learning on confident
-samples, then positive (cross-entropy) learning on confident samples. Rows
-with true labels keep plain cross-entropy throughout.
+samples, then positive (cross-entropy) learning on confident samples.
+Source rows keep plain cross-entropy throughout.
 """
 
 from dataclasses import dataclass
@@ -199,18 +200,17 @@ def train_dg_target(prev_dg: ClassifierParams, pl_data: Dataset, buffer,
                     rng: RngStreams, on_epoch=None) -> ClassifierParams:
     """Continue the generalization model on the labeled domain plus replay.
 
-    Pool = the current domain (pseudo-labeled unless ``pl_data.pseudo`` is
-    off) plus buffer entries. Rows with true labels always train with
-    cross-entropy; pseudo-labeled rows follow the noisy-label schedule when
-    ``config.selnlpl`` is on. Distillation against ``prev_dg`` applies to
-    every sample when ``config.alpha`` > 0.
+    Pool = ``pl_data`` plus buffer entries. Only domain 0 is labeled: its rows
+    always train with cross-entropy, and the pseudo-labeled rows of every
+    other domain follow the noisy-label schedule when ``config.selnlpl`` is
+    on. Distillation against ``prev_dg`` applies to every sample when
+    ``config.alpha`` > 0.
     """
-    x, y = pl_data.x, pl_data.labels
-    is_pseudo = np.full(len(pl_data), pl_data.pseudo)
+    x, y, domain = pl_data.x, pl_data.labels, np.full(len(pl_data), pl_data.domain_id)
     if buffer.n_entries:
-        bx, by, _, bpseudo = buffer.as_arrays()
+        bx, by, bdomain = buffer.as_arrays()
         x = np.concatenate([x, bx], axis=0)
         y = np.concatenate([y, by], axis=0)
-        is_pseudo = np.concatenate([is_pseudo, bpseudo], axis=0)
+        domain = np.concatenate([domain, bdomain], axis=0)
     teacher = prev_dg if config.alpha > 0 else None
-    return _train_dg(prev_dg, x, y, is_pseudo, teacher, config, aug, rng, on_epoch)
+    return _train_dg(prev_dg, x, y, domain != 0, teacher, config, aug, rng, on_epoch)

@@ -386,11 +386,11 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
         raise RunStateError(f"{path}: malformed run state: {detail}") from None
 
 
+# Overflowing features warn in every forward pass; the run reports its divergence once.
+@np.errstate(over="ignore", invalid="ignore")
 def run_seed(config: ExperimentConfig, seed: int, seed_dir=None) -> tuple[RunState, dict]:
     """All stages for one seed, continuing from the state committed under ``seed_dir``."""
-    seq = config.sequence.build(split_seed=substream(seed, "data"))
-    if config.domain_order:
-        seq = seq.reordered(list(config.domain_order))
+    seq = config.sequence.build(substream(seed, "data"), config.domain_order)
     state = new_run_state(seed, seq, config)
     if seed_dir is not None and os.path.exists(os.path.join(seed_dir, "state.json")):
         restore_run_state(state, seed_dir, seq, config)

@@ -108,7 +108,6 @@ def herding_select(feature_vectors, m: int) -> np.ndarray:
 @dataclass
 class _DomainStore:
     domain_id: int
-    pseudo: bool
     x: np.ndarray  # the domain's training features, shared
     per_class: dict[int, np.ndarray] = field(default_factory=dict)  # herding-ordered row indices
 
@@ -133,9 +132,9 @@ class ReplayBuffer:
         return len(self._domains)
 
     def as_arrays(self):
-        """(x, labels, domain_ids, is_pseudo) in (age, class, pick) order; the
-        buffer must hold at least one entry."""
-        xs, ys, ds, ps = [], [], [], []
+        """(x, labels, domain_ids) in (age, class, pick) order; the buffer must
+        hold at least one entry."""
+        xs, ys, ds = [], [], []
         for store in self._domains:
             for cls in sorted(store.per_class):
                 rows = store.per_class[cls]
@@ -144,9 +143,7 @@ class ReplayBuffer:
                 xs.append(store.x[rows])
                 ys.append(np.full(rows.shape[0], cls, dtype=np.int64))
                 ds.append(np.full(rows.shape[0], store.domain_id, dtype=np.int64))
-                ps.append(np.full(rows.shape[0], store.pseudo))
-        return (np.concatenate(xs), np.concatenate(ys),
-                np.concatenate(ds), np.concatenate(ps))
+        return np.concatenate(xs), np.concatenate(ys), np.concatenate(ds)
 
 
 def _quotas(total: int, parts: int) -> list[int]:
@@ -161,8 +158,8 @@ def update_buffer(buffer: ReplayBuffer, new_domain: Dataset,
 
     Existing domains are trimmed by truncating their stored herding orders;
     the new domain's exemplars are herded per class over the current DG
-    features. Each entry keeps the domain's labels, tagged pseudo or true
-    by ``new_domain.pseudo``.
+    features. Each entry keeps its domain's id and labels. Only domain 0 is labeled:
+    other domains' entries hold pseudo-labels and follow the noisy-label schedule.
     """
     x, labels, domain_id = new_domain.x, new_domain.labels, new_domain.domain_id
 
@@ -171,13 +168,13 @@ def update_buffer(buffer: ReplayBuffer, new_domain: Dataset,
 
     for age, store in enumerate(buffer._domains):
         class_quotas = _quotas(quotas[age], buffer.k)
-        trimmed = _DomainStore(store.domain_id, store.pseudo, store.x)
+        trimmed = _DomainStore(store.domain_id, store.x)
         for cls, rows in store.per_class.items():
             trimmed.per_class[cls] = rows[:class_quotas[cls]]
         out._domains.append(trimmed)
 
     class_quotas = _quotas(quotas[-1], buffer.k)
-    fresh = _DomainStore(domain_id, new_domain.pseudo, x)
+    fresh = _DomainStore(domain_id, x)
     for cls in range(buffer.k):
         idx = np.where(labels == cls)[0]
         take = min(class_quotas[cls], idx.size)

@@ -16,23 +16,15 @@ import pytest
 # has not loaded its BLAS yet.
 import codag  # noqa: F401
 import numpy as np
-from codag import (
-    AugmentConfig,
-    Dataset,
-    DGConfig,
-    EpochConfig,
-    ModelConfig,
-    ReplayBuffer,
-    SequenceConfig,
-    accuracy,
-    adapt_domain,
-    generate_pseudo_labels,
-    init_params,
-    train_dg_source,
-    train_dg_target,
-)
+from codag.adapt import adapt_domain, generate_pseudo_labels
+from codag.augment import AugmentConfig
 from codag.cli import apply_override, main
+from codag.data import Dataset, SequenceConfig
+from codag.evaluate import accuracy
+from codag.generalize import DGConfig, train_dg_source, train_dg_target
+from codag.nnmodel import EpochConfig, ModelConfig, init_params
 from codag.orchestrate import ExperimentConfig, run_seed
+from codag.replay import ReplayBuffer
 from codag.rng import RngStreams, substream
 
 SEEDS5 = (2022, 2023, 2024, 2025, 2026)
@@ -57,7 +49,7 @@ def with_label_noise(data, rate: float, rng: np.random.Generator):
     flip = rng.random(len(data)) < rate
     if flip.any():
         labels[flip] = (labels[flip] + rng.integers(1, data.k, size=int(flip.sum()))) % data.k
-    return Dataset(data.x, labels, data.k, data.domain_id, pseudo=data.pseudo)
+    return Dataset(data.x, labels, data.k, data.domain_id)
 
 
 def spec_name(spec: tuple[str, ...]) -> str:
@@ -120,7 +112,8 @@ def run_in_pool(fn, arg_tuples) -> list:
 @pytest.fixture(scope="session")
 def variant_runs():
     """(RunState, metrics dict) by run spec name and seed, for the directional checks."""
-    specs = [("codag",), ("codag-da-init",), ("codag", "buffer_capacity=0"), ("dg-only",)]
+    specs = [("codag",), ("codag-da-init",), ("codag", "buffer_capacity=0"), ("dg-only",),
+             ("da-only",)]
     runs = [(spec[0], seed, spec[1:]) for spec in specs for seed in SEEDS5]
     out = {}
     for (variant, seed, overrides), result in zip(runs, run_in_pool(run_variant, runs)):

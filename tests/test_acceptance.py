@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-The heavyweight comparisons (four variants x five seeds at full fidelity)
+The heavyweight comparisons (five run specs x five seeds at full fidelity)
 come from session fixtures in conftest so the suite runs them once.
 """
 
@@ -9,10 +9,11 @@ import os
 
 import numpy as np
 
-from codag import adapt_domain, herding_select, sequence_metrics, softmax
-from codag.adapt import _im_pl_logit_loss
+from codag.adapt import _im_pl_logit_loss, adapt_domain
+from codag.evaluate import sequence_metrics
 from codag.generalize import _CE, _NL, _SKIP, _mixed_logit_loss
-from codag.nnmodel import EpochConfig
+from codag.nnmodel import EpochConfig, softmax
+from codag.replay import herding_select
 from codag.rng import substream
 
 from conftest import source_model, teacher_q
@@ -204,16 +205,35 @@ def test_criterion_8_sanity_floor(variant_runs):
     )
 
 
+def test_criterion_9_codag_beats_both_single_model_chains(variant_runs):
+    """The paper's claim over single-model chains, on the metrics where it holds
+    here. TDG is printed, not asserted: ``da-only`` leads it (README, "Evaluation
+    protocol")."""
+    def mean(spec, key):
+        return float(np.mean([m[key] for _, m in variant_runs[spec].values()]))
+
+    rivals = ("da-only", "dg-only")
+    _criterion(
+        9, "codag beats da-only and dg-only on mean All and on mean FA",
+        all(mean("codag", key) > mean(rival, key) for rival in rivals for key in ("all", "fa_mean")),
+        "; ".join(f"{spec} all {mean(spec, 'all'):.4f} fa {mean(spec, 'fa_mean'):.4f} "
+                  f"tdg {mean(spec, 'tdg_mean'):.4f}" for spec in ("codag", *rivals)),
+    )
+
+
 _BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def test_default_runs_match_golden_digests(variant_runs, default_cli_run, tmp_path):
-    """The benchmark's golden digests, on the pool's codag and dg-only runs at seed 2022
-    and on every seed of the default ``codag run`` with curves."""
+    """The benchmark's golden digests, on the pool's codag and dg-only runs at seed 2022,
+    its da-only runs at 2022 and 2023, and every seed of the default ``codag run``
+    with curves."""
     with open(os.path.join(_BENCH, "golden.json"), encoding="utf-8") as fh:
         golden = json.load(fh)["default"]
     runs = {"codag/2022": variant_runs["codag"][2022][0],
-            "dg-only/2022": variant_runs["dg-only"][2022][0]}
+            "dg-only/2022": variant_runs["dg-only"][2022][0],
+            "da-only/2022": variant_runs["da-only"][2022][0],
+            "da-only/2023": variant_runs["da-only"][2023][0]}
     for name, state in runs.items():
         digest = state_digest(state, tmp_path / name.replace("/", "-"))
         assert digest == golden[name], f"{name}: digest {digest} is not the golden one"

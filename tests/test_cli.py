@@ -292,8 +292,8 @@ def test_bad_domain_order_fails_before_writing(tmp_path, tiny_config_file, capsy
     assert not out.exists()
 
 
-# 1e300 overflows the float32 weights instead of the loss. Both models'
-# lines name the phase and the epoch.
+# 1e300 overflows the float32 weights instead of the loss, and the line says so.
+# Both models' lines name the phase and the epoch.
 @pytest.mark.parametrize("jobs, lr", [("1", "dg.lr=1000"), ("2", "dg.lr=1000"),
                                       ("1", "dg.lr=1e300"), ("2", "dg.lr=1e300"),
                                       ("1", "adapt.lr=1000"), ("2", "adapt.lr=1000"),
@@ -309,32 +309,37 @@ def test_diverging_loss_is_one_error_line(tmp_path, tiny_config_file, capsys, re
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     phase = "adaptation" if lr.startswith("adapt.") else "(adaptation|ce|nl|selnl|selpl)"
-    assert re.match(rf"error: seed 7, stage \d: training diverged: {phase} phase, epoch \d+: ",
-                    errors[0]), errors[0]
+    cause = "non-finite weights after an SGD step" if lr.endswith("1e300") else ""
+    assert re.match(rf"error: seed 7, stage \d: training diverged: {phase} phase, epoch \d+: "
+                    rf"{cause}", errors[0]), errors[0]
     assert "Traceback" not in err
     if jobs == "1":  # pool workers warn on their own stderr, out of recwarn's reach
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_overflowing_features_are_one_error_line(tmp_path, tiny_config_file):
-    """Features near 1e300 overflow herding and the cosine norms; stderr holds only the error."""
+def _cli_child(argv) -> subprocess.CompletedProcess:
+    """``codag`` run as a child process, so that its stderr holds any numpy warning,
+    which pytest would capture in process."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     src = os.path.dirname(os.path.dirname(os.path.abspath(codag.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, "-m", "codag.cli", "run", "--config", tiny_config_file,
-                           "--override", "sequence.noise_sigma=1e300",
-                           "--out", str(tmp_path / "out")],
+    return subprocess.run([sys.executable, "-m", "codag.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_overflowing_features_are_one_error_line(tmp_path, tiny_config_file):
+    """Features near 1e300 overflow herding and the cosine norms; stderr holds only the error."""
+    done = _cli_child(["run", "--config", tiny_config_file,
+                       "--override", "sequence.noise_sigma=1e300", "--out", str(tmp_path / "out")])
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: seed 7, stage 1: training diverged")
 
 
-@pytest.mark.parametrize("variant", ["da-only", "codag"])
-def test_non_finite_logits_name_the_seed_and_stage(tmp_path, tiny_config_file, capsys, variant):
-    """Features of +-1.7e308 are finite, so the parser takes them, but the logits
-    overflow: the run stops with one line naming the seed and the stage, and
-    leaves no seed directory behind."""
+def _overflowing_csv_run(tmp_path, variant: str) -> list[str]:
+    """``--override`` arguments of a ``variant`` run, seed 1, on a ``csv-folder`` of
+    3 x 40 rows whose features are all +-1.7e308: finite, so the parser takes
+    them, but the logits overflow."""
     data_dir = tmp_path / "domains"
     data_dir.mkdir()
     signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(3, 40, 4))
@@ -342,18 +347,36 @@ def test_non_finite_logits_name_the_seed_and_stage(tmp_path, tiny_config_file, c
         (data_dir / f"domain_{i:02d}.csv").write_text("".join(
             ",".join([*(repr(float(s) * 1.7e308) for s in row), str(r % 3)]) + "\n"
             for r, row in enumerate(domain)))
-    out = tmp_path / "out"
     overrides = ["sequence.kind=csv-folder", f"sequence.path={data_dir}", "seeds=[1]",
                  "adapt.epochs=2", "dg.epochs=2", f"variant={variant}"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing products
-        code = main(["run", "--config", tiny_config_file, "--out", str(out),
-                     *(a for o in overrides for a in ("--override", o))])
+    return [a for o in overrides for a in ("--override", o)]
+
+
+@pytest.mark.parametrize("variant", ["da-only", "codag"])
+def test_non_finite_logits_name_the_seed_and_stage(tmp_path, tiny_config_file, capsys, variant):
+    """The overflowing run stops with one line naming the seed and the stage, and
+    leaves no seed directory behind."""
+    out = tmp_path / "out"
+    code = main(["run", "--config", tiny_config_file, "--out", str(out),
+                 *_overflowing_csv_run(tmp_path, variant)])
     assert code == 1
     (line,) = _error_lines(capsys.readouterr().err)
     assert re.fullmatch(r"error: seed 1, stage \d: training diverged: .*softmax input must be "
                         r"finite", line), line
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("jobs, seeds", [("1", "[1]"), ("2", "[1, 2]")], ids=["jobs1", "jobs2"])
+@pytest.mark.parametrize("variant", ["da-only", "codag"])
+def test_overflowing_run_prints_no_numpy_warning(tmp_path, tiny_config_file, variant, jobs, seeds):
+    """The overflowing products warn neither in the main process nor in a pool
+    worker: stderr holds the one error line."""
+    done = _cli_child(["run", "--config", tiny_config_file, "--out", str(tmp_path / "out"),
+                       "--jobs", jobs, *_overflowing_csv_run(tmp_path, variant),
+                       "--override", f"seeds={seeds}"])
+    assert done.returncode == 1
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: seed 1, stage 0: training diverged: "), line
 
 
 @pytest.mark.parametrize("jobs, overrides", [

@@ -342,17 +342,18 @@ def test_default_sequence_shape():
         assert len(seq.train_sets[t]) == len(seq.test_sets[t]) == 500
 
 
-def test_sequence_reorder_is_permutation_checked():
+def test_build_visits_targets_in_target_order():
+    """The same domains as the natural order, source first, targets in visit order."""
     seq = default_sequence()
-    re = seq.reordered([3, 1, 4, 2])
-    assert re.n_domains == 5
+    visit = SequenceConfig().build(2022, target_order=[3, 1, 4, 2])
+    assert visit.n_domains == 5
     for pos, src in enumerate([0, 3, 1, 4, 2]):
-        assert re.train_sets[pos] is seq.train_sets[src]
-        assert re.test_sets[pos] is seq.test_sets[src]
-    with pytest.raises(ValueError, match="permutation"):
-        seq.reordered([1, 2, 3])
-    with pytest.raises(ValueError, match="permutation"):
-        seq.reordered([0, 1, 2, 3])
+        got, want = visit.test_sets[pos], seq.test_sets[src]
+        assert got.domain_id == src and got.x.tobytes() == want.x.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        train = visit.train_sets[pos]
+        assert train.domain_id == src and train.labels_hidden == (src > 0)
+        assert train.x.tobytes() == seq.train_sets[src].x.tobytes()
 
 
 def test_sequence_config_dict_roundtrip():

@@ -106,8 +106,7 @@ def _uniform_model(d=3, k=4):
 
 def _pl_dataset(n=30, d=3, k=4, seed=0):
     rng = np.random.default_rng(seed)
-    return Dataset(rng.standard_normal((n, d)), rng.integers(0, k, n), k, domain_id=1,
-                   pseudo=True)
+    return Dataset(rng.standard_normal((n, d)), rng.integers(0, k, n), k, domain_id=1)
 
 
 def test_select_confident_boundary_is_strict():
@@ -179,7 +178,7 @@ def test_train_source_zero_epochs_identity():
 
 
 def test_train_source_beats_chance_and_loss_decreases():
-    from codag import accuracy
+    from codag.evaluate import accuracy
 
     seq, params = source_model(2022)
     assert accuracy(params, seq.test_sets[0]) > 1.0 / seq.k
@@ -197,7 +196,7 @@ def test_train_source_beats_chance_and_loss_decreases():
 def test_train_target_on_true_labels_equals_train_source():
     """One loop: a true-labeled pool with no buffer or teacher is source ERM."""
     source = default_sequence(split_seed=substream(2022, "data")).train_sets[0]
-    assert not source.pseudo
+    assert source.domain_id == 0
     params0 = init_params(ModelConfig(), source.d, source.k, 4)
     cfg = DGConfig(epochs=6, alpha=0.0)
     from_source = train_dg_source(params0, source, cfg, AugmentConfig(),
@@ -264,7 +263,7 @@ def test_with_label_noise_flips_expected_fraction():
     noisy = with_label_noise(data, 0.2, np.random.default_rng(0))
     flipped = np.mean(noisy.labels != data.labels)
     assert 0.15 < flipped < 0.25
-    assert isinstance(noisy, Dataset) and noisy.pseudo
+    assert isinstance(noisy, Dataset) and noisy.domain_id == data.domain_id
     clean = with_label_noise(data, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(clean.labels, data.labels)
     with pytest.raises(ValueError, match="rate must lie"):
@@ -424,13 +423,13 @@ def test_epoch_level_dg_loop_matches_per_batch_loop(n_pool, batch_size, monkeypa
 
     # Target stage: pseudo-labels plus 16 replay rows, distilled against ``prev``.
     pl_data = Dataset(target.x[:n_pool - 16], seq.test_sets[1].labels[:n_pool - 16],
-                      target.k, target.domain_id, pseudo=True)
+                      target.k, target.domain_id)
     buffer = update_buffer(ReplayBuffer(16, seq.k), src, prev)
     batches.clear()
     got = train_dg_target(prev, pl_data, buffer, cfg, aug, RngStreams.for_stage(3, 1))
-    bx, by, _, bpseudo = buffer.as_arrays()
+    bx, by, _ = buffer.as_arrays()  # source rows, whose labels are true
     expected, expected_batches = per_batch_train_dg(
         prev, np.concatenate([pl_data.x, bx]), np.concatenate([pl_data.labels, by]),
-        np.concatenate([np.ones(len(pl_data), dtype=bool), bpseudo]), prev, cfg, aug,
-        RngStreams.for_stage(3, 1))
+        np.concatenate([np.ones(len(pl_data), dtype=bool), np.zeros(len(bx), dtype=bool)]),
+        prev, cfg, aug, RngStreams.for_stage(3, 1))
     assert _same_params(got, expected) and batches == expected_batches

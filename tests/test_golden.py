@@ -8,8 +8,8 @@ import json
 
 import pytest
 
-from conftest import SEEDS5, spec_name
-from golden_table import (SEED_SPECS, TABLE, TINY_SPECS, build, changes, state_digest,
+from conftest import spec_name
+from golden_table import (SEED_RUNS, TABLE, TINY_SPECS, build, changes, state_digest,
                           tiny_file_hashes)
 
 with open(TABLE, encoding="utf-8") as _fh:
@@ -22,8 +22,9 @@ def _moved(what: str) -> str:
 
 
 def test_seed_runs_match_golden_table(variant_runs, tmp_path):
-    for name in map(spec_name, SEED_SPECS):
-        for seed in SEEDS5:
+    for spec, seeds in SEED_RUNS.items():
+        name = spec_name(spec)
+        for seed in seeds:
             key = f"{name}/{seed}"
             digest = state_digest(variant_runs[name][seed][0], tmp_path / f"{name}-{seed}")
             assert digest == GOLDEN["seed_runs"][key], _moved(f"{key}: digest {digest[:16]}")

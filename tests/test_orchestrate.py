@@ -606,15 +606,17 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=(7, -1))
     with pytest.raises(ValueError, match="buffer_capacity"):
         ExperimentConfig(buffer_capacity=-1)
-    with pytest.raises(ValueError, match="domain_order"):
-        ExperimentConfig(domain_order=[9])
+    # Not permutations of the default's targets 1..4: a missing target, the source.
+    for order in ([9], [1, 2, 3], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="domain_order must be a permutation"):
+            ExperimentConfig(domain_order=order)
     for model in ({"hidden": [0]}, {"feat_dim": 0}):  # model.hidden=[0], model.feat_dim=0
         with pytest.raises(ValueError, match="model: all layer widths must be positive"):
             ExperimentConfig.from_dict({"model": model})
 
 
 def test_matrices_match_checkpoint_reevaluation(tmp_path):
-    from codag import accuracy
+    from codag.evaluate import accuracy
     from codag.nnmodel import load_checkpoint
 
     cfg = tiny_config(
@@ -648,6 +650,20 @@ def test_full_run_emits_one_record_per_stage_epoch_domain(default_cli_run):
     assert len(records) == 5 * 60 * 5
     keys = [(s, e, d) for s, e, d, _ in records]
     assert keys == sorted(set(keys))
+
+
+def test_each_stage_last_curve_row_is_its_dg_matrix_row(default_cli_run):
+    """Curve scoring and the matrices score the same model: every stage's last
+    epoch in ``curves.csv`` is the stage's ``dg_matrix`` row, as the same ``repr``
+    strings, on every seed."""
+    results = default_cli_run.results()
+    last = results["config"]["dg"]["epochs"] - 1
+    for seed, entry in results["per_seed"].items():
+        text = (default_cli_run.out / f"seed{seed}" / "curves.csv").read_text(encoding="ascii")
+        rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+        for t, matrix_row in enumerate(entry["dg_matrix"]):
+            cells = [a for s, e, _, a in rows if (int(s), int(e)) == (t, last)]
+            assert cells == [repr(v) for v in matrix_row], f"seed {seed}, stage {t}"
 
 
 def test_seen_domain_curves_stay_stable_after_shifts(default_cli_run):

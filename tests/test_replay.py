@@ -98,12 +98,6 @@ def _labeled_domain(n, k, d, domain_id, seed):
     return Dataset(rng.standard_normal((n, d)), np.arange(n) % k, k, domain_id=domain_id)
 
 
-def _pseudo_domain(n, k, d, domain_id, seed):
-    rng = np.random.default_rng(seed)
-    return Dataset(rng.standard_normal((n, d)), np.arange(n) % k, k, domain_id=domain_id,
-                   pseudo=True)
-
-
 @pytest.fixture
 def dg_params():
     return init_params(ModelConfig(hidden=(8,), feat_dim=4), 6, 5, 0)
@@ -113,40 +107,36 @@ def test_source_stage_fills_to_capacity(dg_params):
     buf = ReplayBuffer(200, 5)
     buf = update_buffer(buf, _labeled_domain(400, 5, 6, 0, 1), dg_params)
     assert buf.n_entries == 200
-    x, y, dom, pseudo = buf.as_arrays()
+    x, y, dom = buf.as_arrays()
     assert x.shape == (200, 6)
-    assert np.all(dom == 0)
-    assert not pseudo.any()  # source labels are true labels
+    assert np.all(dom == 0)  # source rows: their labels are true labels
     assert np.bincount(y, minlength=5).tolist() == [40] * 5
 
 
 def test_quota_rebalance_two_and_three_domains(dg_params):
     buf = ReplayBuffer(200, 5)
     buf = update_buffer(buf, _labeled_domain(400, 5, 6, 0, 1), dg_params)
-    buf = update_buffer(buf, _pseudo_domain(300, 5, 6, 1, 2), dg_params)
-    x, y, dom, pseudo = buf.as_arrays()
+    buf = update_buffer(buf, _labeled_domain(300, 5, 6, 1, 2), dg_params)
+    x, y, dom = buf.as_arrays()
     assert buf.n_entries == 200
-    counts = np.bincount(dom, minlength=2)
-    assert counts.tolist() == [100, 100]
-    assert not pseudo[dom == 0].any()
-    assert pseudo[dom == 1].all()
+    assert dom.tolist() == [0] * 100 + [1] * 100  # each store keeps its id, oldest first
 
-    buf = update_buffer(buf, _pseudo_domain(250, 5, 6, 2, 3), dg_params)
-    _, _, dom, _ = buf.as_arrays()
+    buf = update_buffer(buf, _labeled_domain(250, 5, 6, 2, 3), dg_params)
+    _, _, dom = buf.as_arrays()
     counts = np.bincount(dom, minlength=3)
     assert counts.tolist() == [67, 67, 66]  # remainder goes to the earliest domains
     assert buf.n_entries == 200
 
 
 def _class_rows(buf, domain_id, cls):
-    x, y, dom, _ = buf.as_arrays()  # rows of one class keep their pick order
+    x, y, dom = buf.as_arrays()  # rows of one class keep their pick order
     return x[(dom == domain_id) & (y == cls)]
 
 
 def test_trimming_is_prefix_of_stored_order(dg_params):
     buf1 = update_buffer(ReplayBuffer(200, 5), _labeled_domain(400, 5, 6, 0, 1), dg_params)
     before = {c: _class_rows(buf1, 0, c) for c in range(5)}
-    buf2 = update_buffer(buf1, _pseudo_domain(300, 5, 6, 1, 2), dg_params)
+    buf2 = update_buffer(buf1, _labeled_domain(300, 5, 6, 1, 2), dg_params)
     for c in range(5):
         after = _class_rows(buf2, 0, c)
         np.testing.assert_array_equal(after, before[c][: after.shape[0]])
@@ -156,7 +146,7 @@ def test_trimming_is_prefix_of_stored_order(dg_params):
 def test_capacity_never_exceeded_along_a_chain(dg_params):
     buf = ReplayBuffer(50, 5)
     for t, n in enumerate((400, 180, 220, 90)):
-        domain = (_labeled_domain if t == 0 else _pseudo_domain)(n, 5, 6, t, t + 10)
+        domain = _labeled_domain(n, 5, 6, t, t + 10)
         buf = update_buffer(buf, domain, dg_params)
         assert buf.n_entries <= 50
     assert buf.n_domains == 4
@@ -172,31 +162,27 @@ def test_zero_capacity_stays_empty(dg_params):
 def test_scarce_class_keeps_what_exists(dg_params):
     # only classes 0 and 1 are present; their quotas cap what can be stored
     rng = np.random.default_rng(3)
-    ds = Dataset(rng.standard_normal((40, 6)), np.arange(40) % 2, 5, domain_id=1, pseudo=True)
+    ds = Dataset(rng.standard_normal((40, 6)), np.arange(40) % 2, 5, domain_id=1)
     buf = update_buffer(ReplayBuffer(200, 5), ds, dg_params)
-    _, y, _, _ = buf.as_arrays()
+    _, y, _ = buf.as_arrays()
     counts = np.bincount(y, minlength=5)
     assert counts[0] == 20 and counts[1] == 20 and counts[2:].sum() == 0
-
-
-def _reordered_sequence():
-    cfg = SequenceConfig(n_per_domain=60, k=5, d=6, angles_deg=(0.0, 30.0, 60.0, 90.0, 120.0),
-                         seed=3)
-    return cfg.build(split_seed=0).reordered([3, 1, 4, 2])
 
 
 def test_roundtrip_serialization(dg_params):
     """The buffer references its domains' own rows, in visit order; resuming
     rebuilds it by replaying these updates from the checkpoints."""
-    seq = _reordered_sequence()
+    cfg = SequenceConfig(n_per_domain=60, k=5, d=6, angles_deg=(0.0, 30.0, 60.0, 90.0, 120.0),
+                         seed=3)
+    seq = cfg.build(split_seed=0, target_order=[3, 1, 4, 2])
     buf = ReplayBuffer(60, 5)
     for t, train in enumerate(seq.train_sets):
         labeled = train if t == 0 else Dataset(train.x, seq.test_sets[t].labels, train.k,
-                                               train.domain_id, pseudo=True)
+                                               train.domain_id)
         buf = update_buffer(buf, labeled, dg_params)
-    x, _, dom, pseudo = buf.as_arrays()
+    x, _, dom = buf.as_arrays()
     assert dom[np.sort(np.unique(dom, return_index=True)[1])].tolist() == [0, 3, 1, 4, 2]
-    assert x.shape == (60, 6) and not pseudo[dom == 0].any() and pseudo[dom != 0].all()
+    assert x.shape == (60, 6) and dom.tolist() == sorted(dom.tolist(), key=[0, 3, 1, 4, 2].index)
     rows = {train.domain_id: train.x for train in seq.train_sets}
     assert all((rows[d] == row).all(axis=1).any() for d, row in zip(dom, x))
 
@@ -221,15 +207,14 @@ def test_buffer_quotas_over_random_domains_and_class_histograms(chain):
     buf, kept = ReplayBuffer(capacity, k), []
     for t, counts in enumerate(histograms):
         labels = rng.permutation(np.repeat(np.arange(k), counts))
-        domain = Dataset(rng.standard_normal((labels.size, 2)), labels, k, domain_id=t,
-                         pseudo=t > 0)
+        domain = Dataset(rng.standard_normal((labels.size, 2)), labels, k, domain_id=t)
         buf = update_buffer(buf, domain, params)
         # Shares at most 1 apart, the larger ones first; they add up to the capacity.
         shares = [capacity // (t + 1) + (i < capacity % (t + 1)) for i in range(t + 1)]
         assert buf.n_domains == t + 1 and buf.n_entries <= capacity
         # each (domain, class) in pick order; as_arrays needs an entry
-        x, y, dom, _ = (buf.as_arrays() if buf.n_entries else
-                        (np.empty((0, 2)), np.empty(0, int), np.empty(0, int), None))
+        x, y, dom = (buf.as_arrays() if buf.n_entries else
+                     (np.empty((0, 2)), np.empty(0, int), np.empty(0, int)))
         kept.append([None] * k)
         for i, share in enumerate(shares):
             class_shares = [share // k + (c < share % k) for c in range(k)]

@@ -2,11 +2,10 @@
 every import is named by its module.
 
 A definition counts as used when some name or attribute in the package
-spells it outside the definition's own body; a re-export in ``__init__.py``
-is an import, not a use. Dunders are left out, since Python calls them.
-An import counts as used when a name in its own module spells it; the
-re-exports of ``__init__.py`` and an alias whose line carries ``noqa: F401``
-are kept on purpose.
+spells it outside the definition's own body; an import is not a use.
+Dunders are left out, since Python calls them. An import counts as used
+when a name in its own module spells it; an alias whose line carries
+``noqa: F401`` is kept on purpose.
 """
 
 import ast
@@ -60,8 +59,6 @@ def unused_imports(src: str) -> list[str]:
     """``file:line: name`` of each imported name that its module never names."""
     unused = []
     for fname, text, tree in modules(src):
-        if fname == "__init__.py":
-            continue
         lines = text.splitlines()
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
