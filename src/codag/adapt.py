@@ -27,8 +27,6 @@ PL_WEIGHT = 0.3  # of the centroid pseudo-label term, against an IM weight of 1 
 PL_REFRESH_EPOCHS = 5  # epochs between centroid refreshes
 
 
-# Features near the float64 limit overflow the norms; the non-finite loss reports it.
-@np.errstate(over="ignore", invalid="ignore")
 def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     an = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-12)
     bn = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-12)

@@ -282,14 +282,12 @@ class Sgd:
         """One update by the current ``params.grads``; raises FloatingPointError
         when a weight leaves the finite range."""
         v, t = self.velocity, self._scratch
-        # A diverging run overflows the float32 cast; the check below reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            v *= MOMENTUM
-            v += self._grad
-            np.multiply(v, self.lr, out=t)
-            np.subtract(self._w64, t, out=t)
-            self._w32[...] = t
-            self._w64[...] = self._w32
+        v *= MOMENTUM
+        v += self._grad
+        np.multiply(v, self.lr, out=t)
+        np.subtract(self._w64, t, out=t)
+        self._w32[...] = t
+        self._w64[...] = self._w32
         if not np.isfinite(self._w64).all():
             raise FloatingPointError("non-finite weights after an SGD step")
 

@@ -386,7 +386,8 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
         raise RunStateError(f"{path}: malformed run state: {detail}") from None
 
 
-# Overflowing features warn in every forward pass; the run reports its divergence once.
+# Overflowing features or weights warn in forward passes, herding, cosine norms and the
+# SGD cast; the run reports its divergence once, as one error line.
 @np.errstate(over="ignore", invalid="ignore")
 def run_seed(config: ExperimentConfig, seed: int, seed_dir=None) -> tuple[RunState, dict]:
     """All stages for one seed, continuing from the state committed under ``seed_dir``."""

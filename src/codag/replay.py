@@ -26,8 +26,6 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-# Features near the float64 limit overflow the distances; the diverging run is reported downstream.
-@np.errstate(over="ignore", invalid="ignore")
 def herding_select(feature_vectors, m: int) -> np.ndarray:
     """Greedy pick order keeping the running mean close to the full mean.
 
