@@ -65,33 +65,30 @@ def _im_pl_logit_loss(pl_labels: np.ndarray):
     """
 
     def loss_fn(logits):
-        # Diverged logits underflow a class's pbar to 0, so log(pbar) is -inf and
-        # the loss NaN; gradient() raises on that, so the warnings add nothing.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = log_softmax(logits)
-            p = np.exp(logp)
-            n, _ = p.shape
-            flat = np.arange(0, p.size, p.shape[1]) + pl_labels
+        logp = log_softmax(logits)
+        p = np.exp(logp)
+        n, _ = p.shape
+        flat = np.arange(0, p.size, p.shape[1]) + pl_labels
 
-            rowdot = (p * logp).sum(axis=1)  # = -H(p_i)
-            # add.reduce(a) / n is a.mean()'s arithmetic, without its Python wrapper.
-            h_cond = float(-(np.add.reduce(rowdot) / n))
-            pbar = np.add.reduce(p, axis=0) / n
-            log_pbar = np.log(pbar)
-            h_marg = float(-(pbar * log_pbar).sum())
-            im = h_cond - h_marg
-            cross = p @ log_pbar  # per-row sum_k p_ik log pbar_k
-            p_n = p / n
-            grad = np.negative(logp)
-            grad += rowdot[:, None]
-            grad -= cross[:, None]
-            grad += log_pbar
-            grad *= p_n
+        rowdot = (p * logp).sum(axis=1)  # = -H(p_i)
+        # add.reduce(a) / n is a.mean()'s arithmetic, without its Python wrapper.
+        h_cond = float(-(np.add.reduce(rowdot) / n))
+        pbar = np.add.reduce(p, axis=0) / n
+        log_pbar = np.log(pbar)
+        h_marg = float(-(pbar * log_pbar).sum())
+        im = h_cond - h_marg
+        cross = p @ log_pbar  # per-row sum_k p_ik log pbar_k
+        p_n = p / n
+        grad = np.negative(logp)
+        grad += rowdot[:, None]
+        grad -= cross[:, None]
+        grad += log_pbar
+        grad *= p_n
 
-            ce = float(-(np.add.reduce(logp.ravel()[flat]) / n))
-            d_ce = np.multiply(p_n, PL_WEIGHT, out=p_n)
-            d_ce.ravel()[flat] = (p.ravel()[flat] - 1.0) / n * PL_WEIGHT
-            grad += d_ce
+        ce = float(-(np.add.reduce(logp.ravel()[flat]) / n))
+        d_ce = np.multiply(p_n, PL_WEIGHT, out=p_n)
+        d_ce.ravel()[flat] = (p.ravel()[flat] - 1.0) / n * PL_WEIGHT
+        grad += d_ce
 
         return im + PL_WEIGHT * ce, grad
 

@@ -24,7 +24,9 @@ without copying it.
 
 import hashlib
 import json
+import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -39,7 +41,7 @@ MOMENTUM = 0.9  # of every Sgd
 
 
 class CheckpointError(RuntimeError):
-    """Checkpoint file is truncated, mislabeled, or inconsistent."""
+    """A checkpoint file has another hash, or is not what ``save_checkpoint`` writes."""
 
 
 @dataclass(frozen=True)
@@ -74,22 +76,22 @@ class EpochConfig:
 class ClassifierParams:
     """Ordered named parameter blocks: ext{i}.w / ext{i}.b ... head.w / head.b.
 
-    ``blocks`` are read-only views of one flat buffer whose dtype follows the
-    given blocks; ``shadow`` holds their exact float64 copies and ``grads``
-    the float64 gradient buffer that ``gradient`` fills, each as one view per
-    block in the same layout. All three mappings are read-only.
+    ``blocks`` are read-only views, named and shaped as in ``shapes``, of one flat buffer
+    whose dtype follows the given blocks; ``shadow`` holds their exact float64 copies and
+    ``grads`` the float64 gradient buffer that ``gradient`` fills, each as one view per
+    block in the same layout. All four mappings are read-only.
     """
 
-    __slots__ = ("blocks", "shadow", "grads", "_flat", "_flat64", "_flat_grads")
+    __slots__ = ("shapes", "blocks", "shadow", "grads", "_flat", "_flat64", "_flat_grads")
 
     def __init__(self, blocks):
-        shapes = {name: np.shape(block) for name, block in blocks.items()}
+        self.shapes = MappingProxyType({name: np.shape(block) for name, block in blocks.items()})
         self._flat = np.concatenate([np.ravel(block) for block in blocks.values()])
         self._flat64 = self._flat.astype(np.float64)
         self._flat_grads = np.empty(self._flat.size)
-        self.blocks = _views(self._flat, shapes, writeable=False)
-        self.shadow = _views(self._flat64, shapes, writeable=False)
-        self.grads = _views(self._flat_grads, shapes, writeable=True)
+        self.blocks = _views(self._flat, self.shapes, writeable=False)
+        self.shadow = _views(self._flat64, self.shapes, writeable=False)
+        self.grads = _views(self._flat_grads, self.shapes, writeable=True)
 
     def __reduce__(self):  # mapping proxies do not pickle; the copy packs its own storage
         return ClassifierParams, (dict(self.blocks),)
@@ -376,78 +378,48 @@ def read_json(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_checkpoint(params: ClassifierParams, path) -> str:
-    """Magic + version byte + length-prefixed JSON header + float32 payload;
-    returns the sha256 of the bytes written."""
-    tensors = []
-    payload = bytearray()
-    for name, block in params.blocks.items():
-        raw = np.ascontiguousarray(block, dtype="<f4").tobytes()
-        tensors.append(
-            {"name": name, "shape": list(block.shape), "dtype": "f32", "offset": len(payload)}
-        )
-        payload.extend(raw)
+def _checkpoint_head(shapes: dict) -> bytes:
+    """Every byte of a checkpoint before its float32 blocks of these names and shapes:
+    magic, version byte, header length, and the JSON header of each block's name,
+    shape, dtype and payload offset."""
+    tensors, offset = [], 0
+    for name, shape in shapes.items():
+        tensors.append({"name": name, "shape": list(shape), "dtype": "f32", "offset": offset})
+        offset += 4 * math.prod(shape)
     header = json.dumps({"tensors": tensors}).encode("utf-8")
-    blob = b"".join([CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]),
-                     struct.pack("<I", len(header)), header, payload])
+    return CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + struct.pack("<I", len(header)) + header
+
+
+def save_checkpoint(params: ClassifierParams, path) -> str:
+    """``_checkpoint_head`` of the blocks, then their values as little-endian float32;
+    returns the sha256 of the bytes written."""
+    blob = _checkpoint_head(params.shapes) + params._flat.astype("<f4").tobytes()
     atomic_write(path, blob)
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_checkpoint(path, sha256: str | None = None) -> ClassifierParams:
-    """Parse a checkpoint; with ``sha256``, only a file of that hash."""
+def _stored_shapes(blob: bytes) -> dict:
+    """The block names and shapes that a checkpoint's header lists, found by pattern,
+    for a reader that does not know the model; the head they give then judges the file."""
+    start = len(CHECKPOINT_MAGIC) + 5
+    header = blob[start:start + int.from_bytes(blob[start - 4:start], "little")].decode("latin-1")
+    found = re.findall(r'"name": "([^"\\]+)", "shape": \[(\d{1,12}(?:, \d{1,12})*)\]', header)
+    return {name: tuple(map(int, dims.split(", "))) for name, dims in found}
+
+
+def load_checkpoint(path, like: ClassifierParams | None = None,
+                    sha256: str | None = None) -> ClassifierParams:
+    """The blocks that ``save_checkpoint`` wrote to ``path`` for ``like``'s names and shapes
+    (without ``like``, those its header lists): the file must be their ``_checkpoint_head``
+    and float32 values, and with ``sha256``, hash to it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
         raise CheckpointError(f"{path}: sha256 differs from the one recorded at save time")
-    pos = len(CHECKPOINT_MAGIC)
-    if blob[:pos] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes")
-    if len(blob) < pos + 5:
-        raise CheckpointError(f"{path}: truncated checkpoint")
-    version = blob[pos]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    header_len = struct.unpack_from("<I", blob, pos + 1)[0]
-    header_start = pos + 5
-    header_end = header_start + header_len
-    if len(blob) < header_end:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = parse_json(blob[header_start:header_end].decode("utf-8"))
-        tensors = header["tensors"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path}: malformed header: {exc}") from None
-    if not isinstance(tensors, list):
-        raise CheckpointError(f"{path}: malformed header: tensors must be a list")
-    payload = blob[header_end:]
-    blocks: dict[str, np.ndarray] = {}
-    expected = 0
-    for entry in tensors:
-        try:
-            name, shape, dtype, offset = (
-                entry["name"], tuple(entry["shape"]), entry["dtype"], entry["offset"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"{path}: malformed tensor entry: {exc}") from None
-        if not (isinstance(name, str) and type(offset) is int
-                and all(type(dim) is int and dim >= 0 for dim in shape)):
-            raise CheckpointError(f"{path}: malformed tensor entry {name!r}")
-        if name in blocks:
-            raise CheckpointError(f"{path}: tensor {name} appears twice")
-        if dtype != "f32":
-            raise CheckpointError(f"{path}: unsupported dtype {dtype!r} for {name}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 4
-        if offset != expected:
-            raise CheckpointError(f"{path}: unexpected offset for {name}")
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated payload at {name}")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        blocks[name] = arr.reshape(shape)
-        expected = offset + nbytes
-    if expected != len(payload):
-        raise CheckpointError(f"{path}: trailing bytes in payload")
-    if not blocks:
-        raise CheckpointError(f"{path}: checkpoint holds no tensors")
-    return ClassifierParams(blocks)
+    shapes = _stored_shapes(blob) if like is None else like.shapes
+    head = _checkpoint_head(shapes)
+    if (not shapes or not blob.startswith(head)
+            or len(blob) != len(head) + 4 * sum(map(math.prod, shapes.values()))):
+        layout = ", ".join(f"{name}{list(shape)}" for name, shape in shapes.items())
+        raise CheckpointError(f"{path}: head bytes or length do not match the model's {layout}")
+    return ClassifierParams(_views(np.frombuffer(blob, "<f4", offset=len(head)), shapes, False))

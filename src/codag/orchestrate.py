@@ -319,18 +319,13 @@ _STATE_FIELDS = {"version": int, "digest": str, "next_stage": int, "curves_bytes
                  "sha256": dict}
 
 
-def _layout(params: ClassifierParams) -> str:
-    """Block names, order and shapes, as one line."""
-    return ", ".join(f"{name}{list(block.shape)}" for name, block in params.blocks.items())
-
-
 def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
                       config: ExperimentConfig) -> None:
     """Advance the fresh ``state`` to the last stage committed under ``seed_dir``.
 
     The first ``curves_bytes`` bytes of curves.csv and each stage's checkpoints
-    must match their sha256, the curves must start with their header, and the
-    checkpoints' block names, order and shapes must be those of ``config.model``.
+    must match their sha256, the curves must start with their header, and each
+    checkpoint must be one that ``save_checkpoint`` writes for ``config.model``.
     The curves are kept byte for byte; each stage's tail is replayed from the
     checkpoints.
     Raises ``RunStateError``, naming the state file, for anything malformed,
@@ -369,15 +364,11 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
         if not curves.startswith(CURVES_HEADER):
             raise ValueError(f"{curves_path}: missing the curves header")
         state.curves = bytearray(curves)
-        layout = _layout(init_params(config.model, seq.d, seq.k, 0))
+        like = init_params(config.model, seq.d, seq.k, 0)
         for t in range(next_stage):
-            models = {}
-            for role in _roles(config, t):
-                ckpt = os.path.join(seed_dir, _ckpt_name(role, t))
-                models[role] = load_checkpoint(ckpt, sha256[_ckpt_name(role, t)])
-                if _layout(models[role]) != layout:
-                    raise ValueError(f"{ckpt}: blocks {_layout(models[role])} do not match "
-                                     f"the model's {layout}")
+            models = {role: load_checkpoint(os.path.join(seed_dir, _ckpt_name(role, t)), like,
+                                            sha256[_ckpt_name(role, t)])
+                      for role in _roles(config, t)}
             labeled = _labeled(state, t, seq, config, models.get("da"))
             _finish_stage(state, t, seq, config, labeled, models)
         state.sha256 = {name: sha256[name] for name in names}
@@ -386,9 +377,9 @@ def restore_run_state(state: RunState, seed_dir, seq: DomainSequence,
         raise RunStateError(f"{path}: malformed run state: {detail}") from None
 
 
-# Overflowing features or weights warn in forward passes, herding, cosine norms and the
-# SGD cast; the run reports its divergence once, as one error line.
-@np.errstate(over="ignore", invalid="ignore")
+# Overflowing features or weights warn in forward passes, herding, cosine norms, the SGD
+# cast and the losses' logs of 0; the run reports its divergence once, as one error line.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_seed(config: ExperimentConfig, seed: int, seed_dir=None) -> tuple[RunState, dict]:
     """All stages for one seed, continuing from the state committed under ``seed_dir``."""
     seq = config.sequence.build(substream(seed, "data"), config.domain_order)

@@ -379,6 +379,22 @@ def test_overflowing_run_prints_no_numpy_warning(tmp_path, tiny_config_file, var
     assert line.startswith("error: seed 1, stage 0: training diverged: "), line
 
 
+# Large steps underflow probabilities to 0 under a log: the DG loss's KL takes log(p)
+# of every class, also of those it masks out, and the adaptation loss log(pbar).
+@pytest.mark.parametrize("overrides, code", [
+    (["variant=dg-only", "dg.lr=20"], 0),
+    (["dg.lr=1", "dg.alpha=50"], 1),
+    (["dg.lr=5"], 1),
+], ids=["dg-kl-finishes", "dg-kl-diverges", "adapt-pbar-diverges"])
+def test_log_of_zero_prints_no_numpy_warning(tmp_path, tiny_config_file, overrides, code):
+    """stderr is empty when the run finishes and holds the one error line when it diverges."""
+    done = _cli_child(["run", "--config", tiny_config_file, "--out", str(tmp_path / "out"),
+                       *(a for o in overrides for a in ("--override", o))])
+    assert done.returncode == code
+    assert len(done.stderr.splitlines()) == code, done.stderr
+    assert done.stderr.startswith("error: seed 7, stage 1: training diverged: " if code else "")
+
+
 @pytest.mark.parametrize("jobs, overrides", [
     ("1", ["dg.alpha=0"]),
     ("2", ["dg.alpha=0"]),
@@ -419,12 +435,10 @@ def test_malformed_state_is_one_error_line(tmp_path, tiny_config_file, capsys, j
     assert len(errors) == 1 and str(out / "seed7" / "state.json") in errors[0]
 
 
-@pytest.mark.parametrize("source", ["config", "override", "matrix", "nested-too-deep",
-                                    "ckpt-header-nested-too-deep-rehashed"])
+@pytest.mark.parametrize("source", ["config", "override", "matrix", "nested-too-deep"])
 def test_deeply_nested_json_is_one_error_line(tmp_path, tiny_config_file, capsys, source):
     """JSON nested past Python's recursion limit exits 2 naming its source, like any
-    other bad JSON: a config, an override, a matrix, or a seed's run state (its
-    state.json or a checkpoint header)."""
+    other bad JSON: a config, an override, a matrix, or a seed's state.json."""
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP_JSON)
     out = tmp_path / "out"
@@ -467,11 +481,12 @@ def _run_stopped_at_stage_2(run, monkeypatch):
 
 
 @pytest.mark.parametrize("fault", ["ckpt-block-renamed-rehashed",
-                                   "ckpt-blocks-reordered-rehashed", "ckpt-width-rehashed"])
+                                   "ckpt-blocks-reordered-rehashed", "ckpt-width-rehashed",
+                                   "ckpt-header-nested-too-deep-rehashed"])
 def test_resume_with_foreign_checkpoint_layout_exits_2(tmp_path, tiny_config_file, capsys,
                                                        monkeypatch, fault):
-    """A stage-1 checkpoint whose blocks do not fit the model, its sha256
-    rewritten in state.json, after a run stopped at stage 2."""
+    """A stage-1 checkpoint that is not what ``save_checkpoint`` writes for the
+    model, its sha256 rewritten in state.json, after a run stopped at stage 2."""
     out = tmp_path / "out"
     run = ["run", "--config", tiny_config_file, "--out", str(out)]
     _run_stopped_at_stage_2(run, monkeypatch)

@@ -76,7 +76,9 @@ def test_im_loss_matches_oracle_bytes(seed, n, k, scale, fortran):
     logits = rng.standard_normal((n, k)) * scale
     given_logits = np.asfortranarray(logits) if fortran else logits
     pl = rng.integers(0, k, n)
-    _same(_im_pl_logit_loss(pl)(given_logits), oracle.im_pl_logit_loss(pl, 1.0, PL_WEIGHT)(logits))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log of an underflowed pbar
+        got = _im_pl_logit_loss(pl)(given_logits)
+    _same(got, oracle.im_pl_logit_loss(pl, 1.0, PL_WEIGHT)(logits))
 
 
 @PROPERTY

@@ -343,8 +343,8 @@ def test_every_params_object_owns_its_storage(tmp_path):
     with an exact shadow and buffers of their own; blocks and their mapping
     are read-only, grads are never shared, and Sgd refuses foreign grads."""
     params = init_params(ModelConfig(), 16, 5, 6)
-    save_checkpoint(params, tmp_path / "model.ckpt")
-    loaded, clone = load_checkpoint(tmp_path / "model.ckpt"), params.copy()
+    sha256 = save_checkpoint(params, tmp_path / "model.ckpt")
+    loaded, clone = load_checkpoint(tmp_path / "model.ckpt", params, sha256), params.copy()
     made = [params, loaded, clone]
     for p in made:
         assert_owns_exact_shadow(p)
@@ -360,7 +360,7 @@ def test_every_params_object_owns_its_storage(tmp_path):
         params.blocks["ext0.w"][0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         params.shadow["head.b"][0] = 1.0
-    for view in ("blocks", "shadow", "grads"):
+    for view in ("shapes", "blocks", "shadow", "grads"):
         with pytest.raises(TypeError):
             getattr(params, view)["head.b"] = np.zeros(5, dtype=np.float32)
 
@@ -381,13 +381,31 @@ def test_every_params_object_owns_its_storage(tmp_path):
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     params = small_params(seed=11)
     path = tmp_path / "model.ckpt"
-    assert save_checkpoint(params, path) == hashlib.sha256(path.read_bytes()).hexdigest()
-    loaded = load_checkpoint(path)
-    assert loaded.blocks.keys() == params.blocks.keys()
-    assert_owns_exact_shadow(loaded)
-    for name in params.blocks:
-        assert loaded.blocks[name].dtype == np.float32
-        assert loaded.blocks[name].tobytes() == params.blocks[name].tobytes()
+    sha256 = save_checkpoint(params, path)
+    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    # Without the model, the names and shapes come from the header.
+    for like in (init_params(ModelConfig(hidden=(6,), feat_dim=5), 4, 3, 0), None):
+        loaded = load_checkpoint(path, like, sha256)
+        assert loaded.blocks.keys() == params.blocks.keys()
+        assert_owns_exact_shadow(loaded)
+        for name in params.blocks:
+            assert loaded.blocks[name].dtype == np.float32
+            assert loaded.blocks[name].tobytes() == params.blocks[name].tobytes()
+    path.write_bytes(path.read_bytes()[:-1] + b"\x01")  # head.b is all zeros
+    with pytest.raises(CheckpointError, match="sha256 differs from the one recorded"):
+        load_checkpoint(path, params, sha256)
+
+
+def assert_layout_refused(path, like):
+    """``path``, passed with its own sha256, is refused as not what ``save_checkpoint``
+    writes for ``like``, and, without ``like``, for the blocks its header lists."""
+    sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+    layout = ", ".join(f"{name}{list(block.shape)}" for name, block in like.blocks.items())
+    for model, message in [(like, f"the model's {layout}"), (None, "the model's")]:
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, model, sha256)
+        assert str(info.value).startswith(
+            f"{path}: head bytes or length do not match {message}"), str(info.value)
 
 
 def test_checkpoint_corruption_detected(tmp_path):
@@ -396,42 +414,26 @@ def test_checkpoint_corruption_detected(tmp_path):
     save_checkpoint(params, path)
     blob = path.read_bytes()
 
-    truncated = tmp_path / "trunc.ckpt"
-    truncated.write_bytes(blob[:-10])
-    with pytest.raises(CheckpointError, match="truncated|payload"):
-        load_checkpoint(truncated)
-
-    bad_magic = tmp_path / "magic.ckpt"
-    bad_magic.write_bytes(b"NOTACKPT!" + blob[9:])
-    with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(bad_magic)
-
-    bad_version = tmp_path / "ver.ckpt"
-    bad_version.write_bytes(blob[:9] + bytes([9]) + blob[10:])
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(bad_version)
-
-    trailing = tmp_path / "trail.ckpt"
-    trailing.write_bytes(blob + b"\x00\x00\x00\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
-        load_checkpoint(trailing)
-
     def with_header(tensors, payload=b""):
         body = json.dumps({"tensors": tensors}).encode("utf-8")
         return blob[:10] + struct.pack("<I", len(body)) + body + payload
 
-    for content, message in [
-            (blob[:12], "truncated checkpoint"),  # magic, version and half the header length
-            (blob[:10] + struct.pack("<I", len(blob)) + blob[14:], "truncated header"),
-            (with_header([dict(_ENTRY, dtype="f64")], bytes(8)), "unsupported dtype 'f64'"),
-            (with_header([dict(_ENTRY, offset=4)], bytes(12)), "unexpected offset for head.b"),
-            (with_header([]), "checkpoint holds no tensors")]:
+    for content in [
+            blob[:-10],  # truncated payload
+            b"NOTACKPT!" + blob[9:],  # bad magic
+            blob[:9] + bytes([9]) + blob[10:],  # unsupported version
+            blob + b"\x00\x00\x00\x00",  # trailing bytes
+            blob[:12],  # magic, version and half the header length
+            blob[:10] + struct.pack("<I", len(blob)) + blob[14:],  # header past the end
+            with_header([dict(_ENTRY, dtype="f64")], bytes(8)),
+            with_header([dict(_ENTRY, offset=4)], bytes(12)),
+            with_header([])]:
         path.write_bytes(content)
-        with pytest.raises(CheckpointError, match=message):
-            load_checkpoint(path)
+        assert_layout_refused(path, params)
 
 
 _ENTRY = {"name": "head.b", "shape": [2], "dtype": "f32", "offset": 0}
+_ENTRY_MODEL = ClassifierParams({"head.b": np.zeros(2, dtype=np.float32)})  # what _ENTRY lists
 
 
 @pytest.mark.parametrize("header", [
@@ -455,8 +457,7 @@ def test_malformed_checkpoint_header_raises_checkpoint_error(tmp_path, header):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
                      + struct.pack("<I", len(body)) + body + bytes(8))
-    with pytest.raises(CheckpointError, match="malformed"):
-        load_checkpoint(path)
+    assert_layout_refused(path, _ENTRY_MODEL)
 
 
 def test_checkpoint_naming_a_tensor_twice_raises(tmp_path):
@@ -465,9 +466,7 @@ def test_checkpoint_naming_a_tensor_twice_raises(tmp_path):
     path = tmp_path / "twice.ckpt"
     path.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + struct.pack("<I", len(body))
                      + body + np.array([1, 2, 3, 4], dtype="<f4").tobytes())
-    with pytest.raises(CheckpointError) as info:
-        load_checkpoint(path)
-    assert str(info.value) == f"{path}: tensor head.b appears twice"
+    assert_layout_refused(path, _ENTRY_MODEL)
 
 
 def test_atomic_write_syncs_the_file_before_the_rename_and_the_directory_after(

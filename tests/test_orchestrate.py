@@ -347,13 +347,15 @@ def _flip_last_byte(path):
 
 
 def _rehashed_checkpoint(seed_dir, edit, role="dg"):
-    """Rewrite the last checkpoint of ``role`` with ``edit(blocks)`` and record its new sha256."""
+    """Rewrite the last checkpoint of ``role`` of a ``tiny_config`` run with
+    ``edit(blocks)`` and record its new sha256."""
     state_path = seed_dir / "state.json"
     payload = json.loads(state_path.read_text())
     name = f"checkpoints/{role}_stage{payload['next_stage'] - 1}.ckpt"
-    save_checkpoint(ClassifierParams(edit(dict(load_checkpoint(seed_dir / name).blocks))),
-                    seed_dir / name)
-    payload["sha256"][name] = hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
+    params = load_checkpoint(seed_dir / name, init_params(tiny_config().model, 4, 3, 0),
+                             payload["sha256"][name])
+    payload["sha256"][name] = save_checkpoint(ClassifierParams(edit(dict(params.blocks))),
+                                              seed_dir / name)
     state_path.write_text(json.dumps(payload))
 
 
@@ -383,12 +385,14 @@ DEEP_JSON = "[" * 100_000  # nested past Python's recursion limit
 
 def _deep_dg_checkpoint_header(seed_dir):
     """The last DG checkpoint's header nested past the recursion limit, its sha256 rewritten."""
-    name = "checkpoints/dg_stage2.ckpt"
     header = DEEP_JSON.encode("ascii")
-    (seed_dir / name).write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
-                                  + struct.pack("<I", len(header)) + header)
-    _edit_state(seed_dir, lambda p: p["sha256"].update(
-        {name: hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()}))
+    blob = CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + struct.pack("<I", len(header)) + header
+
+    def edit(payload):
+        name = f"checkpoints/dg_stage{payload['next_stage'] - 1}.ckpt"
+        (seed_dir / name).write_bytes(blob)
+        payload["sha256"][name] = hashlib.sha256(blob).hexdigest()
+    _edit_state(seed_dir, edit)
 
 
 def _one_more_hidden_unit(blocks):
@@ -617,7 +621,6 @@ def test_experiment_config_validation():
 
 def test_matrices_match_checkpoint_reevaluation(tmp_path):
     from codag.evaluate import accuracy
-    from codag.nnmodel import load_checkpoint
 
     cfg = tiny_config(
         sequence=SequenceConfig(n_per_domain=60, k=3, d=4, angles_deg=(0.0, 90.0), seed=3))
@@ -627,11 +630,17 @@ def test_matrices_match_checkpoint_reevaluation(tmp_path):
     dg_mat = np.array(results["per_seed"]["7"]["dg_matrix"])
     da_mat = np.array(results["per_seed"]["7"]["da_matrix"])
 
+    like = init_params(cfg.model, seq.d, seq.k, 0)
+    sha256 = json.loads((seed_dir / "state.json").read_text())["sha256"]
+
+    def load(name):
+        return load_checkpoint(seed_dir / "checkpoints" / name, like, sha256[f"checkpoints/{name}"])
+
     for t in range(2):
-        dg = load_checkpoint(seed_dir / "checkpoints" / f"dg_stage{t}.ckpt")
+        dg = load(f"dg_stage{t}.ckpt")
         row = [accuracy(dg, ts) for ts in seq.test_sets]
         np.testing.assert_allclose(dg_mat[t], row, atol=1e-12)
-    da1 = load_checkpoint(seed_dir / "checkpoints" / "da_stage1.ckpt")
+    da1 = load("da_stage1.ckpt")
     assert da_mat[1][1] == pytest.approx(accuracy(da1, seq.test_sets[1]), abs=1e-12)
 
     values = sequence_metrics(da_mat, dg_mat)["tda_per_domain"]
